@@ -13,6 +13,17 @@ on merge cost are broken by the lexicographically smallest cluster-id
 pair. Ids follow the dendrogram convention: input points are clusters
 0..n-1 and the i-th merge creates id n+i.
 
+`chac` is the generic algorithm with a nearest-neighbour list (Muellner,
+"Modern hierarchical, agglomerative clustering algorithms", 2011, sec. 3):
+an n x n cost matrix, built in row blocks, plus each row's minimum cost
+and its partner, the smallest cluster id among exact ties. A merge picks
+the global pair from those n entries, refreshes the merged cluster's row
+and rescans only the rows that pointed at the merged pair, so a step
+costs O(n q) plus a rescan instead of a scan of the whole matrix. Memory
+is O(n^2) floats: the n^2 q pairwise-difference tensor is never built.
+Merges stay in cost order, so the merge log, the costs and the centroids
+are the ones a full-matrix scan gives, bit for bit.
+
 A deliberately naive reference (`_ward_reference`, recompute everything
 each step) ships here for equivalence testing only.
 """
@@ -91,6 +102,31 @@ def _singletons(pts: np.ndarray, requested: int) -> ClusteringResult:
     return ClusteringResult(clusters, (), requested)
 
 
+_BLOCK_FLOATS = 1 << 16  # difference entries per block of the initial costs
+
+
+def _initial_costs(pts: np.ndarray) -> np.ndarray:
+    """Singleton Ward costs 0.5 * |x_a - x_b|^2 with an +inf diagonal.
+
+    Rows come in blocks against the columns from the block's first row on,
+    at most _BLOCK_FLOATS difference entries at a time, and are mirrored
+    below the diagonal: the n^2 q difference tensor never exists, and each
+    entry is the einsum contraction that tensor would give.
+    """
+    n, q = pts.shape
+    cost = np.empty((n, n))
+    rows = max(1, _BLOCK_FLOATS // (n * q))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        diff = pts[lo:hi, None, :] - pts[None, lo:, :]
+        part = np.einsum("ijq,ijq->ij", diff, diff)
+        cost[lo:hi, lo:] = part
+        cost[lo:, lo:hi] = part.T
+    cost *= 0.5  # singleton sizes: v_a v_b / (v_a + v_b) = 1/2
+    np.fill_diagonal(cost, np.inf)
+    return cost
+
+
 def chac(points, requested: int) -> ClusteringResult:
     """Ward-linkage agglomeration down to ``requested`` clusters.
 
@@ -108,50 +144,65 @@ def chac(points, requested: int) -> ClusteringResult:
     means = pts.copy()
     sizes = np.ones(n)
     alive = np.ones(n, dtype=bool)
-    ids = list(range(n))
+    ids = np.arange(n)
     members: list[list[int]] = [[i] for i in range(n)]
 
-    # Full symmetric cost matrix; dead slots and the diagonal stay +inf.
-    diff = means[:, None, :] - means[None, :, :]
-    ssq = np.einsum("ijq,ijq->ij", diff, diff)
-    cost = 0.5 * ssq  # singleton sizes: v_a v_b / (v_a + v_b) = 1/2
-    np.fill_diagonal(cost, np.inf)
+    # Symmetric cost matrix; dead slots and the diagonal stay +inf.
+    cost = _initial_costs(pts)
+    # Per-row nearest neighbour: the row minimum and, among exact ties, the
+    # partner with the smallest cluster id (ids equal slots at the start,
+    # and argmin returns the first minimum).
+    nn = cost.argmin(axis=1)
+    nn_cost = cost[ids, nn]
+    no_id = 2 * n  # larger than every cluster id
 
     merges: list[tuple[int, int, float]] = []
     next_id = n
     remaining = n
     while remaining > requested:
-        m = cost.min()
-        # Exact-tie candidates, resolved by smallest (min id, max id).
-        cand = np.argwhere(cost == m)
-        best = None
-        for i, j in cand:
-            if i >= j:
-                continue
-            key = (min(ids[i], ids[j]), max(ids[i], ids[j]))
-            if best is None or key < best[0]:
-                best = (key, int(i), int(j))
-        (id_lo, id_hi), i, j = best
-        merges.append((id_lo, id_hi, float(m)))
+        m = nn_cost.min()
+        # Every slot in a pair of cost m has row minimum m. The smallest id
+        # among them and its nearest neighbour form the pair with the
+        # smallest (min id, max id) key. The merged cluster takes slot i.
+        tied = np.flatnonzero(nn_cost == m)
+        i = tied[ids[tied].argmin()]
+        j = nn[i]
+        merges.append((int(ids[i]), int(ids[j]), float(m)))
 
-        merged_size = sizes[i] + sizes[j]
-        means[i] = (sizes[i] * means[i] + sizes[j] * means[j]) / merged_size
+        size_i, size_j = sizes[i], sizes[j]
+        merged_size = size_i + size_j
+        means[i] = (size_i * means[i] + size_j * means[j]) / merged_size
         sizes[i] = merged_size
         members[i].extend(members[j])
         ids[i] = next_id
         next_id += 1
         alive[j] = False
+        means[j] = np.inf  # dead slots get +inf costs below
         cost[j, :] = np.inf
         cost[:, j] = np.inf
+        nn_cost[j] = np.inf
 
-        # Refresh slot i's costs against the survivors.
-        others = np.flatnonzero(alive)
-        others = others[others != i]
-        gap = means[others] - means[i]
-        pair = sizes[i] * sizes[others] / (sizes[i] + sizes[others])
+        # Refresh slot i's costs against every slot; the dead come out +inf.
+        gap = means - means[i]
+        pair = merged_size * sizes / (merged_size + sizes)
         fresh = pair * np.einsum("kq,kq->k", gap, gap)
-        cost[i, others] = fresh
-        cost[others, i] = fresh
+        fresh[i] = np.inf
+        cost[i] = fresh
+        cost[:, i] = fresh
+
+        # Rows that pointed at i or j rescan, row i among them (the merged
+        # pair point at each other). Every other row keeps its neighbour
+        # unless i is now strictly closer: on an exact tie the old neighbour
+        # wins, since i's new id is the largest.
+        stale = (nn == i) | (nn == j)
+        stale[j] = False
+        nn[fresh < nn_cost] = i
+        np.minimum(nn_cost, fresh, out=nn_cost)
+        stale = np.flatnonzero(stale)
+        block = cost[stale]
+        low = block.min(axis=1)
+        nn_cost[stale] = low
+        nn[stale] = np.where(block == low[:, None], ids, no_id).argmin(axis=1)
         remaining -= 1
 
     order = sorted(np.flatnonzero(alive), key=lambda s: min(members[s]))

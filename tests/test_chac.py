@@ -1,3 +1,8 @@
+import hashlib
+import json
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +22,32 @@ from protofed.chac import (
 
 def rand_points(seed, n, q, lo=-2.0, hi=2.0):
     return np.random.default_rng(seed).uniform(lo, hi, size=(n, q))
+
+
+GOLDEN_PATH = Path(__file__).parent / "data" / "chac_golden.json"
+
+
+def golden_inputs() -> dict[str, np.ndarray]:
+    """The three fixed inputs whose clustering chac_golden.json pins."""
+    gauss = np.random.default_rng(501).standard_normal((200, 16))
+    # Dead-ReLU-like embeddings: many exact zeros, so many exact cost ties.
+    relu = np.maximum(np.random.default_rng(502).standard_normal((200, 16)) - 0.5, 0.0)
+    rng = np.random.default_rng(503)
+    distinct = rng.standard_normal((30, 16))
+    repeated = distinct[rng.permutation(np.arange(200) % 30)]
+    return {"gaussian": gauss, "relu": relu, "repeated": repeated}
+
+
+def golden_record(pts: np.ndarray, requested: int) -> dict:
+    """chac's output in exact form: costs and centroid entries as float.hex."""
+    result = chac(pts, requested)
+    return {
+        "input_sha256": hashlib.sha256(pts.tobytes()).hexdigest(),
+        "requested": requested,
+        "merges": [[a, b, float(c).hex()] for a, b, c in result.merges],
+        "members": [list(c.members) for c in result.clusters],
+        "centroids": [[float(v).hex() for v in c.mean] for c in result.clusters],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +173,65 @@ def test_chac_matches_naive_reference(seed, n, requested, q):
     for (a1, b1, c1), (a2, b2, c2) in zip(fast.merges, slow.merges):
         assert (a1, b1) == (a2, b2)
         np.testing.assert_allclose(c1, c2, rtol=1e-9)
+
+
+def tie_heavy_points(kind: str, seed: int) -> tuple[np.ndarray, int]:
+    """Inputs whose exact cost ties are exact in chac and the oracle alike.
+
+    The oracle recomputes means from members, chac updates them, so a tie
+    that holds only in exact arithmetic (say between means of three points)
+    can round apart differently in each; these recipes avoid that:
+    duplicated rows on a 2^-20 grid (sums of copies stay exact),
+    ReLU-clipped rows (ties among exact zeros), and small integer grids
+    merged only part way (pair and triple means round the same in both).
+    """
+    rng = np.random.default_rng(seed)
+    n, q = int(rng.integers(6, 26)), int(rng.integers(1, 5))
+    if kind == "duplicates":
+        base = np.round(rng.uniform(-2, 2, (max(2, n // 3), q)) * 2**20) / 2**20
+        return base[rng.integers(0, len(base), n)], int(rng.integers(1, 5))
+    if kind == "relu":
+        return np.maximum(rng.standard_normal((n, q)) - 0.5, 0.0), int(rng.integers(1, 5))
+    return rng.integers(0, 3, (n, q)).astype(float), int(rng.integers(n // 2, n))
+
+
+@pytest.mark.parametrize("kind", ["duplicates", "relu", "grid"])
+def test_chac_matches_naive_reference_on_exact_ties(kind):
+    tied_merges = 0
+    for seed in range(40):
+        pts, requested = tie_heavy_points(kind, seed)
+        fast = chac(pts, requested)
+        slow = _ward_reference(pts, requested)
+        assert fast.partition() == slow.partition()
+        assert [m[:2] for m in fast.merges] == [m[:2] for m in slow.merges]
+        for (_, _, c1), (_, _, c2) in zip(fast.merges, slow.merges):
+            np.testing.assert_allclose(c1, c2, rtol=1e-9)
+        tied_merges += len(fast.merges) - len({c for _, _, c in fast.merges})
+    assert tied_merges > 50  # the inputs really reach the tie-break
+
+
+@pytest.mark.parametrize("name", ["gaussian", "relu", "repeated"])
+def test_chac_golden_bitwise(name):
+    golden = json.loads(GOLDEN_PATH.read_text())[name]
+    pts = golden_inputs()[name]
+    assert hashlib.sha256(pts.tobytes()).hexdigest() == golden["input_sha256"], (
+        "the golden input generator changed; chac was not compared"
+    )
+    assert golden_record(pts, golden["requested"]) == golden
+
+
+def test_chac_memory_stays_quadratic():
+    n, q = 1500, 64
+    pts = np.random.default_rng(21).standard_normal((n, q))
+    tracemalloc.start()
+    try:
+        result = chac(pts, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.achieved == 3
+    # A few n x n float matrices; the n^2 q difference tensor would be 1.15 GB.
+    assert peak <= 4 * n * n * 8
 
 
 def test_chac_permutation_equivariant():
