@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .diffcore import Tensor
+from .diffcore import Tensor, _wrap
 
 __all__ = [
     "Dataset",
@@ -129,7 +129,7 @@ def load_idx(images_path, labels_path) -> Dataset:
     pixels = np.frombuffer(img_blob, dtype=np.uint8, offset=16).reshape(n, rows * cols)
     labels = np.frombuffer(lab_blob, dtype=np.uint8, offset=8).astype(np.int64)
     return Dataset(
-        features=Tensor(pixels / 255.0),
+        features=_wrap(pixels / 255.0, "load_idx"),  # fresh buffer: no defensive copy
         labels=labels,
         num_classes=10,
         name=f"idx:{n}x{rows}x{cols}",
