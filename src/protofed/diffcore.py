@@ -10,6 +10,7 @@ state and may be shared read-only across workers.
 """
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -41,6 +42,8 @@ __all__ = [
     "log_softmax_t",
     "gather_labels",
     "take_rows",
+    "concat_rows",
+    "sq_dists",
     "detach",
 ]
 
@@ -58,7 +61,10 @@ class TapeError(RuntimeError):
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    # NaN and +-Inf survive a sum, so a finite sum clears the array in one
+    # reduction. A non-finite sum can also come from finite values whose sum
+    # overflows (numpy then warns), so only the elementwise scan may raise.
+    if not math.isfinite(arr.sum()) and not np.isfinite(arr).all():
         raise NonFiniteError(f"{op} produced a non-finite value")
 
 
@@ -93,7 +99,7 @@ class Tensor:
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
-        return float(self.data)
+        return float(self.data.item())
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
@@ -559,6 +565,50 @@ def take_rows(x, indices) -> Tensor:
         return (gx,)
 
     _record(out, (x,), bwd)
+    return out
+
+
+def concat_rows(parts: Sequence) -> Tensor:
+    """Stack vectors (one row each) and matrices into one matrix.
+
+    Parts must share a width; each part receives its own slice of the
+    gradient.
+    """
+    parts = tuple(as_tensor(p) for p in parts)
+    if not parts or any(p.ndim not in (1, 2) for p in parts):
+        raise ShapeError("concat_rows needs one or more vectors or matrices")
+    blocks = [p.data.reshape(1, -1) if p.ndim == 1 else p.data for p in parts]
+    if len({b.shape[1] for b in blocks}) != 1:
+        raise ShapeError(f"concat_rows parts differ in width: {[p.shape for p in parts]}")
+    out = _wrap(np.concatenate(blocks, axis=0), "concat_rows")
+    stops = np.cumsum([b.shape[0] for b in blocks])[:-1]
+
+    def bwd(g):
+        return tuple(gp.reshape(p.shape) for gp, p in zip(np.split(g, stops), parts))
+
+    _record(out, parts, bwd)
+    return out
+
+
+def sq_dists(x, p) -> Tensor:
+    """Row-mean squared distances: out[i, c] = mean_k (x[i, k] - p[c, k])**2.
+
+    x is (n, q), p is (C, q), the result (n, C). Built from the explicit
+    differences, not from |x|^2 - 2 x.p + |p|^2, which cancels when a row
+    sits near a prototype.
+    """
+    x, p = as_tensor(x), as_tensor(p)
+    if x.ndim != 2 or p.ndim != 2 or x.shape[1] != p.shape[1] or x.shape[1] == 0:
+        raise ShapeError(f"sq_dists needs (n, q) and (C, q) matrices, got {x.shape}, {p.shape}")
+    q = x.shape[1]
+    diff = x.data[:, None, :] - p.data[None, :, :]
+    out = _wrap(np.add.reduce(diff * diff, axis=2) / q, "sq_dists")
+
+    def bwd(g):
+        gd = (2.0 / q) * g[:, :, None] * diff
+        return gd.sum(axis=1), -gd.sum(axis=0)
+
+    _record(out, (x, p), bwd)
     return out
 
 

@@ -279,10 +279,12 @@ def client_update(
 
     For the shared-model methods the received parameters replace the local
     ones before training. After round 1 the multi-prototype methods add the
-    distillation, alignment and attract/repel terms, all referenced against
-    the model this client trained in its previous participation (a client
-    joining late starts with plain cross entropy once). fedproto never loads
-    the global model and regularizes class means toward global prototypes.
+    distillation and attract/repel terms and log the alignment diagnostic,
+    all referenced against the model this client trained in its previous
+    participation (a client joining late starts with plain cross entropy
+    once). fedproto never loads the global model and regularizes class means
+    toward global prototypes. A failing batch raises ``FederationError``
+    naming its epoch and batch index.
     """
     if round_idx < 1:
         raise ValueError("round index must be >= 1")
@@ -311,62 +313,61 @@ def client_update(
     batches_seen = 0
     batch_protos: Optional[PrototypeSet] = None
 
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         order = train_idx[rng.permutation(n)]
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            xb = dc.Tensor(feats[idx])
-            yb = labels_all[idx]
-            batch_classes = [int(c) for c in np.unique(yb)]
-            with dc.Tape() as tape:
-                state.model.watch(tape)
-                emb, logits = state.model.forward(xb)
-                ce = losses.cross_entropy(logits, yb)
+        for batch, start in enumerate(range(0, n, cfg.batch_size)):
+            try:
+                idx = order[start : start + cfg.batch_size]
+                xb = dc._wrap(feats[idx], "batch")  # fresh gather: no second copy
+                yb = labels_all[idx]
                 if aux:
-                    t_emb, t_logits = teacher_model.forward(xb)  # constants: unwatched
-                    dist = losses.distill_loss(t_logits, logits, w.temperature)
-                    prev_groups = {c: dc.Tensor(t_emb.data[yb == c]) for c in batch_classes}
-                    cur_groups = {
-                        c: dc.take_rows(emb, np.flatnonzero(yb == c)) for c in batch_classes
-                    }
-                    al = losses.align_loss(prev_groups, global_protos)
-                    att = losses.attract_loss(cur_groups, global_protos, w.scale)
-                    rep = losses.repel_loss(emb, global_protos, w.scale, classes=own_classes)
-                    pair = losses.attract_repel_loss(att, rep, w.balance)
-                    loss = losses.local_loss(ce, dist, al, pair, w, round_idx)
-                    sums["distill"] += dist.item()
-                    sums["align"] += al.item()
-                    sums["proto"] += pair.item()
-                else:
-                    loss = ce
-                if method == "fedproto":
-                    covered = [c for c in batch_classes if global_protos.has(c)]
-                    if covered:
-                        reg = None
-                        for c in covered:
-                            rows = np.flatnonzero(yb == c)
-                            center = dc.mean_rows(dc.take_rows(emb, rows))
-                            gap = dc.sub(center, dc.as_tensor(global_protos.get(c)))
-                            term = dc.tmean(dc.square(gap))
-                            reg = term if reg is None else dc.add(reg, term)
-                        reg = dc.mul(reg, 1.0 / len(covered))
-                        loss = dc.add(loss, dc.mul(reg, cfg.fedproto_weight))
-                        sums["proto"] += reg.item()
-                if method == "fedprox" and cfg.prox_rho > 0.0:
-                    quad = None
-                    for p, a in zip(state.model.params, anchor):
-                        term = dc.tsum(dc.square(dc.sub(p, a)))
-                        quad = term if quad is None else dc.add(quad, term)
-                    loss = dc.add(loss, dc.mul(quad, cfg.prox_rho / 2.0))
-                sums["ce"] += ce.item()
-                grads = dc.backward(tape, loss)
-            if cfg.per_batch_protos and method in _MULTI_PROTO:
-                # Cluster this batch's pre-step embeddings; the last batch wins.
-                batch_protos = _cluster_prototypes(
-                    emb.data, yb, cfg.clusters_per_class, method,
-                    (run_seed, round_idx, state.client_id),
-                )
-            sgd_step(state.model, grads, cfg.learning_rate)
+                    t_emb, t_logits = teacher_model.forward(xb)  # constants: off the tape
+                    # A diagnostic, so off the tape too: its embeddings are detached
+                    # and the prototypes are plain arrays, leaving no gradient path.
+                    al = losses.align_loss(losses.ClassGroups(t_emb, yb), global_protos)
+                with dc.Tape() as tape:
+                    state.model.watch(tape)
+                    emb, logits = state.model.forward(xb)
+                    ce = losses.cross_entropy(logits, yb)
+                    if aux:
+                        dist = losses.distill_loss(t_logits, logits, w.temperature)
+                        att = losses.attract_loss(
+                            losses.ClassGroups(emb, yb), global_protos, w.scale
+                        )
+                        rep = losses.repel_loss(emb, global_protos, w.scale, classes=own_classes)
+                        pair = losses.attract_repel_loss(att, rep, w.balance)
+                        loss = losses.local_loss(ce, dist, al, pair, w, round_idx)
+                        sums["distill"] += dist.item()
+                        sums["align"] += al.item()
+                        sums["proto"] += pair.item()
+                    else:
+                        loss = ce
+                    if method == "fedproto":
+                        groups = losses.ClassGroups(emb, yb)
+                        covered = [c for c in groups if global_protos.has(c)]
+                        if covered:
+                            centers = dc.matmul(groups.mean_weights(covered).T, emb)
+                            targets = np.stack([global_protos.get(c) for c in covered])
+                            reg = dc.tmean(dc.square(dc.sub(centers, targets)))
+                            loss = dc.add(loss, dc.mul(reg, cfg.fedproto_weight))
+                            sums["proto"] += reg.item()
+                    if method == "fedprox" and cfg.prox_rho > 0.0:
+                        quad = None
+                        for p, a in zip(state.model.params, anchor):
+                            term = dc.tsum(dc.square(dc.sub(p, a)))
+                            quad = term if quad is None else dc.add(quad, term)
+                        loss = dc.add(loss, dc.mul(quad, cfg.prox_rho / 2.0))
+                    sums["ce"] += ce.item()
+                    grads = dc.backward(tape, loss)
+                if cfg.per_batch_protos and method in _MULTI_PROTO:
+                    # Cluster this batch's pre-step embeddings; the last batch wins.
+                    batch_protos = _cluster_prototypes(
+                        emb.data, yb, cfg.clusters_per_class, method,
+                        (run_seed, round_idx, state.client_id),
+                    )
+                sgd_step(state.model, grads, cfg.learning_rate)
+            except Exception as exc:
+                raise FederationError(f"epoch {epoch} batch {batch}: {exc}") from exc
             batches_seen += 1
 
     proto_set: Optional[PrototypeSet] = None

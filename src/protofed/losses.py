@@ -15,8 +15,9 @@ side no matter what the caller watched.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -27,6 +28,7 @@ __all__ = [
     "LossWeights",
     "GlobalPrototypes",
     "PrototypeCoverageWarning",
+    "ClassGroups",
     "cross_entropy",
     "distill_loss",
     "align_loss",
@@ -151,30 +153,101 @@ def distill_loss(teacher_logits: Tensor, student_logits: Tensor, temperature: fl
     return dc.mul(kl_sum, temperature * temperature / n)
 
 
-def _usable_groups(
-    embeddings_by_class: Mapping[int, Tensor], protos: GlobalPrototypes, caller: str
-) -> list[tuple[Tensor, ProtoVector]]:
-    groups = []
+class ClassGroups(Mapping[int, Tensor]):
+    """One batch's embeddings grouped by label, without splitting them.
+
+    Reads as ``{label: rows with that label}``. The prototype kernels take
+    the whole matrix and the label vector instead, so grouping a batch
+    costs no tape ops.
+    """
+
+    def __init__(self, embeddings: Tensor, labels) -> None:
+        self.embeddings = as_tensor(embeddings)
+        if self.embeddings.ndim != 2:
+            raise ShapeError(f"embeddings must be a matrix, got {self.embeddings.shape}")
+        self.labels = np.asarray(labels, dtype=np.int64)
+        if self.labels.shape != (self.embeddings.shape[0],):
+            raise ShapeError(f"need one label per embedding row, got {self.labels.shape}")
+        self._classes = [int(c) for c in np.unique(self.labels)]
+
+    def __getitem__(self, label: int) -> Tensor:
+        rows = np.flatnonzero(self.labels == int(label))
+        if rows.size == 0:
+            raise KeyError(label)
+        return dc.take_rows(self.embeddings, rows)
+
+    def __iter__(self):
+        return iter(self._classes)
+
+    def __len__(self) -> int:
+        return len(self._classes)
+
+    def mean_weights(self, classes: Sequence[int]) -> np.ndarray:
+        """Constant (n, len(classes)) matrix for class means: row i holds
+        1 / (rows labelled ``classes[k]``) in column k when row i carries that
+        label, zeros elsewhere. Every listed class must be present."""
+        onehot = self.labels[:, None] == np.asarray(classes)[None, :]
+        return onehot / onehot.sum(axis=0)
+
+
+def _join_blocks(embeddings_by_class: Mapping[int, Tensor], width: int) -> ClassGroups:
+    """Nonempty per-class blocks of a plain mapping as one ClassGroups."""
+    blocks, labels = [], []
     for label in sorted(embeddings_by_class):
-        emb = as_tensor(embeddings_by_class[label])
-        if emb.ndim != 2 or emb.shape[0] == 0:
-            continue
-        if emb.shape[1] != protos.embedding_dim:
-            raise ShapeError(
-                f"class {label} embeddings are {emb.shape[1]}-wide, "
-                f"prototypes are {protos.embedding_dim}-wide"
-            )
-        proto = protos.get(label)
-        if proto is None:
-            continue  # class without a prototype is skipped
-        groups.append((emb, proto))
-    if not groups:
+        block = as_tensor(embeddings_by_class[label])
+        if block.ndim == 2 and block.shape[0] > 0:
+            blocks.append(block)
+            labels += [int(label)] * block.shape[0]
+    if not blocks:
+        return ClassGroups(np.zeros((0, width)), labels)
+    return ClassGroups(blocks[0] if len(blocks) == 1 else dc.concat_rows(blocks), labels)
+
+
+def _proto_matrix(protos: GlobalPrototypes, classes: list[int], live: bool) -> Tensor:
+    """The listed classes' prototypes as rows. With ``live``, prototypes held
+    as tensors keep their gradient; otherwise the matrix is a constant."""
+    vectors = [protos.get(c) for c in classes]
+    if live and any(isinstance(v, Tensor) for v in vectors):
+        return dc.concat_rows(vectors)
+    return Tensor([v.data if isinstance(v, Tensor) else v for v in vectors])
+
+
+def _class_mean_distances(
+    embeddings_by_class: Mapping[int, Tensor],
+    protos: GlobalPrototypes,
+    caller: str,
+    grad_to_embeddings: bool,
+) -> Optional[tuple[Tensor, np.ndarray]]:
+    """Squared distances of the embeddings to the covered classes' prototypes,
+    and the constant weights that turn them into per-class means.
+
+    A class is covered when it has embeddings and a prototype. With
+    ``ClassGroups.mean_weights`` as weights, ``sum(dists * weights)`` adds up
+    each covered class's mean squared distance to its own prototype; rows of
+    uncovered classes weigh nothing. Gradients reach the embeddings or the
+    prototypes, never both. Returns None, with a
+    ``PrototypeCoverageWarning``, when no class is covered.
+    """
+    groups = embeddings_by_class
+    if not isinstance(groups, ClassGroups):
+        groups = _join_blocks(groups, protos.embedding_dim)
+    emb = groups.embeddings
+    if emb.shape[1] != protos.embedding_dim:
+        raise ShapeError(
+            f"embeddings are {emb.shape[1]}-wide, prototypes are {protos.embedding_dim}-wide"
+        )
+    classes = [c for c in groups if protos.has(c)]
+    if not classes:
         warnings.warn(
             f"{caller}: no batch class has a global prototype; returning 0",
             PrototypeCoverageWarning,
             stacklevel=3,
         )
-    return groups
+        return None
+    if not grad_to_embeddings:
+        emb = dc.detach(emb)
+    dists = dc.sq_dists(emb, _proto_matrix(protos, classes, live=not grad_to_embeddings))
+    return dists, groups.mean_weights(classes)
 
 
 def align_loss(embeddings_by_class: Mapping[int, Tensor], protos: GlobalPrototypes) -> Tensor:
@@ -185,15 +258,11 @@ def align_loss(embeddings_by_class: Mapping[int, Tensor], protos: GlobalPrototyp
     class; classes are then averaged uniformly. Embeddings are detached;
     gradients reach only the prototype side.
     """
-    groups = _usable_groups(embeddings_by_class, protos, "align_loss")
-    if not groups:
+    found = _class_mean_distances(embeddings_by_class, protos, "align_loss", False)
+    if found is None:
         return as_tensor(0.0)
-    total = None
-    for emb, proto in groups:
-        gap = dc.sub(dc.detach(emb), as_tensor(proto))
-        term = dc.tmean(dc.square(gap))
-        total = term if total is None else dc.add(total, term)
-    return dc.mul(total, 1.0 / len(groups))
+    dists, weights = found
+    return dc.tsum(dc.mul(dists, Tensor(weights / dists.shape[1])))
 
 
 def attract_loss(
@@ -206,15 +275,11 @@ def attract_loss(
     """
     if not scale > 0:
         raise ValueError("scale must be positive")
-    groups = _usable_groups(embeddings_by_class, protos, "attract_loss")
-    if not groups:
+    found = _class_mean_distances(embeddings_by_class, protos, "attract_loss", True)
+    if found is None:
         return as_tensor(0.0)
-    total = None
-    for emb, proto in groups:
-        gap = dc.sub(emb, dc.detach(as_tensor(proto)))
-        term = dc.tmean(dc.square(gap))
-        total = term if total is None else dc.add(total, term)
-    return dc.mul(total, float(scale))
+    dists, weights = found
+    return dc.tsum(dc.mul(dists, Tensor(weights * float(scale))))
 
 
 def repel_loss(
@@ -241,26 +306,20 @@ def repel_loss(
             f"{protos.embedding_dim}-wide"
         )
     wanted = protos.classes() if classes is None else sorted(set(int(c) for c in classes))
-    scores = []
-    for label in wanted:
-        proto = protos.get(label)
-        if proto is None:
-            continue
-        gap = dc.sub(embeddings, as_tensor(proto))
-        scores.append(dc.mul(dc.tmean(dc.square(gap)), -float(scale)))
-    if not scores:
+    wanted = [c for c in wanted if protos.has(c)]
+    if not wanted:
         warnings.warn(
             "repel_loss: no requested class has a global prototype; returning 0",
             PrototypeCoverageWarning,
             stacklevel=2,
         )
         return as_tensor(0.0)
-    shift = max(s.item() for s in scores)  # constant: gradient-neutral shift
-    total = None
-    for s in scores:
-        e = dc.exp(dc.sub(s, as_tensor(shift)))
-        total = e if total is None else dc.add(total, e)
-    return dc.add(dc.log(total), as_tensor(shift))
+    # Only the requested columns exist, so no excluded class is exponentiated.
+    dists = dc.sq_dists(embeddings, _proto_matrix(protos, wanted, live=True))
+    scores = dc.mul(dc.mean_rows(dists), -float(scale))
+    shift = float(scores.data.max())  # constant: gradient-neutral shift
+    total = dc.tsum(dc.exp(dc.sub(scores, shift)))
+    return dc.add(dc.log(total), shift)
 
 
 def attract_repel_loss(attract: Tensor, repel: Tensor, balance: float) -> Tensor:

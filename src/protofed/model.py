@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import diffcore as dc
-from .diffcore import ShapeError, Tape, Tensor
+from .diffcore import ShapeError, Tape, Tensor, _wrap
 
 __all__ = [
     "Arch",
@@ -290,6 +290,6 @@ def sgd_step(backbone: Backbone, grads: Mapping[Tensor, np.ndarray], lr: float) 
         g = np.asarray(grads[p], dtype=np.float64)
         if g.shape != p.shape:
             raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        new.append(Tensor(p.data - lr * g))
+        new.append(_wrap(p.data - lr * g, "sgd_step"))  # fresh buffer: no second copy
     backbone.load(new)
     return backbone

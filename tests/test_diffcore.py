@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from helpers import check_grads
 from protofed import diffcore as dc
 from protofed.diffcore import (
     NonFiniteError,
+    _check_finite,
     ShapeError,
     Tape,
     TapeError,
@@ -49,6 +52,7 @@ def test_tensor_copies_its_input():
 
 def test_item_requires_scalar():
     assert Tensor(2.5).item() == 2.5
+    assert Tensor([[2.5]]).item() == 2.5
     with pytest.raises(ShapeError):
         Tensor([1.0, 2.0]).item()
 
@@ -149,6 +153,29 @@ def test_conv2d_matches_direct_loop():
     np.testing.assert_allclose(out, want, atol=1e-12)
 
 
+def test_sq_dists_matches_loop():
+    rng = RNG(8)
+    x, p = rand(rng, 5, 3), rand(rng, 4, 3)
+    out = dc.sq_dists(Tensor(x), Tensor(p)).data
+    assert out.shape == (5, 4)
+    want = [[np.mean((x[i] - p[c]) ** 2) for c in range(4)] for i in range(5)]
+    np.testing.assert_allclose(out, want, rtol=1e-15)
+
+
+def test_sq_dists_keeps_precision_near_a_prototype():
+    # |x|^2 - 2 x.p + |p|^2 cancels to nothing here; the explicit difference
+    # keeps the tiny gap.
+    x = np.array([[1e8 + 1e-3, -3e7]])
+    p = np.array([[1e8, -3e7]])
+    gap = x[0, 0] - p[0, 0]
+    assert dc.sq_dists(Tensor(x), Tensor(p)).item() == gap * gap / 2.0
+
+
+def test_concat_rows_values():
+    out = dc.concat_rows([Tensor([1.0, 2.0]), Tensor([[3.0, 4.0], [5.0, 6.0]])])
+    np.testing.assert_array_equal(out.data, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+
+
 # ---------------------------------------------------------------------------
 # Gradients vs central finite differences
 # ---------------------------------------------------------------------------
@@ -219,6 +246,21 @@ def test_grad_take_rows_accumulates_duplicates():
     x = rand(rng, 4, 3)
     idx = np.array([0, 0, 2])
     check_grads(lambda ls: dc.tsum(dc.square(dc.take_rows(ls[0], idx))), [x])
+
+
+def test_grad_sq_dists_both_operands():
+    rng = RNG(20)
+    for n, c, q in ((4, 3, 2), (3, 2, 1), (5, 1, 3), (1, 1, 1)):
+        x, p = rand(rng, n, q), rand(rng, c, q)
+        weights = Tensor(rng.uniform(0.1, 1.0, size=(n, c)))
+        check_grads(lambda ls: dc.tsum(dc.mul(dc.sq_dists(ls[0], ls[1]), weights)), [x, p])
+
+
+def test_grad_concat_rows_splits_back():
+    rng = RNG(21)
+    v, m = rand(rng, 3), rand(rng, 2, 3)
+    weights = Tensor(rand(rng, 3, 3))
+    check_grads(lambda ls: dc.tsum(dc.mul(dc.concat_rows(ls), weights)), [v, m])
 
 
 def test_grad_conv2d():
@@ -343,6 +385,36 @@ def test_poisoning_surfaces_at_op_boundary():
         dc.log(Tensor([-1.0]))
     with pytest.raises(NonFiniteError):
         dc.exp(Tensor([1000.0]))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[1.0, np.nan], [np.inf, 2.0], [-np.inf], [np.nan, np.inf], [np.inf, -np.inf]],
+)
+def test_check_finite_names_the_op(values):
+    with warnings.catch_warnings(), pytest.raises(NonFiniteError, match="^sq_dists produced"):
+        warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf in the sum
+        _check_finite(np.array(values), "sq_dists")
+
+
+def test_check_finite_accepts_finite_arrays_whose_sum_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy flags the overflowing sum
+        _check_finite(np.array([1e308, 1e308]), "add")
+        _check_finite(np.array([-1e308, -1e308]), "add")
+    _check_finite(np.array(3.0), "add")
+    _check_finite(np.zeros((0, 4)), "add")
+
+
+def test_sq_dists_and_concat_rows_shape_errors():
+    with pytest.raises(ShapeError):
+        dc.sq_dists(Tensor([[1.0, 2.0]]), Tensor([[1.0, 2.0, 3.0]]))
+    with pytest.raises(ShapeError):
+        dc.sq_dists(Tensor([1.0, 2.0]), Tensor([[1.0, 2.0]]))
+    with pytest.raises(ShapeError):
+        dc.concat_rows([Tensor([1.0, 2.0]), Tensor([1.0])])
+    with pytest.raises(ShapeError):
+        dc.concat_rows([])
 
 
 def test_softmax_rejects_bad_temperature():

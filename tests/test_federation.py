@@ -6,7 +6,7 @@ import pytest
 import protofed.diffcore as dc
 import protofed.federation as fed
 from protofed.data import ClientShard, partition_dirichlet, synth_blobs
-from protofed.losses import GlobalPrototypes, PrototypeCoverageWarning
+from protofed.losses import GlobalPrototypes, LossWeights, PrototypeCoverageWarning
 from protofed.model import Arch, build_backbone, flatten_params
 
 
@@ -335,6 +335,32 @@ def test_client_failure_is_attributed():
     clients[1] = fed.ClientState(1, bad, clients[1].model)
     with pytest.raises(fed.FederationError, match="client 1 failed in round 1"):
         fed.run_round(server, clients, ds, cfg)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_client_names_round_client_batch_and_op():
+    ds, cfg, server, clients = small_world(learning_rate=1e300)
+    with pytest.raises(fed.FederationError) as info:
+        drive(ds, cfg, server, clients, 1)
+    assert str(info.value) == (
+        "client 0 failed in round 1: epoch 0 batch 1: matmul produced a non-finite value"
+    )
+    assert isinstance(info.value.__cause__.__cause__, dc.NonFiniteError)
+
+
+def test_align_weight_is_a_diagnostic():
+    # The alignment term has no gradient path (detached embeddings, plain-array
+    # prototypes), so its weight cannot move the parameters.
+    finals, aligns = [], []
+    for weight in (0.0, 1.0):
+        ds, cfg, server, clients = small_world(
+            seed=4, rounds=2, weights=LossWeights(align_weight=weight)
+        )
+        server, records = drive(ds, cfg, server, clients, 2)
+        finals.append(flatten_params(server.model.params))
+        aligns.append(records[1].align)
+    assert np.array_equal(finals[0], finals[1])
+    assert aligns[0] == aligns[1] > 0.0
 
 
 # -------------------------------------------------------------- topology

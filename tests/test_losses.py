@@ -7,6 +7,7 @@ from helpers import check_grads
 from protofed import diffcore as dc
 from protofed.diffcore import ShapeError, Tape, Tensor, backward
 from protofed.losses import (
+    ClassGroups,
     GlobalPrototypes,
     LossWeights,
     PrototypeCoverageWarning,
@@ -158,6 +159,77 @@ def test_repel_class_restriction():
     assert all_classes.item() > only_zero.item()
     with pytest.warns(PrototypeCoverageWarning):
         repel_loss(Tensor([[0.5]]), protos, scale=1.0, classes=[9])
+
+
+def test_repel_never_exponentiates_an_excluded_class():
+    # class 0 would score 1e4 above the shift of the requested class 1, and
+    # exp(1e4) overflows: only selecting columns before exp keeps this finite
+    protos = protos_from({0: np.zeros(1), 1: np.full(1, 100.0)}, 1)
+    loss = repel_loss(Tensor([[0.0]]), protos, scale=1.0, classes=[1])
+    assert loss.item() == -1e4
+
+
+def test_prototype_kernels_match_per_class_loops():
+    rng = np.random.default_rng(10)
+    q, scale = 3, 0.7
+    table = protos_from({c: rng.uniform(-2, 2, q) for c in (0, 1, 3)}, q)
+    groups = {c: rng.uniform(-2, 2, (int(rng.integers(1, 5)), q)) for c in (0, 1, 2)}
+    per_class = {
+        c: np.mean((g - table.get(c)) ** 2) for c, g in groups.items() if table.has(c)
+    }
+    tensors = {c: Tensor(g) for c, g in groups.items()}
+    np.testing.assert_allclose(
+        align_loss(tensors, table).item(), np.mean(list(per_class.values())), rtol=1e-13
+    )
+    np.testing.assert_allclose(
+        attract_loss(tensors, table, scale).item(),
+        scale * sum(per_class.values()),
+        rtol=1e-13,
+    )
+    emb = rng.uniform(-2, 2, (5, q))
+    scores = [-scale * np.mean((emb - table.get(c)) ** 2) for c in (1, 3)]
+    np.testing.assert_allclose(
+        repel_loss(Tensor(emb), table, scale, classes=[1, 2, 3]).item(),
+        np.log(np.sum(np.exp(scores))),
+        rtol=1e-13,
+    )
+
+
+def test_class_groups_reads_as_a_mapping():
+    emb = Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    groups = ClassGroups(emb, [2, 0, 2])
+    assert list(groups) == [0, 2] and len(groups) == 2
+    np.testing.assert_array_equal(groups[2].data, [[1.0, 2.0], [5.0, 6.0]])
+    with pytest.raises(KeyError):
+        groups[1]
+    np.testing.assert_array_equal(groups.mean_weights([2]), [[0.5], [0.0], [0.5]])
+    with pytest.raises(ShapeError):
+        ClassGroups(emb, [0, 1])
+
+
+def test_class_groups_match_per_class_blocks_with_gradients():
+    rng = np.random.default_rng(11)
+    labels = np.array([1, 0, 1, 2, 1, 0])
+    emb = Tensor(rng.uniform(-2, 2, (6, 3)))
+    live = [Tensor(rng.uniform(-2, 2, 3)) for _ in range(2)]
+    table = protos_from({0: live[0], 1: live[1]}, 3)
+
+    def run(kernel, grouped):
+        with Tape() as tape:
+            tape.watch(emb, *live)
+            if grouped:
+                groups = ClassGroups(emb, labels)
+            else:
+                groups = {c: dc.take_rows(emb, np.flatnonzero(labels == c)) for c in (0, 1, 2)}
+            loss = kernel(groups)
+        grads = backward(tape, loss)
+        return loss.item(), [grads[t] for t in (emb, *live)]
+
+    for kernel in (lambda g: attract_loss(g, table, 0.5), lambda g: align_loss(g, table)):
+        (v1, g1), (v2, g2) = run(kernel, True), run(kernel, False)
+        np.testing.assert_allclose(v1, v2, rtol=1e-13)
+        for a, b in zip(g1, g2):
+            np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-15)
 
 
 def test_attract_repel_mix_hand_value():
