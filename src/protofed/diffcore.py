@@ -396,7 +396,7 @@ def tsum(x) -> Tensor:
     out = _wrap(np.sum(x.data), "sum")
 
     def bwd(g):
-        return (np.broadcast_to(g, x.shape).copy(),)
+        return (np.broadcast_to(g, x.shape),)
 
     _record(out, (x,), bwd)
     return out
@@ -411,7 +411,7 @@ def tmean(x) -> Tensor:
     n = x.size
 
     def bwd(g):
-        return (np.broadcast_to(g / n, x.shape).copy(),)
+        return (np.broadcast_to(g / n, x.shape),)
 
     _record(out, (x,), bwd)
     return out
@@ -426,7 +426,7 @@ def mean_rows(x) -> Tensor:
     n = x.shape[0]
 
     def bwd(g):
-        return (np.broadcast_to(g / n, x.shape).copy(),)
+        return (np.broadcast_to(g / n, x.shape),)
 
     _record(out, (x,), bwd)
     return out

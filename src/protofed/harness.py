@@ -45,56 +45,62 @@ def _bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _ini(section: str, default, key: Optional[str] = None):
+    """A field read from ``[section] key``; the key defaults to the field name."""
+    meta = {"section": section} if key is None else {"section": section, "key": key}
+    return dataclasses.field(default=default, metadata=meta)
+
+
+# Keyed by annotation text: with postponed annotations, Field.type is a string.
+_CASTERS = {"int": int, "float": float, "str": str, "bool": _bool}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Flat view of one experiment; see _SCHEMA for the INI spelling."""
+    """Flat view of one experiment. Each field names its INI section (and
+    its key, where that differs from the field name); the loss and
+    federation defaults are those of LossWeights and FedConfig."""
 
-    # dataset
-    data_kind: str = "blobs"  # "blobs" | "idx"
-    classes: int = 3
-    per_class: int = 100
-    dim: int = 2
-    spread: float = 0.15
-    data_seed: int = 0
-    domains: int = 1
-    images: str = ""
-    labels: str = ""
-    images2: str = ""
-    labels2: str = ""
-    # partition
-    clients: int = 10
-    alpha: float = 0.3
-    test_fraction: float = 0.2
-    partition_seed: int = 0
-    # model
-    model_kind: str = "mlp"
-    hidden: int = 64
-    embedding_dim: int = 32
-    # loss
-    ce_weight: float = 0.9
-    align_weight: float = 1.0
-    proto_weight: float = 0.1
-    balance: float = 0.5
-    scale: float = 0.5
-    temperature: float = 0.1
-    # federation
-    method: str = "mp-fedkd"
-    rounds: int = 50
-    epochs: int = 5
-    batch_size: int = 32
-    learning_rate: float = 0.001
-    fraction: float = 1.0
-    clusters_per_class: int = 3
-    aggregation: str = "normalized"
-    prox_rho: float = 0.01
-    fedproto_weight: float = 1.0
-    workers: int = 1
-    per_batch_protos: bool = False
-    hubs: int = 1
-    # run
-    seed: int = 0
-    out: str = "runs/exp"
-    checkpoints: bool = False
+    data_kind: str = _ini("dataset", "blobs", key="kind")  # "blobs" | "idx"
+    classes: int = _ini("dataset", 3)
+    per_class: int = _ini("dataset", 100)
+    dim: int = _ini("dataset", 2)
+    spread: float = _ini("dataset", 0.15)
+    data_seed: int = _ini("dataset", 0, key="seed")
+    domains: int = _ini("dataset", 1)
+    images: str = _ini("dataset", "")
+    labels: str = _ini("dataset", "")
+    images2: str = _ini("dataset", "")
+    labels2: str = _ini("dataset", "")
+    clients: int = _ini("partition", 10)
+    alpha: float = _ini("partition", 0.3)
+    test_fraction: float = _ini("partition", 0.2)
+    partition_seed: int = _ini("partition", 0, key="seed")
+    model_kind: str = _ini("model", "mlp", key="kind")
+    hidden: int = _ini("model", 64)
+    embedding_dim: int = _ini("model", 32)
+    ce_weight: float = _ini("loss", LossWeights.ce_weight)
+    align_weight: float = _ini("loss", LossWeights.align_weight)
+    proto_weight: float = _ini("loss", LossWeights.proto_weight)
+    balance: float = _ini("loss", LossWeights.balance)
+    scale: float = _ini("loss", LossWeights.scale)
+    temperature: float = _ini("loss", LossWeights.temperature)
+    method: str = _ini("federation", FedConfig.method)
+    rounds: int = _ini("federation", FedConfig.rounds)
+    epochs: int = _ini("federation", FedConfig.epochs)
+    batch_size: int = _ini("federation", FedConfig.batch_size)
+    learning_rate: float = _ini("federation", FedConfig.learning_rate)
+    fraction: float = _ini("federation", FedConfig.fraction)
+    clusters_per_class: int = _ini("federation", FedConfig.clusters_per_class)
+    aggregation: str = _ini("federation", FedConfig.aggregation)
+    prox_rho: float = _ini("federation", FedConfig.prox_rho)
+    fedproto_weight: float = _ini("federation", FedConfig.fedproto_weight)
+    workers: int = _ini("federation", FedConfig.workers)
+    per_batch_protos: bool = _ini("federation", FedConfig.per_batch_protos)
+    hubs: int = _ini("federation", 1)
+    seed: int = _ini("run", 0)
+    out: str = _ini("run", "runs/exp")
+    checkpoints: bool = _ini("run", False)
 
     def __post_init__(self):
         if self.data_kind not in ("blobs", "idx"):
@@ -107,33 +113,17 @@ class ExperimentConfig:
             raise ValueError("a second domain needs both images2 and labels2")
         if self.hubs < 1:
             raise ValueError("hubs must be >= 1")
+        self.fed_config()  # checks the [federation] and [loss] values
+
+    def _values_for(self, target) -> dict:
+        names = [f.name for f in dataclasses.fields(target) if f.name != "weights"]
+        return {name: getattr(self, name) for name in names}
 
     def loss_weights(self) -> LossWeights:
-        return LossWeights(
-            ce_weight=self.ce_weight,
-            align_weight=self.align_weight,
-            proto_weight=self.proto_weight,
-            balance=self.balance,
-            scale=self.scale,
-            temperature=self.temperature,
-        )
+        return LossWeights(**self._values_for(LossWeights))
 
     def fed_config(self) -> FedConfig:
-        return FedConfig(
-            method=self.method,
-            rounds=self.rounds,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            fraction=self.fraction,
-            clusters_per_class=self.clusters_per_class,
-            aggregation=self.aggregation,
-            prox_rho=self.prox_rho,
-            fedproto_weight=self.fedproto_weight,
-            workers=self.workers,
-            per_batch_protos=self.per_batch_protos,
-            weights=self.loss_weights(),
-        )
+        return FedConfig(**self._values_for(FedConfig), weights=self.loss_weights())
 
     @classmethod
     def from_ini_text(cls, text: str) -> "ExperimentConfig":
@@ -144,11 +134,15 @@ class ExperimentConfig:
             parser.read_string(text)
         except configparser.Error as exc:
             raise ValueError(f"bad config syntax: {exc}") from exc
+        schema: dict[str, dict] = {}
+        for f in dataclasses.fields(cls):
+            key = f.metadata.get("key", f.name)
+            schema.setdefault(f.metadata["section"], {})[key] = (f.name, _CASTERS[f.type])
         values = {}
         for section in parser.sections():
-            if section not in _SCHEMA:
+            if section not in schema:
                 raise ValueError(f"unknown config section [{section}]")
-            table = _SCHEMA[section]
+            table = schema[section]
             for key, raw in parser[section].items():
                 if key not in table:
                     raise ValueError(f"unknown key {key!r} in section [{section}]")
@@ -167,62 +161,6 @@ class ExperimentConfig:
         """Replace the given fields, dropping entries set to None."""
         actual = {k: v for k, v in fields.items() if v is not None}
         return dataclasses.replace(self, **actual) if actual else self
-
-
-_SCHEMA = {
-    "dataset": {
-        "kind": ("data_kind", str),
-        "classes": ("classes", int),
-        "per_class": ("per_class", int),
-        "dim": ("dim", int),
-        "spread": ("spread", float),
-        "seed": ("data_seed", int),
-        "domains": ("domains", int),
-        "images": ("images", str),
-        "labels": ("labels", str),
-        "images2": ("images2", str),
-        "labels2": ("labels2", str),
-    },
-    "partition": {
-        "clients": ("clients", int),
-        "alpha": ("alpha", float),
-        "test_fraction": ("test_fraction", float),
-        "seed": ("partition_seed", int),
-    },
-    "model": {
-        "kind": ("model_kind", str),
-        "hidden": ("hidden", int),
-        "embedding_dim": ("embedding_dim", int),
-    },
-    "loss": {
-        "ce_weight": ("ce_weight", float),
-        "align_weight": ("align_weight", float),
-        "proto_weight": ("proto_weight", float),
-        "balance": ("balance", float),
-        "scale": ("scale", float),
-        "temperature": ("temperature", float),
-    },
-    "federation": {
-        "method": ("method", str),
-        "rounds": ("rounds", int),
-        "epochs": ("epochs", int),
-        "batch_size": ("batch_size", int),
-        "learning_rate": ("learning_rate", float),
-        "fraction": ("fraction", float),
-        "clusters_per_class": ("clusters_per_class", int),
-        "aggregation": ("aggregation", str),
-        "prox_rho": ("prox_rho", float),
-        "fedproto_weight": ("fedproto_weight", float),
-        "workers": ("workers", int),
-        "per_batch_protos": ("per_batch_protos", _bool),
-        "hubs": ("hubs", int),
-    },
-    "run": {
-        "seed": ("seed", int),
-        "out": ("out", str),
-        "checkpoints": ("checkpoints", _bool),
-    },
-}
 
 
 def build_dataset(cfg: ExperimentConfig):
@@ -262,25 +200,12 @@ def rounds_csv(records: Sequence[RoundRecord]) -> str:
     """Deterministic CSV of the round log. Participant ids are space
     separated inside their field; floats use repr so the text round-trips
     bit for bit. Wall time is deliberately not included."""
+    columns = CSV_HEADER.split(",")[2:]  # after round,selected
     lines = [CSV_HEADER]
     for r in records:
         sel = " ".join(str(c) for c in r.selected)
-        lines.append(
-            ",".join(
-                [
-                    str(r.round_idx),
-                    sel,
-                    repr(r.ce),
-                    repr(r.distill),
-                    repr(r.align),
-                    repr(r.proto),
-                    repr(r.acc),
-                    repr(r.rmse),
-                    repr(r.mae),
-                    repr(r.macro_f1),
-                ]
-            )
-        )
+        values = [repr(getattr(r, name)) for name in columns]
+        lines.append(",".join([str(r.round_idx), sel, *values]))
     return "\n".join(lines) + "\n"
 
 
@@ -298,18 +223,22 @@ def _write_checkpoint(out: Path, server, round_idx: int) -> None:
     )
 
 
+def _partition(cfg: ExperimentConfig):
+    """Create the run directory, build and split the dataset, and write
+    partition.json; returns the directory, the dataset and the plan."""
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    dataset, plan = partition_dirichlet(
+        build_dataset(cfg), cfg.clients, cfg.alpha, cfg.test_fraction, cfg.partition_seed
+    )
+    (out / "partition.json").write_text(plan.to_json())
+    return out, dataset, plan
+
+
 def run_experiment(cfg: ExperimentConfig) -> tuple[dict, list[RoundRecord]]:
     """Full pipeline: data, partition, training rounds, artifacts on disk."""
     t_start = time.perf_counter()
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    source = build_dataset(cfg)
-    dataset, plan = partition_dirichlet(
-        source, cfg.clients, cfg.alpha, cfg.test_fraction, cfg.partition_seed
-    )
-    (out / "partition.json").write_text(plan.to_json())
-
+    out, dataset, plan = _partition(cfg)
     arch = _build_arch(cfg, dataset)
     fedcfg = cfg.fed_config()
     server, clients = init_federation(arch, plan, cfg.seed)
@@ -376,14 +305,7 @@ def compare_clusterers(cfg: ExperimentConfig) -> dict:
 
 def partition_audit(cfg: ExperimentConfig) -> dict:
     """Materialize the partition alone and report class balance numbers."""
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    source = build_dataset(cfg)
-    dataset, plan = partition_dirichlet(
-        source, cfg.clients, cfg.alpha, cfg.test_fraction, cfg.partition_seed
-    )
-    (out / "partition.json").write_text(plan.to_json())
-
+    out, dataset, plan = _partition(cfg)
     C = dataset.num_classes
     header = "client,train,test," + ",".join(f"class_{c}" for c in range(C))
     lines = [header]

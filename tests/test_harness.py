@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from protofed.federation import FedConfig
 from protofed.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -14,6 +16,7 @@ from protofed.harness import (
     rounds_csv,
     run_experiment,
 )
+from protofed.losses import LossWeights
 from protofed.metrics import average_accuracy
 from protofed.model import ModelSnapshot
 
@@ -96,9 +99,110 @@ def test_config_validation():
         ExperimentConfig(data_kind="idx")  # missing paths
     with pytest.raises(ValueError):
         ExperimentConfig(domains=3)
-    # federation-level checks surface through fed_config()
+    # federation-level checks run when the config is built
     with pytest.raises(ValueError):
         ExperimentConfig(method="fedsgd").fed_config()
+
+
+# The INI surface: (section, key) -> (field, a non-default value). Values of
+# one type are distinct, so a key wired to the wrong field cannot pass.
+INI_SURFACE = {
+    ("dataset", "kind"): ("data_kind", "idx"),
+    ("dataset", "classes"): ("classes", 5),
+    ("dataset", "per_class"): ("per_class", 7),
+    ("dataset", "dim"): ("dim", 3),
+    ("dataset", "spread"): ("spread", 0.25),
+    ("dataset", "seed"): ("data_seed", 9),
+    ("dataset", "domains"): ("domains", 2),
+    ("dataset", "images"): ("images", "a.idx"),
+    ("dataset", "labels"): ("labels", "b.idx"),
+    ("dataset", "images2"): ("images2", "c.idx"),
+    ("dataset", "labels2"): ("labels2", "d.idx"),
+    ("partition", "clients"): ("clients", 6),
+    ("partition", "alpha"): ("alpha", 0.7),
+    ("partition", "test_fraction"): ("test_fraction", 0.3),
+    ("partition", "seed"): ("partition_seed", 11),
+    ("model", "kind"): ("model_kind", "cnn"),
+    ("model", "hidden"): ("hidden", 12),
+    ("model", "embedding_dim"): ("embedding_dim", 13),
+    ("loss", "ce_weight"): ("ce_weight", 0.6),
+    ("loss", "align_weight"): ("align_weight", 0.5),
+    ("loss", "proto_weight"): ("proto_weight", 0.2),
+    ("loss", "balance"): ("balance", 0.75),
+    ("loss", "scale"): ("scale", 0.35),
+    ("loss", "temperature"): ("temperature", 0.45),
+    ("federation", "method"): ("method", "fedprox"),
+    ("federation", "rounds"): ("rounds", 14),
+    ("federation", "epochs"): ("epochs", 15),
+    ("federation", "batch_size"): ("batch_size", 8),
+    ("federation", "learning_rate"): ("learning_rate", 0.05),
+    ("federation", "fraction"): ("fraction", 0.55),
+    ("federation", "clusters_per_class"): ("clusters_per_class", 4),
+    ("federation", "aggregation"): ("aggregation", "literal"),
+    ("federation", "prox_rho"): ("prox_rho", 0.02),
+    ("federation", "fedproto_weight"): ("fedproto_weight", 0.65),
+    ("federation", "workers"): ("workers", 16),
+    ("federation", "per_batch_protos"): ("per_batch_protos", True),
+    ("federation", "hubs"): ("hubs", 18),
+    ("run", "seed"): ("seed", 19),
+    ("run", "out"): ("out", "elsewhere"),
+    ("run", "checkpoints"): ("checkpoints", True),
+}
+
+
+def test_ini_surface_is_pinned():
+    names = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert len(INI_SURFACE) == 40
+    assert sorted(field for field, _ in INI_SURFACE.values()) == sorted(names)
+
+    sections: dict[str, list[str]] = {}
+    for section, key in INI_SURFACE:
+        sections.setdefault(section, []).append(key)
+    text = ""
+    for section, keys in sections.items():
+        text += f"[{section}]\n"
+        text += "".join(f"{k} = {INI_SURFACE[section, k][1]}\n" for k in keys)
+    cfg = ExperimentConfig.from_ini_text(text)
+    default = ExperimentConfig()
+    for (section, key), (field, value) in INI_SURFACE.items():
+        assert getattr(cfg, field) == value, (section, key)
+        assert getattr(default, field) != value, (section, key)
+    # the two booleans share a value above, so check they do not alias
+    assert ExperimentConfig.from_ini_text("[run]\ncheckpoints = on\n").per_batch_protos is False
+    assert ExperimentConfig.from_ini_text(
+        "[federation]\nper_batch_protos = on\n"
+    ).checkpoints is False
+
+    # no key is accepted outside its own section
+    for section in sections:
+        for key in {k for _, k in INI_SURFACE} - set(sections[section]):
+            with pytest.raises(ValueError, match="unknown key"):
+                ExperimentConfig.from_ini_text(f"[{section}]\n{key} = 1\n")
+
+
+def test_default_hand_off():
+    cfg = ExperimentConfig()
+    assert cfg.fed_config() == FedConfig()
+    assert cfg.loss_weights() == LossWeights()
+    changed = cfg.override(temperature=0.3, epochs=2)
+    assert changed.fed_config().weights.temperature == 0.3
+    assert changed.fed_config().epochs == 2
+
+
+@pytest.mark.parametrize(
+    "bad", ["[federation]\nlearning_rate = 0\n", "[loss]\ntemperature = 0\n"]
+)
+def test_bad_training_value_fails_when_read(tmp_path, bad):
+    out = tmp_path / "run"
+    text = bad + f"[run]\nout = {out}\n"
+    with pytest.raises(ValueError, match="must be positive"):
+        ExperimentConfig.from_ini_text(text)
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text)
+    from protofed.cli import main
+
+    assert main(["run", "--config", str(ini)]) == 2
+    assert not out.exists()
 
 
 def test_override_skips_none():
