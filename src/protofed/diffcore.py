@@ -207,6 +207,12 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], bwd: Callable) -> None:
         tape._tracked.add(id(out))
 
 
+def _tracked(t: Tensor) -> bool:
+    """True when the active tape tracks t; else ``backward`` drops t's gradient."""
+    tape = _active_tape()
+    return tape is not None and id(t) in tape._tracked
+
+
 def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     """Reverse sweep from a scalar loss; returns grads for every watched leaf.
 
@@ -225,13 +231,13 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
         for inp, gi in zip(inputs, bwd(g)):
             if gi is None or id(inp) not in tape._tracked:
                 continue
+            # Out of place: a stored gradient may be another node's g, a
+            # broadcast view, or the same array handed to both inputs.
             acc = grads.get(id(inp))
-            if acc is None:
-                grads[id(inp)] = np.array(gi)
-            else:
-                acc += gi
+            grads[id(inp)] = gi if acc is None else acc + gi
     return {
-        leaf: grads.get(id(leaf), np.zeros(leaf.shape)) for leaf in tape._leaves
+        leaf: grads[id(leaf)] if id(leaf) in grads else np.zeros(leaf.shape)
+        for leaf in tape._leaves
     }
 
 
@@ -245,9 +251,10 @@ def matmul(a, b) -> Tensor:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul {a.shape} @ {b.shape}")
     out = _wrap(a.data @ b.data, "matmul")
+    need_da = _tracked(a)  # the left operand is often the unwatched batch
 
     def bwd(g):
-        return g @ b.data.T, a.data.T @ g
+        return (g @ b.data.T if need_da else None), a.data.T @ g
 
     _record(out, (a, b), bwd)
     return out
@@ -446,8 +453,27 @@ def reshape(x, shape: Sequence[int]) -> Tensor:
     return out
 
 
+# Cap on the im2col buffer of one sample block, in float64 entries (2 MiB):
+# evaluation forwards whole client shards, so a whole-batch buffer would
+# set the process's peak memory. 4 MiB blocks measured a 5% higher peak RSS
+# on the 28x28 CNN and ran no faster.
+_CONV_BLOCK_ENTRIES = 1 << 18
+
+
+def _im2col(xb: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Per-sample columns (b, ci*kh*kw, ho*wo) of an NCHW block, one copy."""
+    win = np.lib.stride_tricks.sliding_window_view(xb, (kh, kw), axis=(2, 3))
+    b, ci, ho, wo = win.shape[:4]
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, ci * kh * kw, ho * wo)
+
+
 def conv2d(x, k) -> Tensor:
-    """Valid-padding stride-1 convolution, NCHW input, OIHW kernel."""
+    """Valid-padding stride-1 convolution, NCHW input, OIHW kernel.
+
+    One GEMM per block of samples over im2col columns; backward recomputes
+    each block's columns rather than keeping them, and skips the input
+    gradient when the tape does not track x.
+    """
     x, k = as_tensor(x), as_tensor(k)
     if x.ndim != 4 or k.ndim != 4:
         raise ShapeError(f"conv2d needs 4-D operands, got {x.shape}, {k.shape}")
@@ -456,25 +482,29 @@ def conv2d(x, k) -> Tensor:
     if ci != ci_k or kh > h or kw > w:
         raise ShapeError(f"conv2d kernel {k.shape} does not fit input {x.shape}")
     ho, wo = h - kh + 1, w - kw + 1
-    acc = np.zeros((n, co, ho, wo))
-    for a in range(kh):
-        for b in range(kw):
-            acc += np.einsum(
-                "nihw,oi->nohw", x.data[:, :, a : a + ho, b : b + wo], k.data[:, :, a, b]
-            )
+    step = max(1, _CONV_BLOCK_ENTRIES // (ci * kh * kw * ho * wo))
+    blocks = [slice(s, s + step) for s in range(0, n, step)]
+    k2 = k.data.reshape(co, ci * kh * kw)
+    acc = np.empty((n, co, ho, wo))
+    for sl in blocks:
+        cols = _im2col(x.data[sl], kh, kw)
+        np.matmul(k2, cols, out=acc[sl].reshape(cols.shape[0], co, ho * wo))
     out = _wrap(acc, "conv2d")
+    need_dx = _tracked(x)  # the first conv's input is the unwatched batch
 
     def bwd(g):
-        dk = np.zeros(k.shape)
-        dx = np.zeros(x.shape)
-        for a in range(kh):
-            for b in range(kw):
-                patch = x.data[:, :, a : a + ho, b : b + wo]
-                dk[:, :, a, b] = np.einsum("nohw,nihw->oi", g, patch)
-                dx[:, :, a : a + ho, b : b + wo] += np.einsum(
-                    "nohw,oi->nihw", g, k.data[:, :, a, b]
-                )
-        return dx, dk
+        dk = np.zeros((co, ci * kh * kw))
+        dx = np.zeros(x.shape) if need_dx else None
+        for sl in blocks:
+            g3 = g[sl].reshape(-1, co, ho * wo)
+            # The block's columns are freed before dcols exists.
+            dk += np.matmul(g3, _im2col(x.data[sl], kh, kw).transpose(0, 2, 1)).sum(axis=0)
+            if need_dx:  # col2im: one slice-add per kernel tap
+                dcols = np.matmul(k2.T, g3).reshape(-1, ci, kh, kw, ho, wo)
+                for a in range(kh):
+                    for b in range(kw):
+                        dx[sl, :, a : a + ho, b : b + wo] += dcols[:, :, a, b]
+        return dx, dk.reshape(k.shape)
 
     _record(out, (x, k), bwd)
     return out

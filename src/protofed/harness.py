@@ -127,8 +127,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_ini_text(cls, text: str) -> "ExperimentConfig":
+        # A section header is one line, so no file can name "\n": [DEFAULT]
+        # is then an ordinary (unknown) section, not defaults for all others.
         parser = configparser.ConfigParser(
-            delimiters=("=",), inline_comment_prefixes=("#", ";")
+            delimiters=("=",), inline_comment_prefixes=("#", ";"), default_section="\n"
         )
         try:
             parser.read_string(text)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -269,6 +270,88 @@ def test_grad_conv2d():
     check_grads(lambda ls: dc.tmean(dc.square(dc.conv2d(ls[0], ls[1]))), [x, k])
 
 
+def _conv2d_grads_reference(x, k, g):
+    """(dx, dk) of sum(g * conv2d(x, k)), one einsum per kernel tap."""
+    _, _, kh, kw = k.shape
+    ho, wo = g.shape[2:]
+    dx, dk = np.zeros_like(x), np.zeros_like(k)
+    for a in range(kh):
+        for b in range(kw):
+            dk[:, :, a, b] = np.einsum("nohw,nihw->oi", g, x[:, :, a : a + ho, b : b + wo])
+            dx[:, :, a : a + ho, b : b + wo] += np.einsum("nohw,oi->nihw", g, k[:, :, a, b])
+    return dx, dk
+
+
+def _conv2d_with_grads(x, k, g):
+    xt, kt = Tensor(x), Tensor(k)
+    with Tape() as tape:
+        tape.watch(xt, kt)
+        out = dc.conv2d(xt, kt)
+        loss = dc.tsum(dc.mul(out, Tensor(g)))
+    grads = backward(tape, loss)
+    return out.data, grads[xt], grads[kt]
+
+
+@pytest.mark.parametrize("samples_per_block", [1, 2])
+def test_conv2d_blocks_match_one_block(monkeypatch, samples_per_block):
+    rng = RNG(23)
+    x, k = rand(rng, 5, 2, 6, 5), rand(rng, 3, 2, 3, 2)
+    g = rand(rng, 5, 3, 4, 4)
+    whole = _conv2d_with_grads(x, k, g)
+    per_sample = 2 * 3 * 2 * 4 * 4  # ci * kh * kw * ho * wo column entries
+    monkeypatch.setattr(dc, "_CONV_BLOCK_ENTRIES", samples_per_block * per_sample)
+    blocked = _conv2d_with_grads(x, k, g)  # blocks of 1 or 2, 2, 1 samples
+    for got, want in zip(blocked, whole):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    want_dx, want_dk = _conv2d_grads_reference(x, k, g)
+    np.testing.assert_allclose(blocked[1], want_dx, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(blocked[2], want_dk, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "op, inputs",
+    [
+        (dc.conv2d, ((3, 2, 5, 4), (2, 2, 2, 3))),
+        (dc.matmul, ((4, 3), (3, 5))),
+    ],
+)
+def test_untracked_input_gets_no_gradient_work(op, inputs):
+    rng = RNG(24)
+    x, w = (Tensor(rand(rng, *shape)) for shape in inputs)
+
+    def weight_grad(*watched):
+        with Tape() as tape:
+            tape.watch(*watched)
+            out = op(x, w)
+            loss = dc.tsum(dc.square(out))
+        out_rec, recorded, bwd = tape._records[0]
+        assert out_rec is out and recorded == (x, w)
+        return backward(tape, loss)[w], bwd(np.ones(out.shape))
+
+    tracked_dw, (dx, _) = weight_grad(x, w)
+    untracked_dw, (skipped, _) = weight_grad(w)
+    assert dx is not None and skipped is None
+    np.testing.assert_array_equal(untracked_dw, tracked_dw)
+
+
+def test_conv2d_memory_stays_blocked():
+    rng = RNG(25)
+    x, k = Tensor(rng.standard_normal((512, 4, 26, 26))), Tensor(rand(rng, 8, 4, 3, 3))
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            tape.watch(x, k)
+            out = dc.conv2d(x, k)
+            loss = dc.tsum(out)
+        grads = backward(tape, loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Output and gradients plus a few column blocks; one im2col buffer for the
+    # whole batch would be 512 * 36 * 576 entries, 85 MB.
+    assert peak <= out.data.nbytes + grads[x].nbytes + 4 * dc._CONV_BLOCK_ENTRIES * 8
+
+
 def test_grad_mlp_composition():
     rng = RNG(19)
     x = rand(rng, 4, 3)
@@ -288,6 +371,15 @@ def test_grad_diamond_reuse():
     # One tensor consumed twice: grads must accumulate.
     x = np.array([1.5, -0.5])
     check_grads(lambda ls: dc.tsum(dc.add(dc.square(ls[0]), dc.mul(ls[0], ls[0]))), [x])
+    # add hands one gradient array to both inputs; accumulating into it in
+    # place would also change the other input's gradient.
+    c = Tensor([0.5, 3.0])
+
+    def shared(ls):
+        a, b = dc.mul(ls[0], 2.0), dc.mul(ls[0], 3.0)
+        return dc.tsum(dc.mul(dc.add(dc.add(a, b), a), c))
+
+    check_grads(shared, [x])
 
 
 # ---------------------------------------------------------------------------

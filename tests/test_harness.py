@@ -82,6 +82,19 @@ def test_ini_rejects_unknown_section_and_key():
         ExperimentConfig.from_ini_text("rounds = 3\n")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[DEFAULT]\nseed = 3\n",  # alone: was silently ignored
+        "[DEFAULT]\nseed = 3\n[dataset]\nkind = blobs\n",  # set only data_seed
+        "[DEFAULT]\nhidden = 3\n[dataset]\nkind = blobs\n",  # blamed [dataset]
+    ],
+)
+def test_ini_default_section_is_unknown(text):
+    with pytest.raises(ValueError, match=r"unknown config section \[DEFAULT\]"):
+        ExperimentConfig.from_ini_text(text)
+
+
 def test_ini_inline_comments_and_booleans():
     cfg = ExperimentConfig.from_ini_text(
         "[federation]\nper_batch_protos = yes  # printed fidelity\nworkers = 4\n"
