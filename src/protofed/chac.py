@@ -7,30 +7,27 @@ is the guard used by prototype extraction: a class with fewer samples
 than the requested count is not clustered at all, every sample stands
 alone, so the output count is always min(requested, n).
 
-Cluster means are maintained incrementally (exact weighted average, which
-for Ward linkage reproduces the recompute-from-members costs), and ties
-on merge cost are broken by the lexicographically smallest cluster-id
-pair. Ids follow the dendrogram convention: input points are clusters
-0..n-1 and the i-th merge creates id n+i.
+Cluster means are maintained incrementally (exact weighted average), ties
+on merge cost go to the lexicographically smallest cluster-id pair, and
+ids follow the dendrogram convention: input points are clusters 0..n-1
+and the i-th merge creates id n+i.
 
-`chac` is the generic algorithm with a nearest-neighbour list (Muellner,
-"Modern hierarchical, agglomerative clustering algorithms", 2011, sec. 3):
-an n x n cost matrix, built in row blocks, plus each row's minimum cost
-and its partner, the smallest cluster id among exact ties. A merge picks
-the global pair from those n entries, refreshes the merged cluster's row
-and rescans only the rows that pointed at the merged pair, so a step
-costs O(n q) plus a rescan instead of a scan of the whole matrix. Memory
-is O(n^2) floats: the n^2 q pairwise-difference tensor is never built.
-Merges stay in cost order, so the merge log, the costs and the centroids
-are the ones a full-matrix scan gives, bit for bit.
-
-A deliberately naive reference (`_ward_reference`, recompute everything
-each step) ships here for equivalence testing only.
+`chac` merges in batched reciprocal-nearest-neighbour steps (Murtagh 1983;
+Muellner, arXiv:1109.2378). Ward linkage is reducible, so all pairs of
+clusters that are each other's nearest neighbour merge in one step without
+changing the hierarchy: a few dozen steps instead of n - requested. A pair
+whose row holds its minimum twice is an exact tie and waits; a step with
+no other pair falls back to the single merge a one-at-a-time run makes
+next. The steps run down to one cluster, then the merges are put in the
+one-at-a-time order, renumbered and cut after n - requested. A merge's
+cost and mean depend only on its children, so merges, costs and centroids
+are that run's, bit for bit. Memory is O(n^2): an n x n cost matrix and
+work arrays no larger; the n^2 q difference tensor is never built.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -127,6 +124,123 @@ def _initial_costs(pts: np.ndarray) -> np.ndarray:
     return cost
 
 
+def _sequential_order(pairs: np.ndarray, cost: np.ndarray, n: int) -> np.ndarray:
+    """The order in which a one-merge-at-a-time run makes these merges.
+
+    Row k of pairs holds merge k's children (points 0..n-1, merge k is
+    n + k); every child merge is listed. That run makes the cheapest merge
+    whose children exist, a tie going to the smallest (min id, max id) in
+    its own ids. Sorting by cost is that order when no costs tie and each
+    merge costs more than its children; otherwise a heap replays the run.
+    """
+    order = np.argsort(cost, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    by_cost, (owner, side) = cost[order], np.nonzero(pairs >= n)
+    child = pairs[owner, side] - n
+    if np.all(by_cost[1:] > by_cost[:-1]) and np.all(rank[child] < rank[owner]):
+        return order
+    parent = np.full(cost.size, -1)
+    parent[child] = owner
+    pairs, cost, parent = pairs.tolist(), cost.tolist(), parent.tolist()
+    ids = list(range(n)) + [-1] * len(cost)  # that run's ids, -1 until made
+    heap = [(cost[k], *sorted(kids), k) for k, kids in enumerate(pairs) if max(kids) < n]
+    heapq.heapify(heap)
+    out: list[int] = []
+    while heap:
+        k = heapq.heappop(heap)[3]
+        ids[n + k] = n + len(out)
+        out.append(k)
+        p = parent[k]
+        if p >= 0 and min(ids[c] for c in pairs[p]) >= 0:
+            heapq.heappush(heap, (cost[p], *sorted(ids[c] for c in pairs[p]), p))
+    return np.array(out, dtype=np.intp)
+
+
+def _next_single_merge(cost, nn_cost, node, pairs, merge_cost, n) -> tuple[int, int]:
+    """Slots of the pair a one-merge-at-a-time run merges next: the cheapest,
+    at cost m, and among exact ties the smallest (min id, max id) in that
+    run's ids. Every merge cheaper than m is made, so ordering the merges
+    made gives their ids; an m-cost cluster in a tie was made here, in that
+    run's order, since a batch merges only pairs that cannot tie."""
+    m = nn_cost.min()
+    key = np.arange(n + merge_cost.size)  # points, then merges as made
+    if np.any(merge_cost < m):
+        key[n + _sequential_order(pairs, merge_cost, n)] = key[n:].copy()
+    tied = np.flatnonzero(nn_cost == m)
+    i = tied[key[node[tied]].argmin()]
+    partners = np.flatnonzero(cost[i] == m)
+    return i, partners[key[node[partners]].argmin()]
+
+
+def _ward_tree(pts: np.ndarray):
+    """All n - 1 Ward merges in the order made: children (points 0..n-1,
+    the k-th merge made n + k), costs and merged means."""
+    n, q = pts.shape
+    slots = np.arange(n)
+    means, sizes, node = pts.copy(), np.ones(n), slots.copy()  # node: id in a slot
+    alive = np.ones(n, dtype=bool)
+    cost = _initial_costs(pts)  # dead columns and the diagonal stay +inf
+    # Each row's minimum and a partner at it. Which partner on an exact tie
+    # does not matter: a tied pair never merges in a batch.
+    nn = cost.argmin(axis=1)
+    nn_cost = cost[slots, nn]
+    pairs = np.empty((n - 1, 2), dtype=np.intp)
+    merge_cost, merge_mean = np.empty(n - 1), np.empty((n - 1, q))
+    made = 0
+    while made < n - 1:
+        # Every reciprocal pair, from its lower slot, unless a row of it
+        # holds its minimum twice.
+        a = np.flatnonzero((nn[nn] == slots) & (slots < nn))
+        ends = np.concatenate((a, nn[a]))
+        at_min = cost[ends] == nn_cost[ends, None]
+        if np.count_nonzero(at_min) > ends.size:
+            single = np.count_nonzero(at_min, axis=1) == 1
+            a = a[single[: a.size] & single[a.size:]]
+        if not a.size:
+            i, nn[i] = _next_single_merge(cost, nn_cost, node, pairs[:made], merge_cost[:made], n)
+            a = np.array([i])
+        b, k = nn[a], a.size
+        done = slice(made, made + k)
+        pairs[done, 0], pairs[done, 1], merge_cost[done] = node[a], node[b], nn_cost[a]
+        size_a, size_b = sizes[a, None], sizes[b, None]
+        means[a] = merge_mean[done] = (size_a * means[a] + size_b * means[b]) / (size_a + size_b)
+        sizes[a] += sizes[b]
+        node[a] = n + made + np.arange(k)
+        made += k
+        alive[b], nn_cost[b], nn[b] = False, np.inf, b  # a dead slot pairs with nothing
+        cost[:, b] = np.inf
+        merged = np.zeros(n, dtype=bool)
+        merged[a] = merged[b] = True
+        stale = np.flatnonzero(alive & merged[nn])
+
+        # The merged rows against the live slots: v_a v_b / (v_a + v_b) times
+        # one einsum per block of at most _BLOCK_FLOATS difference entries.
+        live = np.flatnonzero(alive)
+        live_means, live_sizes = means[live], sizes[live]
+        fresh = sizes[a, None] * live_sizes / (sizes[a, None] + live_sizes)
+        gap_sq = np.empty_like(fresh)
+        rows = max(1, _BLOCK_FLOATS // (live.size * q))
+        for lo in range(0, k, rows):
+            gap = live_means - means[a[lo:lo + rows], None]
+            np.einsum("ijq,ijq->ij", gap, gap, out=gap_sq[lo:lo + rows])
+        fresh *= gap_sq
+        cost[a[:, None], live] = fresh
+        cost[live[:, None], a] = fresh.T
+        cost[a, a] = np.inf
+
+        # A row takes a new cluster that is closer; rows that pointed into a
+        # merged pair rescan, the merged rows among them.
+        near = fresh.argmin(axis=0)
+        near_cost = fresh[near, np.arange(live.size)]
+        closer = near_cost < nn_cost[live]
+        nn[live[closer]], nn_cost[live[closer]] = a[near[closer]], near_cost[closer]
+        block = cost[stale]
+        nn[stale] = block.argmin(axis=1)
+        nn_cost[stale] = block[np.arange(stale.size), nn[stale]]
+    return pairs, merge_cost, merge_mean
+
+
 def chac(points, requested: int) -> ClusteringResult:
     """Ward-linkage agglomeration down to ``requested`` clusters.
 
@@ -141,112 +255,28 @@ def chac(points, requested: int) -> ClusteringResult:
     if n <= requested:
         return _singletons(pts, requested)
 
-    means = pts.copy()
-    sizes = np.ones(n)
-    alive = np.ones(n, dtype=bool)
-    ids = np.arange(n)
-    members: list[list[int]] = [[i] for i in range(n)]
-
-    # Symmetric cost matrix; dead slots and the diagonal stay +inf.
-    cost = _initial_costs(pts)
-    # Per-row nearest neighbour: the row minimum and, among exact ties, the
-    # partner with the smallest cluster id (ids equal slots at the start,
-    # and argmin returns the first minimum).
-    nn = cost.argmin(axis=1)
-    nn_cost = cost[ids, nn]
-    no_id = 2 * n  # larger than every cluster id
-
-    merges: list[tuple[int, int, float]] = []
-    next_id = n
-    remaining = n
-    while remaining > requested:
-        m = nn_cost.min()
-        # Every slot in a pair of cost m has row minimum m. The smallest id
-        # among them and its nearest neighbour form the pair with the
-        # smallest (min id, max id) key. The merged cluster takes slot i.
-        tied = np.flatnonzero(nn_cost == m)
-        i = tied[ids[tied].argmin()]
-        j = nn[i]
-        merges.append((int(ids[i]), int(ids[j]), float(m)))
-
-        size_i, size_j = sizes[i], sizes[j]
-        merged_size = size_i + size_j
-        means[i] = (size_i * means[i] + size_j * means[j]) / merged_size
-        sizes[i] = merged_size
-        members[i].extend(members[j])
-        ids[i] = next_id
-        next_id += 1
-        alive[j] = False
-        means[j] = np.inf  # dead slots get +inf costs below
-        cost[j, :] = np.inf
-        cost[:, j] = np.inf
-        nn_cost[j] = np.inf
-
-        # Refresh slot i's costs against every slot; the dead come out +inf.
-        gap = means - means[i]
-        pair = merged_size * sizes / (merged_size + sizes)
-        fresh = pair * np.einsum("kq,kq->k", gap, gap)
-        fresh[i] = np.inf
-        cost[i] = fresh
-        cost[:, i] = fresh
-
-        # Rows that pointed at i or j rescan, row i among them (the merged
-        # pair point at each other). Every other row keeps its neighbour
-        # unless i is now strictly closer: on an exact tie the old neighbour
-        # wins, since i's new id is the largest.
-        stale = (nn == i) | (nn == j)
-        stale[j] = False
-        nn[fresh < nn_cost] = i
-        np.minimum(nn_cost, fresh, out=nn_cost)
-        stale = np.flatnonzero(stale)
-        block = cost[stale]
-        low = block.min(axis=1)
-        nn_cost[stale] = low
-        nn[stale] = np.where(block == low[:, None], ids, no_id).argmin(axis=1)
-        remaining -= 1
-
-    order = sorted(np.flatnonzero(alive), key=lambda s: min(members[s]))
+    pairs, cost, means = _ward_tree(pts)
+    order = _sequential_order(pairs, cost, n)
+    ids = np.arange(2 * n - 1)  # the one-at-a-time run's ids, by id made
+    ids[n + order] = n + np.arange(n - 1)
+    kept = order[: n - requested]
+    lo, hi = np.sort(ids[pairs[kept]], axis=1).T
+    merges = tuple(zip(lo.tolist(), hi.tolist(), cost[kept].tolist()))
+    # Each point's cluster after the cut: follow the kept merges to a root.
+    up = np.arange(2 * n - 1)
+    up[pairs[kept]] = n + kept[:, None]
+    while not np.array_equal(up, up[up]):
+        up = up[up]
+    root = up[:n]
+    firsts = np.sort(np.unique(root, return_index=True)[1])  # by smallest member
     clusters = tuple(
-        Cluster(tuple(sorted(members[s])), means[s].copy()) for s in order
+        Cluster(
+            tuple(np.flatnonzero(root == r).tolist()),
+            (pts[r] if r < n else means[r - n]).copy(),
+        )
+        for r in root[firsts]
     )
-    return ClusteringResult(clusters, tuple(merges), requested)
-
-
-def _ward_reference(points, requested: int) -> ClusteringResult:
-    """O(n^3) oracle: recompute all means and pair costs from members at
-    every step. Same tie-break contract as chac; testing only."""
-    pts = _as_points(points)
-    if requested < 1:
-        raise ValueError(f"requested cluster count must be >= 1, got {requested}")
-    n = len(pts)
-    if n <= requested:
-        return _singletons(pts, requested)
-
-    groups: list[tuple[int, list[int]]] = [(i, [i]) for i in range(n)]
-    merges: list[tuple[int, int, float]] = []
-    next_id = n
-    while len(groups) > requested:
-        # fresh means from raw members every step, never carried over
-        step_means = [pts[mem].mean(axis=0) for _, mem in groups]
-        best = None
-        for a in range(len(groups)):
-            id_a, mem_a = groups[a]
-            for b in range(a + 1, len(groups)):
-                id_b, mem_b = groups[b]
-                c = _pair_cost(len(mem_a), step_means[a], len(mem_b), step_means[b])
-                key = (c, min(id_a, id_b), max(id_a, id_b))
-                if best is None or key < best[0]:
-                    best = (key, a, b)
-        (c, id_lo, id_hi), a, b = best
-        merges.append((id_lo, id_hi, c))
-        merged = (next_id, groups[a][1] + groups[b][1])
-        next_id += 1
-        groups = [g for k, g in enumerate(groups) if k not in (a, b)] + [merged]
-    groups.sort(key=lambda g: min(g[1]))
-    clusters = tuple(
-        Cluster(tuple(sorted(mem)), pts[mem].mean(axis=0)) for _, mem in groups
-    )
-    return ClusteringResult(clusters, tuple(merges), requested)
+    return ClusteringResult(clusters, merges, requested)
 
 
 def centroids(result: ClusteringResult) -> np.ndarray:

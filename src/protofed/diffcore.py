@@ -251,10 +251,10 @@ def matmul(a, b) -> Tensor:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul {a.shape} @ {b.shape}")
     out = _wrap(a.data @ b.data, "matmul")
-    need_da = _tracked(a)  # the left operand is often the unwatched batch
+    need_a, need_b = _tracked(a), _tracked(b)  # a is often the unwatched batch
 
     def bwd(g):
-        return (g @ b.data.T if need_da else None), a.data.T @ g
+        return (g @ b.data.T if need_a else None), (a.data.T @ g if need_b else None)
 
     _record(out, (a, b), bwd)
     return out
@@ -300,9 +300,10 @@ def add(a, b) -> Tensor:
         out = _wrap(a.data + b.data[None, :, None, None], "add")
     else:
         out = _wrap(a.data + b.data, "add")
+    need_a, need_b = _tracked(a), _tracked(b)
 
     def bwd(g):
-        return g, _reduce_to(g, axes, b)
+        return (g if need_a else None), (_reduce_to(g, axes, b) if need_b else None)
 
     _record(out, (a, b), bwd)
     return out
@@ -317,9 +318,10 @@ def sub(a, b) -> Tensor:
         out = _wrap(a.data - b.data[None, :, None, None], "sub")
     else:
         out = _wrap(a.data - b.data, "sub")
+    need_a, need_b = _tracked(a), _tracked(b)
 
     def bwd(g):
-        return g, -_reduce_to(g, axes, b)
+        return (g if need_a else None), (-_reduce_to(g, axes, b) if need_b else None)
 
     _record(out, (a, b), bwd)
     return out
@@ -333,10 +335,11 @@ def mul(a, b) -> Tensor:
         raise ShapeError(f"mul needs same shapes or a scalar, got {a.shape} * {b.shape}")
     out = _wrap(a.data * b.data, "mul")
     scalar_b = b.shape == ()
+    need_a, need_b = _tracked(a), _tracked(b)
 
     def bwd(g):
-        ga = g * b.data
-        gb = np.sum(g * a.data) if scalar_b else g * a.data
+        ga = g * b.data if need_a else None
+        gb = (np.sum(g * a.data) if scalar_b else g * a.data) if need_b else None
         return ga, gb
 
     _record(out, (a, b), bwd)
@@ -471,8 +474,8 @@ def conv2d(x, k) -> Tensor:
     """Valid-padding stride-1 convolution, NCHW input, OIHW kernel.
 
     One GEMM per block of samples over im2col columns; backward recomputes
-    each block's columns rather than keeping them, and skips the input
-    gradient when the tape does not track x.
+    each block's columns rather than keeping them, and skips the gradient
+    of an operand the tape does not track.
     """
     x, k = as_tensor(x), as_tensor(k)
     if x.ndim != 4 or k.ndim != 4:
@@ -490,21 +493,21 @@ def conv2d(x, k) -> Tensor:
         cols = _im2col(x.data[sl], kh, kw)
         np.matmul(k2, cols, out=acc[sl].reshape(cols.shape[0], co, ho * wo))
     out = _wrap(acc, "conv2d")
-    need_dx = _tracked(x)  # the first conv's input is the unwatched batch
+    need_dx, need_dk = _tracked(x), _tracked(k)  # x is often the unwatched batch
 
     def bwd(g):
-        dk = np.zeros((co, ci * kh * kw))
+        dk = np.zeros((co, ci * kh * kw)) if need_dk else None
         dx = np.zeros(x.shape) if need_dx else None
         for sl in blocks:
             g3 = g[sl].reshape(-1, co, ho * wo)
-            # The block's columns are freed before dcols exists.
-            dk += np.matmul(g3, _im2col(x.data[sl], kh, kw).transpose(0, 2, 1)).sum(axis=0)
+            if need_dk:  # the block's columns are freed before dcols exists
+                dk += np.matmul(g3, _im2col(x.data[sl], kh, kw).transpose(0, 2, 1)).sum(axis=0)
             if need_dx:  # col2im: one slice-add per kernel tap
                 dcols = np.matmul(k2.T, g3).reshape(-1, ci, kh, kw, ho, wo)
                 for a in range(kh):
                     for b in range(kw):
                         dx[sl, :, a : a + ho, b : b + wo] += dcols[:, :, a, b]
-        return dx, dk.reshape(k.shape)
+        return dx, (dk.reshape(k.shape) if need_dk else None)
 
     _record(out, (x, k), bwd)
     return out
@@ -633,10 +636,11 @@ def sq_dists(x, p) -> Tensor:
     q = x.shape[1]
     diff = x.data[:, None, :] - p.data[None, :, :]
     out = _wrap(np.add.reduce(diff * diff, axis=2) / q, "sq_dists")
+    need_x, need_p = _tracked(x), _tracked(p)
 
     def bwd(g):
         gd = (2.0 / q) * g[:, :, None] * diff
-        return gd.sum(axis=1), -gd.sum(axis=0)
+        return (gd.sum(axis=1) if need_x else None), (-gd.sum(axis=0) if need_p else None)
 
     _record(out, (x, p), bwd)
     return out

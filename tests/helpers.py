@@ -1,10 +1,12 @@
-"""Shared test oracles: central finite differences against the gradient tape."""
+"""Shared test oracles: central finite differences against the gradient tape,
+and a naive Ward clustering to check chac against."""
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
 import numpy as np
 
+from protofed.chac import Cluster, ClusteringResult, _as_points, _pair_cost, _singletons
 from protofed.diffcore import Tape, Tensor, backward
 
 FD_STEP = 1e-5
@@ -58,3 +60,40 @@ def check_grads(
     numeric = fd_grads(f, arrays, step=step)
     for got, want in zip(auto, numeric):
         np.testing.assert_allclose(got, want, rtol=rtol, atol=atol)
+
+
+def ward_reference(points, requested: int) -> ClusteringResult:
+    """O(n^3) oracle: recompute all means and pair costs from members at
+    every step. Same tie-break contract as chac; testing only."""
+    pts = _as_points(points)
+    if requested < 1:
+        raise ValueError(f"requested cluster count must be >= 1, got {requested}")
+    n = len(pts)
+    if n <= requested:
+        return _singletons(pts, requested)
+
+    groups: list[tuple[int, list[int]]] = [(i, [i]) for i in range(n)]
+    merges: list[tuple[int, int, float]] = []
+    next_id = n
+    while len(groups) > requested:
+        # fresh means from raw members every step, never carried over
+        step_means = [pts[mem].mean(axis=0) for _, mem in groups]
+        best = None
+        for a in range(len(groups)):
+            id_a, mem_a = groups[a]
+            for b in range(a + 1, len(groups)):
+                id_b, mem_b = groups[b]
+                c = _pair_cost(len(mem_a), step_means[a], len(mem_b), step_means[b])
+                key = (c, min(id_a, id_b), max(id_a, id_b))
+                if best is None or key < best[0]:
+                    best = (key, a, b)
+        (c, id_lo, id_hi), a, b = best
+        merges.append((id_lo, id_hi, c))
+        merged = (next_id, groups[a][1] + groups[b][1])
+        next_id += 1
+        groups = [g for k, g in enumerate(groups) if k not in (a, b)] + [merged]
+    groups.sort(key=lambda g: min(g[1]))
+    clusters = tuple(
+        Cluster(tuple(sorted(mem)), pts[mem].mean(axis=0)) for _, mem in groups
+    )
+    return ClusteringResult(clusters, tuple(merges), requested)

@@ -17,10 +17,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import check_grads
+from helpers import check_grads, ward_reference
 import protofed.federation as fed
 import protofed.losses as losses_mod
-from protofed.chac import Cluster, chac, delta_ssq, kmeans, _ward_reference
+from protofed.chac import Cluster, chac, delta_ssq, kmeans
 from protofed.data import load_idx, partition_dirichlet, synth_blobs
 from protofed.diffcore import Tensor
 from protofed.federation import FedConfig, init_federation, run_round
@@ -65,7 +65,7 @@ def test_criterion_01_clustering_matches_naive_oracle():
         requested = int(rng.integers(1, n + 1))
         pts = rng.standard_normal((n, q))
         fast = chac(pts, requested)
-        ref = _ward_reference(pts, requested)
+        ref = ward_reference(pts, requested)
         assert fast.partition() == ref.partition(), f"partition mismatch at seed {seed}"
         assert len(fast.merges) == len(ref.merges)
         for (a1, b1, c1), (a2, b2, c2) in zip(fast.merges, ref.merges):

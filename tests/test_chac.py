@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import ward_reference
 from protofed.chac import (
     Cluster,
     ClusteringResult,
-    _ward_reference,
     centroids,
     chac,
     delta_ssq,
@@ -28,14 +28,25 @@ GOLDEN_PATH = Path(__file__).parent / "data" / "chac_golden.json"
 
 
 def golden_inputs() -> dict[str, np.ndarray]:
-    """The three fixed inputs whose clustering chac_golden.json pins."""
+    """The fixed inputs whose clustering chac_golden.json pins."""
     gauss = np.random.default_rng(501).standard_normal((200, 16))
     # Dead-ReLU-like embeddings: many exact zeros, so many exact cost ties.
     relu = np.maximum(np.random.default_rng(502).standard_normal((200, 16)) - 0.5, 0.0)
     rng = np.random.default_rng(503)
     distinct = rng.standard_normal((30, 16))
     repeated = distinct[rng.permutation(np.arange(200) % 30)]
-    return {"gaussian": gauss, "relu": relu, "repeated": repeated}
+    # Paper scale: about 480 embeddings of width 64 per class.
+    rng = np.random.default_rng(504)
+    centres = 3.0 * rng.standard_normal((6, 64))
+    mixture = centres[rng.integers(0, 6, 480)] + rng.standard_normal((480, 64))
+    # Half the rows exactly zero: one large block of exact cost ties.
+    rng = np.random.default_rng(505)
+    dead = np.maximum(rng.standard_normal((480, 64)) - 0.5, 0.0)
+    dead[rng.permutation(480)[:240]] = 0.0
+    return {
+        "gaussian": gauss, "relu": relu, "repeated": repeated,
+        "mixture480": mixture, "dead480": dead,
+    }
 
 
 def golden_record(pts: np.ndarray, requested: int) -> dict:
@@ -167,7 +178,7 @@ def test_chac_ids_follow_dendrogram_convention():
 def test_chac_matches_naive_reference(seed, n, requested, q):
     pts = rand_points(seed, n, q)
     fast = chac(pts, requested)
-    slow = _ward_reference(pts, requested)
+    slow = ward_reference(pts, requested)
     assert fast.partition() == slow.partition()
     assert len(fast.merges) == len(slow.merges)
     for (a1, b1, c1), (a2, b2, c2) in zip(fast.merges, slow.merges):
@@ -201,7 +212,7 @@ def test_chac_matches_naive_reference_on_exact_ties(kind):
     for seed in range(40):
         pts, requested = tie_heavy_points(kind, seed)
         fast = chac(pts, requested)
-        slow = _ward_reference(pts, requested)
+        slow = ward_reference(pts, requested)
         assert fast.partition() == slow.partition()
         assert [m[:2] for m in fast.merges] == [m[:2] for m in slow.merges]
         for (_, _, c1), (_, _, c2) in zip(fast.merges, slow.merges):
@@ -210,7 +221,24 @@ def test_chac_matches_naive_reference_on_exact_ties(kind):
     assert tied_merges > 50  # the inputs really reach the tie-break
 
 
-@pytest.mark.parametrize("name", ["gaussian", "relu", "repeated"])
+def test_chac_tie_breaks_follow_one_at_a_time_ids():
+    # Small grids merged to one or two clusters: exact ties between clusters
+    # made in different batch steps, which only the ids of a one-merge-at-a-
+    # time run put in the oracle's order.
+    for seed in range(100):
+        rng = np.random.default_rng([seed, 7])
+        n, q = int(rng.integers(6, 30)), int(rng.integers(1, 4))
+        pts = rng.integers(0, 3, (n, q)).astype(float)
+        requested = int(rng.integers(1, 3))
+        fast = chac(pts, requested)
+        slow = ward_reference(pts, requested)
+        assert fast.partition() == slow.partition()
+        assert [m[:2] for m in fast.merges] == [m[:2] for m in slow.merges]
+        for (_, _, c1), (_, _, c2) in zip(fast.merges, slow.merges):
+            np.testing.assert_allclose(c1, c2, rtol=1e-9)
+
+
+@pytest.mark.parametrize("name", ["gaussian", "relu", "repeated", "mixture480", "dead480"])
 def test_chac_golden_bitwise(name):
     golden = json.loads(GOLDEN_PATH.read_text())[name]
     pts = golden_inputs()[name]

@@ -313,25 +313,32 @@ def test_conv2d_blocks_match_one_block(monkeypatch, samples_per_block):
     [
         (dc.conv2d, ((3, 2, 5, 4), (2, 2, 2, 3))),
         (dc.matmul, ((4, 3), (3, 5))),
+        (dc.add, ((4, 3), (3,))),
+        (dc.sub, ((4, 3), (4, 3))),
+        (dc.mul, ((4, 3), ())),
+        (dc.sq_dists, ((5, 3), (4, 3))),
     ],
 )
 def test_untracked_input_gets_no_gradient_work(op, inputs):
     rng = RNG(24)
     x, w = (Tensor(rand(rng, *shape)) for shape in inputs)
 
-    def weight_grad(*watched):
+    def grads(*watched):
         with Tape() as tape:
             tape.watch(*watched)
             out = op(x, w)
             loss = dc.tsum(dc.square(out))
         out_rec, recorded, bwd = tape._records[0]
         assert out_rec is out and recorded == (x, w)
-        return backward(tape, loss)[w], bwd(np.ones(out.shape))
+        return backward(tape, loss), bwd(np.ones(out.shape))
 
-    tracked_dw, (dx, _) = weight_grad(x, w)
-    untracked_dw, (skipped, _) = weight_grad(w)
-    assert dx is not None and skipped is None
-    np.testing.assert_array_equal(untracked_dw, tracked_dw)
+    both, (dx, dw) = grads(x, w)
+    assert dx is not None and dw is not None
+    only_w, (skipped_x, _) = grads(w)
+    only_x, (_, skipped_w) = grads(x)
+    assert skipped_x is None and skipped_w is None
+    np.testing.assert_array_equal(only_w[w], both[w])
+    np.testing.assert_array_equal(only_x[x], both[x])
 
 
 def test_conv2d_memory_stays_blocked():
