@@ -217,52 +217,38 @@ def select_clients(client_ids, fraction: float, seed: int, round_idx: int) -> tu
     return tuple(sorted(ids[i] for i in picked))
 
 
-def _embed_all(model: Backbone, feats: np.ndarray, batch: int = 512) -> np.ndarray:
-    outs = []
+def _forward_chunks(model: Backbone, feats: np.ndarray, batch: int) -> tuple[np.ndarray, ...]:
+    """Embeddings and logits of ``feats``, ``batch`` rows per forward pass."""
+    embs, logits = [], []
     for i in range(0, feats.shape[0], batch):
-        emb, _ = model.forward(dc.Tensor(feats[i : i + batch]))
-        outs.append(emb.data)
-    return np.concatenate(outs, axis=0) if outs else np.zeros((0, model.embedding_dim))
+        emb, out = model.forward(dc.Tensor(feats[i : i + batch]))
+        embs.append(emb.data)
+        logits.append(out.data)
+    if not embs:
+        return np.zeros((0, model.embedding_dim)), np.zeros((0, model.num_classes))
+    return np.concatenate(embs, axis=0), np.concatenate(logits, axis=0)
 
 
-def _predict(model: Backbone, feats: np.ndarray, batch: int = 1024) -> np.ndarray:
-    preds = []
-    for i in range(0, feats.shape[0], batch):
-        _, logits = model.forward(dc.Tensor(feats[i : i + batch]))
-        preds.append(np.argmax(logits.data, axis=1))
-    return np.concatenate(preds) if preds else np.zeros(0, dtype=np.int64)
-
-
-def _cluster_prototypes(
-    emb: np.ndarray,
-    labels: np.ndarray,
-    clusters_per_class: int,
-    method: str,
-    seed_parts: Sequence[int],
+def _class_prototypes(
+    emb: np.ndarray, labels: np.ndarray, cfg: FedConfig, seed_parts: Sequence[int]
 ) -> PrototypeSet:
-    """Per-class clustering of embeddings into up to clusters_per_class means."""
+    """Per-class prototypes: the class mean for fedproto, otherwise up to
+    clusters_per_class cluster means from chac (or kmeans)."""
     protos: dict[int, list[np.ndarray]] = {}
     counts: dict[int, int] = {}
     for c in sorted(int(v) for v in np.unique(labels)):
         rows = emb[labels == c]
-        if method == "mp-fedkd-kmeans":
+        counts[c] = int(rows.shape[0])
+        if cfg.method == "fedproto":
+            protos[c] = [rows.mean(axis=0)]
+            continue
+        if cfg.method == "mp-fedkd-kmeans":
             seed = int(np.random.SeedSequence([*seed_parts, _CLUSTER_STREAM, c]).generate_state(1)[0])
-            result = clustering.kmeans(rows, clusters_per_class, seed)
+            result = clustering.kmeans(rows, cfg.clusters_per_class, seed)
         else:
-            result = clustering.chac(rows, clusters_per_class)
+            result = clustering.chac(rows, cfg.clusters_per_class)
         cents = clustering.centroids(result)
         protos[c] = [cents[i].copy() for i in range(cents.shape[0])]
-        counts[c] = int(rows.shape[0])
-    return PrototypeSet(protos=protos, counts=counts)
-
-
-def _mean_prototypes(emb: np.ndarray, labels: np.ndarray) -> PrototypeSet:
-    protos: dict[int, list[np.ndarray]] = {}
-    counts: dict[int, int] = {}
-    for c in sorted(int(v) for v in np.unique(labels)):
-        rows = emb[labels == c]
-        protos[c] = [rows.mean(axis=0)]
-        counts[c] = int(rows.shape[0])
     return PrototypeSet(protos=protos, counts=counts)
 
 
@@ -298,7 +284,7 @@ def client_update(
 
     feats = dataset.features.data
     labels_all = dataset.labels
-    train_idx = np.asarray(state.shard.train, dtype=np.int64)
+    train_idx = state.shard.train
     n = int(train_idx.shape[0])
 
     aux = method in _MULTI_PROTO and round_idx != 1 and state.teacher is not None
@@ -311,7 +297,9 @@ def client_update(
 
     sums = {"ce": 0.0, "distill": 0.0, "align": 0.0, "proto": 0.0}
     batches_seen = 0
-    batch_protos: Optional[PrototypeSet] = None
+    # (embeddings, labels) the prototypes come from; in per-batch mode, the
+    # last batch's pre-step embeddings, otherwise the trained shard's.
+    proto_input: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     for epoch in range(cfg.epochs):
         order = train_idx[rng.permutation(n)]
@@ -360,30 +348,20 @@ def client_update(
                     sums["ce"] += ce.item()
                     grads = dc.backward(tape, loss)
                 if cfg.per_batch_protos and method in _MULTI_PROTO:
-                    # Cluster this batch's pre-step embeddings; the last batch wins.
-                    batch_protos = _cluster_prototypes(
-                        emb.data, yb, cfg.clusters_per_class, method,
-                        (run_seed, round_idx, state.client_id),
-                    )
+                    proto_input = (emb.data, yb)
                 sgd_step(state.model, grads, cfg.learning_rate)
             except Exception as exc:
                 raise FederationError(f"epoch {epoch} batch {batch}: {exc}") from exc
             batches_seen += 1
 
     proto_set: Optional[PrototypeSet] = None
-    if method in _MULTI_PROTO:
-        if cfg.per_batch_protos and batch_protos is not None:
-            proto_set = batch_protos
-        else:
-            emb_train = _embed_all(state.model, feats[train_idx])
-            proto_set = _cluster_prototypes(
-                emb_train, labels_all[train_idx], cfg.clusters_per_class, method,
-                (run_seed, round_idx, state.client_id),
-            )
-        state.teacher = snapshot(state.model, round_idx)
-    elif method == "fedproto":
-        emb_train = _embed_all(state.model, feats[train_idx])
-        proto_set = _mean_prototypes(emb_train, labels_all[train_idx])
+    if method in _MULTI_PROTO or method == "fedproto":
+        if proto_input is None:
+            emb_train, _ = _forward_chunks(state.model, feats[train_idx], 512)
+            proto_input = (emb_train, labels_all[train_idx])
+        proto_set = _class_prototypes(*proto_input, cfg, (run_seed, round_idx, state.client_id))
+        if method in _MULTI_PROTO:
+            state.teacher = snapshot(state.model, round_idx)
 
     scale = 1.0 / batches_seen if batches_seen else 0.0
     return ClientRoundResult(
@@ -554,42 +532,27 @@ def run_round(
             merged.set(c, fresh.get(c))
         server.protos = merged
 
-    feats = dataset.features.data
-    if method == "fedproto":
-        # Personal models: accuracy is the mean over clients on their own
-        # test split; error and F1 metrics pool all predictions.
-        per_acc = []
-        pooled_p, pooled_y = [], []
-        for cid in sorted(clients):
-            st = clients[cid]
-            te = np.asarray(st.shard.test, dtype=np.int64)
-            if te.size == 0:
-                continue
-            preds = _predict(st.model, feats[te])
-            ys = dataset.labels[te]
-            per_acc.append(accuracy(preds, ys))
-            pooled_p.append(preds)
-            pooled_y.append(ys)
-        if per_acc:
-            acc = float(np.mean(per_acc))
-            allp = np.concatenate(pooled_p)
-            ally = np.concatenate(pooled_y)
-            rmse, mae = rmse_mae(allp, ally)
-            f1 = macro_f1(allp, ally, dataset.num_classes)
-        else:
-            acc = rmse = mae = f1 = float("nan")
+    # fedproto scores each client's personal model on its own test split,
+    # the other methods the server model on the pooled split. Accuracy is
+    # the mean over the parts; error and F1 metrics pool all predictions.
+    parts = [(clients[cid].model, clients[cid].shard.test) for cid in sorted(clients)]
+    if method != "fedproto":
+        parts = [(server.model, np.concatenate([te for _, te in parts]))]
+    accs, preds, ys = [], [], []
+    for model, te in parts:
+        if te.size == 0:
+            continue
+        _, logits = _forward_chunks(model, dataset.features.data[te], 1024)
+        preds.append(np.argmax(logits, axis=1))
+        ys.append(dataset.labels[te])
+        accs.append(accuracy(preds[-1], ys[-1]))
+    if accs:
+        acc = float(np.mean(accs))
+        allp, ally = np.concatenate(preds), np.concatenate(ys)
+        rmse, mae = rmse_mae(allp, ally)
+        f1 = macro_f1(allp, ally, dataset.num_classes)
     else:
-        test_idx = np.concatenate(
-            [np.asarray(clients[cid].shard.test, dtype=np.int64) for cid in sorted(clients)]
-        )
-        if test_idx.size:
-            preds = _predict(server.model, feats[test_idx])
-            ys = dataset.labels[test_idx]
-            acc = accuracy(preds, ys)
-            rmse, mae = rmse_mae(preds, ys)
-            f1 = macro_f1(preds, ys, dataset.num_classes)
-        else:
-            acc = rmse = mae = f1 = float("nan")
+        acc = rmse = mae = f1 = float("nan")
 
     record = RoundRecord(
         round_idx=round_idx,

@@ -22,7 +22,7 @@ from .data import Dataset, load_idx, partition_dirichlet, synth_blobs
 from .federation import FedConfig, Topology, init_federation, run_round
 from .losses import LossWeights
 from .metrics import RoundRecord, average_accuracy
-from .model import Arch, snapshot
+from .model import _KINDS, Arch, snapshot
 
 __all__ = [
     "ExperimentConfig",
@@ -111,6 +111,12 @@ class ExperimentConfig:
             raise ValueError("idx datasets need images and labels paths")
         if self.data_kind == "idx" and bool(self.images2) != bool(self.labels2):
             raise ValueError("a second domain needs both images2 and labels2")
+        if self.data_kind == "idx" and self.domains == 2:
+            raise ValueError("idx data takes a second domain from images2 and labels2, not domains")
+        if self.model_kind not in _KINDS:
+            raise ValueError(f"unknown model kind {self.model_kind!r}, expected {list(_KINDS)}")
+        if self.model_kind == "cnn" and self.data_kind != "idx":
+            raise ValueError("a cnn model needs image data: [dataset] kind = idx")
         if self.hubs < 1:
             raise ValueError("hubs must be >= 1")
         self.fed_config()  # checks the [federation] and [loss] values

@@ -48,7 +48,7 @@ class Arch:
     channels: tuple[int, int] = (4, 8)
 
     def __post_init__(self):
-        if self.kind not in ("mlp", "linear", "cnn"):
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown backbone kind {self.kind!r}")
         if self.input_dim < 1 or self.embedding_dim < 1 or self.num_classes < 2:
             raise ValueError("input_dim, embedding_dim >= 1 and num_classes >= 2 required")

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import protofed.chac as clustering
 import protofed.diffcore as dc
 import protofed.federation as fed
 from protofed.data import ClientShard, partition_dirichlet, synth_blobs
@@ -309,6 +310,57 @@ def test_per_batch_prototype_mode_completes():
     assert records[1].distill > 0.0
 
 
+def test_per_batch_prototypes_cluster_the_last_batch(monkeypatch):
+    ds, cfg, server, clients = small_world(per_batch_protos=True)
+    st = clients[0]
+    embs, labels = [], []
+    forward, cross_entropy = st.model.forward, fed.losses.cross_entropy
+
+    def recording_forward(x):
+        emb, logits = forward(x)
+        embs.append(emb.data.copy())
+        return emb, logits
+
+    def recording_ce(logits, y):
+        labels.append(np.array(y))
+        return cross_entropy(logits, y)
+
+    monkeypatch.setattr(st.model, "forward", recording_forward)
+    monkeypatch.setattr(fed.losses, "cross_entropy", recording_ce)
+    res = fed.client_update(
+        st, ds, tuple(server.model.params), server.protos, cfg, round_idx=1, run_seed=0
+    )
+    # no forward pass over the trained shard: the last batch's pre-step
+    # embeddings are the prototype input
+    batches = cfg.epochs * len(range(0, st.shard.train.size, cfg.batch_size))
+    assert len(embs) == len(labels) == batches
+    emb, y = embs[-1], labels[-1]
+    assert sum(res.protos.counts.values()) == y.size < st.shard.train.size
+    assert res.protos.classes() == sorted(int(c) for c in np.unique(y))
+    for c in res.protos.classes():
+        assert res.protos.counts[c] == int(np.sum(y == c))
+        want = clustering.centroids(clustering.chac(emb[y == c], cfg.clusters_per_class))
+        assert np.array_equal(np.stack(res.protos.protos[c]), want)
+
+
+@pytest.mark.parametrize("per_batch", [False, True])
+def test_client_update_clusters_once_per_class(monkeypatch, per_batch):
+    ds, cfg, server, clients = small_world(per_batch_protos=per_batch)
+    calls = []
+    chac = fed.clustering.chac
+
+    def counting(points, requested):
+        calls.append(len(points))
+        return chac(points, requested)
+
+    monkeypatch.setattr(fed.clustering, "chac", counting)
+    st = clients[0]
+    fed.client_update(
+        st, ds, tuple(server.model.params), server.protos, cfg, round_idx=1, run_seed=0
+    )
+    assert 0 < len(calls) <= int(np.count_nonzero(st.shard.histogram))
+
+
 def test_kmeans_variant_runs_and_differs_from_chac():
     ds, cfg_h, server_h, clients_h = small_world(method="mp-fedkd", seed=21)
     _, cfg_k, server_k, clients_k = small_world(method="mp-fedkd-kmeans", seed=21)
@@ -361,6 +413,46 @@ def test_align_weight_is_a_diagnostic():
         aligns.append(records[1].align)
     assert np.array_equal(finals[0], finals[1])
     assert aligns[0] == aligns[1] > 0.0
+
+
+# ------------------------------------------------------------ evaluation
+
+
+@pytest.mark.parametrize("method", ["fedproto", "fedavg"])
+def test_round_metrics_by_hand(method):
+    ds, cfg, server, clients = small_world(method=method, epochs=1, learning_rate=0.01)
+    # client 1 keeps three test rows and client 2 none, so the mean of the
+    # per-client accuracies differs from the pooled accuracy
+    for cid, keep in ((1, 3), (2, 0)):
+        sh = clients[cid].shard
+        shard = ClientShard(cid, sh.train, sh.test[:keep], sh.histogram)
+        clients[cid] = fed.ClientState(cid, shard, clients[cid].model)
+    server, (rec,) = drive(ds, cfg, server, clients, 1)
+
+    preds, ys = [], []
+    for cid in (0, 1):  # fedproto: the personal models; fedavg: the server model
+        model = clients[cid].model if method == "fedproto" else server.model
+        te = clients[cid].shard.test
+        _, logits = model.forward(dc.Tensor(ds.features.data[te]))
+        preds.append(np.argmax(logits.data, axis=1))
+        ys.append(ds.labels[te])
+    per_client = np.mean([np.mean(p == y) for p, y in zip(preds, ys)])
+    p, y = np.concatenate(preds), np.concatenate(ys)
+    pooled = np.mean(p == y)
+    assert per_client != pooled
+    err = (p - y).astype(float)
+    f1 = []
+    for c in range(ds.num_classes):
+        tp = np.sum((p == c) & (y == c))
+        wrong = np.sum((p == c) != (y == c))  # false positives plus false negatives
+        f1.append(2 * tp / (2 * tp + wrong) if tp + wrong else 0.0)
+    want = (
+        per_client if method == "fedproto" else pooled,
+        np.sqrt(np.mean(err**2)),
+        np.mean(np.abs(err)),
+        np.mean(f1),
+    )
+    assert (rec.acc, rec.rmse, rec.mae, rec.macro_f1) == pytest.approx(want, rel=1e-12)
 
 
 # -------------------------------------------------------------- topology

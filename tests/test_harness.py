@@ -171,14 +171,21 @@ def test_ini_surface_is_pinned():
     sections: dict[str, list[str]] = {}
     for section, key in INI_SURFACE:
         sections.setdefault(section, []).append(key)
+    # idx data takes its second domain from images2/labels2, so domains = 2
+    # is read on its own, with blob data
+    alone = ("dataset", "domains")
     text = ""
     for section, keys in sections.items():
         text += f"[{section}]\n"
-        text += "".join(f"{k} = {INI_SURFACE[section, k][1]}\n" for k in keys)
+        text += "".join(
+            f"{k} = {INI_SURFACE[section, k][1]}\n" for k in keys if (section, k) != alone
+        )
     cfg = ExperimentConfig.from_ini_text(text)
+    two_domain = ExperimentConfig.from_ini_text("[dataset]\ndomains = 2\n")
     default = ExperimentConfig()
     for (section, key), (field, value) in INI_SURFACE.items():
-        assert getattr(cfg, field) == value, (section, key)
+        read = two_domain if (section, key) == alone else cfg
+        assert getattr(read, field) == value, (section, key)
         assert getattr(default, field) != value, (section, key)
     # the two booleans share a value above, so check they do not alias
     assert ExperimentConfig.from_ini_text("[run]\ncheckpoints = on\n").per_batch_protos is False
@@ -209,6 +216,27 @@ def test_bad_training_value_fails_when_read(tmp_path, bad):
     out = tmp_path / "run"
     text = bad + f"[run]\nout = {out}\n"
     with pytest.raises(ValueError, match="must be positive"):
+        ExperimentConfig.from_ini_text(text)
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text)
+    from protofed.cli import main
+
+    assert main(["run", "--config", str(ini)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        ("[model]\nkind = mpl\n", "unknown model kind 'mpl'"),
+        ("[model]\nkind = cnn\n", "kind = idx"),
+        ("[dataset]\nkind = idx\nimages = a\nlabels = b\ndomains = 2\n", "images2 and labels2"),
+    ],
+)
+def test_bad_setup_fails_when_read(tmp_path, bad, match):
+    out = tmp_path / "run"
+    text = bad + f"[run]\nout = {out}\n"
+    with pytest.raises(ValueError, match=match):
         ExperimentConfig.from_ini_text(text)
     ini = tmp_path / "bad.ini"
     ini.write_text(text)
@@ -278,6 +306,16 @@ def test_rounds_csv_is_reproducible(tmp_path):
     assert (tmp_path / "a" / "rounds.csv").read_bytes() == (
         tmp_path / "b" / "rounds.csv"
     ).read_bytes()
+
+
+def test_per_batch_protos_changes_round_log(tmp_path):
+    logs = []
+    for flag in (False, True):
+        run_experiment(small_cfg(tmp_path / str(flag), per_batch_protos=flag))
+        logs.append((tmp_path / str(flag) / "run" / "rounds.csv").read_text().splitlines())
+    # round 1 trains on cross entropy alone; the prototypes steer round 2
+    assert logs[0][:2] == logs[1][:2]
+    assert logs[0][2] != logs[1][2]
 
 
 def test_compare_clusterers_outputs(tmp_path):
