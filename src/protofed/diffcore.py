@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -25,6 +25,7 @@ __all__ = [
     "as_tensor",
     "backward",
     "matmul",
+    "affine",
     "add",
     "sub",
     "mul",
@@ -103,29 +104,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
-
-    # Operator sugar; all arithmetic routes through the module-level ops.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
 
 def _wrap(arr: np.ndarray, op: str) -> Tensor:
@@ -260,50 +238,44 @@ def matmul(a, b) -> Tensor:
     return out
 
 
-def _bias_axes(a: Tensor, b: Tensor) -> Optional[tuple[int, ...]]:
-    """Axes to sum the gradient over for the supported a+b broadcasts.
+def affine(x, w, b) -> Tensor:
+    """A dense layer, x @ w + b: (n, d) batch, (d, m) weights, (m,) bias."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
+        raise ShapeError(f"affine {x.shape} @ {w.shape} + {b.shape}")
+    acc = x.data @ w.data
+    acc += b.data
+    out = _wrap(acc, "affine")
+    need_x, need_w, need_b = _tracked(x), _tracked(w), _tracked(b)  # x is often the batch
 
-    Returns None for same-shape, otherwise the reduction axes for b's
-    gradient. Anything outside the whitelist is a shape error: general
-    broadcasting is out of scope.
-    """
-    if a.shape == b.shape:
-        return None
-    if b.shape == ():
-        return tuple(range(a.ndim))
-    if a.ndim == 2 and b.shape == (a.shape[1],):
-        return (0,)
-    if a.ndim == 4 and b.shape == (a.shape[1],):
-        return (0, 2, 3)
-    raise ShapeError(f"unsupported broadcast {a.shape} with {b.shape}")
+    def bwd(g):
+        return (
+            g @ w.data.T if need_x else None,
+            x.data.T @ g if need_w else None,
+            g.sum(axis=0) if need_b else None,
+        )
+
+    _record(out, (x, w, b), bwd)
+    return out
 
 
-def _reduce_to(g: np.ndarray, axes: Optional[tuple[int, ...]], b: Tensor) -> np.ndarray:
-    if axes is None:
-        return g
-    if b.shape == ():
-        return np.sum(g)
-    if len(axes) == 3:  # channel bias on NCHW
-        return np.sum(g, axis=axes)
-    return np.sum(g, axis=0)
+def _same_or_scalar(a: Tensor, b: Tensor, op: str) -> None:
+    if a.shape != b.shape and b.shape != ():
+        raise ShapeError(f"{op} needs same shapes or a scalar, got {a.shape} and {b.shape}")
 
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    # Allow scalar-on-the-left by symmetry.
-    if a.shape != b.shape and a.shape == () and b.shape != ():
+    if a.shape != b.shape and a.shape == ():  # scalar on the left, by symmetry
         a, b = b, a
-    axes = _bias_axes(a, b)
-    if b.shape == ():
-        out = _wrap(a.data + float(b.data), "add")
-    elif axes is not None and a.ndim == 4:
-        out = _wrap(a.data + b.data[None, :, None, None], "add")
-    else:
-        out = _wrap(a.data + b.data, "add")
+    _same_or_scalar(a, b, "add")
+    out = _wrap(a.data + b.data, "add")
     need_a, need_b = _tracked(a), _tracked(b)
+    scalar_b = a.shape != b.shape
 
     def bwd(g):
-        return (g if need_a else None), (_reduce_to(g, axes, b) if need_b else None)
+        gb = (np.sum(g) if scalar_b else g) if need_b else None
+        return (g if need_a else None), gb
 
     _record(out, (a, b), bwd)
     return out
@@ -311,17 +283,14 @@ def add(a, b) -> Tensor:
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    axes = _bias_axes(a, b)
-    if b.shape == ():
-        out = _wrap(a.data - float(b.data), "sub")
-    elif axes is not None and a.ndim == 4:
-        out = _wrap(a.data - b.data[None, :, None, None], "sub")
-    else:
-        out = _wrap(a.data - b.data, "sub")
+    _same_or_scalar(a, b, "sub")
+    out = _wrap(a.data - b.data, "sub")
     need_a, need_b = _tracked(a), _tracked(b)
+    scalar_b = a.shape != b.shape
 
     def bwd(g):
-        return (g if need_a else None), (-_reduce_to(g, axes, b) if need_b else None)
+        gb = -(np.sum(g) if scalar_b else g) if need_b else None
+        return (g if need_a else None), gb
 
     _record(out, (a, b), bwd)
     return out
@@ -329,10 +298,9 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape and a.shape == () and b.shape != ():
+    if a.shape != b.shape and a.shape == ():
         a, b = b, a
-    if a.shape != b.shape and b.shape != ():
-        raise ShapeError(f"mul needs same shapes or a scalar, got {a.shape} * {b.shape}")
+    _same_or_scalar(a, b, "mul")
     out = _wrap(a.data * b.data, "mul")
     scalar_b = b.shape == ()
     need_a, need_b = _tracked(a), _tracked(b)
@@ -470,20 +438,23 @@ def _im2col(xb: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, ci * kh * kw, ho * wo)
 
 
-def conv2d(x, k) -> Tensor:
-    """Valid-padding stride-1 convolution, NCHW input, OIHW kernel.
+def conv2d(x, k, b) -> Tensor:
+    """Valid-padding stride-1 convolution plus a channel bias: NCHW input,
+    OIHW kernel, (O,) bias.
 
     One GEMM per block of samples over im2col columns; backward recomputes
     each block's columns rather than keeping them, and skips the gradient
     of an operand the tape does not track.
     """
-    x, k = as_tensor(x), as_tensor(k)
+    x, k, b = as_tensor(x), as_tensor(k), as_tensor(b)
     if x.ndim != 4 or k.ndim != 4:
         raise ShapeError(f"conv2d needs 4-D operands, got {x.shape}, {k.shape}")
     n, ci, h, w = x.shape
     co, ci_k, kh, kw = k.shape
     if ci != ci_k or kh > h or kw > w:
         raise ShapeError(f"conv2d kernel {k.shape} does not fit input {x.shape}")
+    if b.shape != (co,):
+        raise ShapeError(f"conv2d bias {b.shape} does not fit kernel {k.shape}")
     ho, wo = h - kh + 1, w - kw + 1
     step = max(1, _CONV_BLOCK_ENTRIES // (ci * kh * kw * ho * wo))
     blocks = [slice(s, s + step) for s in range(0, n, step)]
@@ -492,8 +463,9 @@ def conv2d(x, k) -> Tensor:
     for sl in blocks:
         cols = _im2col(x.data[sl], kh, kw)
         np.matmul(k2, cols, out=acc[sl].reshape(cols.shape[0], co, ho * wo))
+    acc += b.data[:, None, None]
     out = _wrap(acc, "conv2d")
-    need_dx, need_dk = _tracked(x), _tracked(k)  # x is often the unwatched batch
+    need_dx, need_dk, need_db = _tracked(x), _tracked(k), _tracked(b)  # x is often the batch
 
     def bwd(g):
         dk = np.zeros((co, ci * kh * kw)) if need_dk else None
@@ -504,12 +476,13 @@ def conv2d(x, k) -> Tensor:
                 dk += np.matmul(g3, _im2col(x.data[sl], kh, kw).transpose(0, 2, 1)).sum(axis=0)
             if need_dx:  # col2im: one slice-add per kernel tap
                 dcols = np.matmul(k2.T, g3).reshape(-1, ci, kh, kw, ho, wo)
-                for a in range(kh):
-                    for b in range(kw):
-                        dx[sl, :, a : a + ho, b : b + wo] += dcols[:, :, a, b]
-        return dx, (dk.reshape(k.shape) if need_dk else None)
+                for i in range(kh):
+                    for j in range(kw):
+                        dx[sl, :, i : i + ho, j : j + wo] += dcols[:, :, i, j]
+        dk = dk.reshape(k.shape) if need_dk else None
+        return dx, dk, (g.sum(axis=(0, 2, 3)) if need_db else None)
 
-    _record(out, (x, k), bwd)
+    _record(out, (x, k, b), bwd)
     return out
 
 

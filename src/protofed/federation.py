@@ -218,10 +218,11 @@ def select_clients(client_ids, fraction: float, seed: int, round_idx: int) -> tu
 
 
 def _forward_chunks(model: Backbone, feats: np.ndarray, batch: int) -> tuple[np.ndarray, ...]:
-    """Embeddings and logits of ``feats``, ``batch`` rows per forward pass."""
+    """Embeddings and logits of ``feats``, ``batch`` rows per forward pass.
+    ``feats`` is a fresh gather, so its rows are wrapped without a copy."""
     embs, logits = [], []
     for i in range(0, feats.shape[0], batch):
-        emb, out = model.forward(dc.Tensor(feats[i : i + batch]))
+        emb, out = model.forward(dc._wrap(feats[i : i + batch], "batch"))
         embs.append(emb.data)
         logits.append(out.data)
     if not embs:

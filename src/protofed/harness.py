@@ -232,22 +232,27 @@ def _write_checkpoint(out: Path, server, round_idx: int) -> None:
 
 
 def _partition(cfg: ExperimentConfig):
-    """Create the run directory, build and split the dataset, and write
-    partition.json; returns the directory, the dataset and the plan."""
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    dataset, plan = partition_dirichlet(
+    """Build and split the dataset; returns the dataset and the plan."""
+    return partition_dirichlet(
         build_dataset(cfg), cfg.clients, cfg.alpha, cfg.test_fraction, cfg.partition_seed
     )
+
+
+def _write_partition(cfg: ExperimentConfig, plan) -> Path:
+    """Make the run directory and write partition.json; callers first build
+    all that a bad value can fail in, so such a value leaves no output."""
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "partition.json").write_text(plan.to_json())
-    return out, dataset, plan
+    return out
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[dict, list[RoundRecord]]:
     """Full pipeline: data, partition, training rounds, artifacts on disk."""
     t_start = time.perf_counter()
-    out, dataset, plan = _partition(cfg)
+    dataset, plan = _partition(cfg)
     arch = _build_arch(cfg, dataset)
+    out = _write_partition(cfg, plan)
     fedcfg = cfg.fed_config()
     server, clients = init_federation(arch, plan, cfg.seed)
     topology = Topology.round_robin(list(clients), cfg.hubs)
@@ -313,7 +318,8 @@ def compare_clusterers(cfg: ExperimentConfig) -> dict:
 
 def partition_audit(cfg: ExperimentConfig) -> dict:
     """Materialize the partition alone and report class balance numbers."""
-    out, dataset, plan = _partition(cfg)
+    dataset, plan = _partition(cfg)
+    out = _write_partition(cfg, plan)
     C = dataset.num_classes
     header = "client,train,test," + ",".join(f"class_{c}" for c in range(C))
     lines = [header]

@@ -149,7 +149,7 @@ class Backbone:
             raise ShapeError(f"expected (n, {self.arch.input_dim}) input, got {x.shape}")
         emb = self.embed(x)
         w, b = self.cls_params
-        return emb, dc.add(dc.matmul(emb, w), b)
+        return emb, dc.affine(emb, w, b)
 
 
 class MLPBackbone(Backbone):
@@ -157,8 +157,8 @@ class MLPBackbone(Backbone):
 
     def embed(self, x: Tensor) -> Tensor:
         w1, b1, w2, b2 = self.rep_params
-        h = dc.relu(dc.add(dc.matmul(x, w1), b1))
-        return dc.relu(dc.add(dc.matmul(h, w2), b2))
+        h = dc.relu(dc.affine(x, w1, b1))
+        return dc.relu(dc.affine(h, w2, b2))
 
 
 class LinearBackbone(Backbone):
@@ -166,7 +166,7 @@ class LinearBackbone(Backbone):
 
     def embed(self, x: Tensor) -> Tensor:
         w, b = self.rep_params
-        return dc.add(dc.matmul(x, w), b)
+        return dc.affine(x, w, b)
 
 
 class ConvBackbone(Backbone):
@@ -176,11 +176,11 @@ class ConvBackbone(Backbone):
         k1, cb1, k2, cb2, w1, b1, w2, b2 = self.rep_params
         n = x.shape[0]
         img = dc.reshape(x, (n,) + self.arch.image_shape)
-        a = dc.relu(dc.add(dc.conv2d(img, k1), cb1))
-        a = dc.relu(dc.add(dc.conv2d(a, k2), cb2))
+        a = dc.relu(dc.conv2d(img, k1, cb1))
+        a = dc.relu(dc.conv2d(a, k2, cb2))
         flat = dc.reshape(a, (n, a.size // n))
-        h = dc.relu(dc.add(dc.matmul(flat, w1), b1))
-        return dc.relu(dc.add(dc.matmul(h, w2), b2))
+        h = dc.relu(dc.affine(flat, w1, b1))
+        return dc.relu(dc.affine(h, w2, b2))
 
 
 _KINDS = {"mlp": MLPBackbone, "linear": LinearBackbone, "cnn": ConvBackbone}

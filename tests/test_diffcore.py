@@ -66,17 +66,8 @@ def test_item_requires_scalar():
 def test_affine_forward_matches_numpy():
     rng = RNG(0)
     x, w, b = rand(rng, 4, 3), rand(rng, 3, 2), rand(rng, 2)
-    out = dc.add(dc.matmul(Tensor(x), Tensor(w)), Tensor(b))
+    out = dc.affine(Tensor(x), Tensor(w), Tensor(b))
     np.testing.assert_array_equal(out.data, x @ w + b)
-
-
-def test_operator_sugar():
-    a, b = Tensor([1.0, 2.0]), Tensor([3.0, 4.0])
-    np.testing.assert_array_equal((a + b).data, [4.0, 6.0])
-    np.testing.assert_array_equal((a - b).data, [-2.0, -2.0])
-    np.testing.assert_array_equal((a * b).data, [3.0, 8.0])
-    np.testing.assert_array_equal((2.0 * a).data, [2.0, 4.0])
-    np.testing.assert_array_equal((-a).data, [-1.0, -2.0])
 
 
 def test_softmax_uniform_logits():
@@ -141,8 +132,8 @@ def test_reductions_and_reshape():
 
 def test_conv2d_matches_direct_loop():
     rng = RNG(7)
-    x, k = rand(rng, 2, 2, 5, 4), rand(rng, 3, 2, 2, 3)
-    out = dc.conv2d(Tensor(x), Tensor(k)).data
+    x, k, b = rand(rng, 2, 2, 5, 4), rand(rng, 3, 2, 2, 3), rand(rng, 3)
+    out = dc.conv2d(Tensor(x), Tensor(k), Tensor(b)).data
     n, co, ho, wo = out.shape
     assert (n, co, ho, wo) == (2, 3, 4, 2)
     want = np.zeros_like(out)
@@ -150,7 +141,7 @@ def test_conv2d_matches_direct_loop():
         for o in range(co):
             for r in range(ho):
                 for c in range(wo):
-                    want[i, o, r, c] = np.sum(x[i, :, r : r + 2, c : c + 3] * k[o])
+                    want[i, o, r, c] = np.sum(x[i, :, r : r + 2, c : c + 3] * k[o]) + b[o]
     np.testing.assert_allclose(out, want, atol=1e-12)
 
 
@@ -190,14 +181,22 @@ def test_grad_matmul():
 
 
 def test_grad_add_sub_broadcasts():
+    # Only a scalar broadcasts; the weights make every entry's gradient distinct.
     rng = RNG(11)
-    a, row = rand(rng, 3, 4), rand(rng, 4)
+    a, b = rand(rng, 3, 4), rand(rng, 3, 4)
     s = np.array(rng.uniform(-2, 2))
-    check_grads(lambda ls: dc.tsum(dc.add(ls[0], ls[1])), [a, row])
-    check_grads(lambda ls: dc.tsum(dc.sub(ls[0], ls[1])), [a, row])
-    check_grads(lambda ls: dc.tsum(dc.add(ls[0], ls[1])), [a, s])
-    nchw, chan = rand(rng, 2, 3, 4, 4), rand(rng, 3)
-    check_grads(lambda ls: dc.tsum(dc.add(ls[0], ls[1])), [nchw, chan])
+    weights = Tensor(rand(rng, 3, 4))
+    for op in (dc.add, dc.sub):
+        check_grads(lambda ls: dc.tsum(dc.mul(op(ls[0], ls[1]), weights)), [a, b])
+        check_grads(lambda ls: dc.tsum(dc.mul(op(ls[0], ls[1]), weights)), [a, s])
+    check_grads(lambda ls: dc.tsum(dc.mul(dc.add(ls[0], ls[1]), weights)), [s, a])
+
+
+def test_grad_affine_all_operands():
+    rng = RNG(22)
+    for n, d, m in ((4, 3, 2), (1, 2, 3), (5, 1, 1)):
+        x, w, b = rand(rng, n, d), rand(rng, d, m), rand(rng, m)
+        check_grads(lambda ls: dc.tmean(dc.square(dc.affine(ls[0], ls[1], ls[2]))), [x, w, b])
 
 
 def test_grad_mul_and_square():
@@ -266,12 +265,12 @@ def test_grad_concat_rows_splits_back():
 
 def test_grad_conv2d():
     rng = RNG(18)
-    x, k = rand(rng, 2, 2, 4, 4), rand(rng, 2, 2, 2, 2)
-    check_grads(lambda ls: dc.tmean(dc.square(dc.conv2d(ls[0], ls[1]))), [x, k])
+    x, k, b = rand(rng, 2, 2, 4, 4), rand(rng, 2, 2, 2, 2), rand(rng, 2)
+    check_grads(lambda ls: dc.tmean(dc.square(dc.conv2d(ls[0], ls[1], ls[2]))), [x, k, b])
 
 
 def _conv2d_grads_reference(x, k, g):
-    """(dx, dk) of sum(g * conv2d(x, k)), one einsum per kernel tap."""
+    """(dx, dk, db) of sum(g * conv2d(x, k, b)), one einsum per kernel tap."""
     _, _, kh, kw = k.shape
     ho, wo = g.shape[2:]
     dx, dk = np.zeros_like(x), np.zeros_like(k)
@@ -279,66 +278,67 @@ def _conv2d_grads_reference(x, k, g):
         for b in range(kw):
             dk[:, :, a, b] = np.einsum("nohw,nihw->oi", g, x[:, :, a : a + ho, b : b + wo])
             dx[:, :, a : a + ho, b : b + wo] += np.einsum("nohw,oi->nihw", g, k[:, :, a, b])
-    return dx, dk
+    return dx, dk, np.einsum("nohw->o", g)
 
 
-def _conv2d_with_grads(x, k, g):
-    xt, kt = Tensor(x), Tensor(k)
+def _conv2d_with_grads(x, k, b, g):
+    xt, kt, bt = Tensor(x), Tensor(k), Tensor(b)
     with Tape() as tape:
-        tape.watch(xt, kt)
-        out = dc.conv2d(xt, kt)
+        tape.watch(xt, kt, bt)
+        out = dc.conv2d(xt, kt, bt)
         loss = dc.tsum(dc.mul(out, Tensor(g)))
     grads = backward(tape, loss)
-    return out.data, grads[xt], grads[kt]
+    return out.data, grads[xt], grads[kt], grads[bt]
 
 
 @pytest.mark.parametrize("samples_per_block", [1, 2])
 def test_conv2d_blocks_match_one_block(monkeypatch, samples_per_block):
     rng = RNG(23)
-    x, k = rand(rng, 5, 2, 6, 5), rand(rng, 3, 2, 3, 2)
+    x, k, b = rand(rng, 5, 2, 6, 5), rand(rng, 3, 2, 3, 2), rand(rng, 3)
     g = rand(rng, 5, 3, 4, 4)
-    whole = _conv2d_with_grads(x, k, g)
+    whole = _conv2d_with_grads(x, k, b, g)
     per_sample = 2 * 3 * 2 * 4 * 4  # ci * kh * kw * ho * wo column entries
     monkeypatch.setattr(dc, "_CONV_BLOCK_ENTRIES", samples_per_block * per_sample)
-    blocked = _conv2d_with_grads(x, k, g)  # blocks of 1 or 2, 2, 1 samples
+    blocked = _conv2d_with_grads(x, k, b, g)  # blocks of 1 or 2, 2, 1 samples
     for got, want in zip(blocked, whole):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-    want_dx, want_dk = _conv2d_grads_reference(x, k, g)
-    np.testing.assert_allclose(blocked[1], want_dx, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(blocked[2], want_dk, rtol=1e-12, atol=1e-12)
+    for got, want in zip(blocked[1:], _conv2d_grads_reference(x, k, g)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize(
     "op, inputs",
     [
-        (dc.conv2d, ((3, 2, 5, 4), (2, 2, 2, 3))),
+        (dc.conv2d, ((3, 2, 5, 4), (2, 2, 2, 3), (2,))),
         (dc.matmul, ((4, 3), (3, 5))),
-        (dc.add, ((4, 3), (3,))),
+        (dc.add, ((4, 3), ())),
         (dc.sub, ((4, 3), (4, 3))),
         (dc.mul, ((4, 3), ())),
         (dc.sq_dists, ((5, 3), (4, 3))),
+        (dc.affine, ((4, 3), (3, 5), (5,))),
     ],
 )
 def test_untracked_input_gets_no_gradient_work(op, inputs):
     rng = RNG(24)
-    x, w = (Tensor(rand(rng, *shape)) for shape in inputs)
+    operands = [Tensor(rand(rng, *shape)) for shape in inputs]
 
     def grads(*watched):
         with Tape() as tape:
             tape.watch(*watched)
-            out = op(x, w)
+            out = op(*operands)
             loss = dc.tsum(dc.square(out))
         out_rec, recorded, bwd = tape._records[0]
-        assert out_rec is out and recorded == (x, w)
+        assert out_rec is out and recorded == tuple(operands)
         return backward(tape, loss), bwd(np.ones(out.shape))
 
-    both, (dx, dw) = grads(x, w)
-    assert dx is not None and dw is not None
-    only_w, (skipped_x, _) = grads(w)
-    only_x, (_, skipped_w) = grads(x)
-    assert skipped_x is None and skipped_w is None
-    np.testing.assert_array_equal(only_w[w], both[w])
-    np.testing.assert_array_equal(only_x[x], both[x])
+    every, every_bwd = grads(*operands)
+    assert all(gi is not None for gi in every_bwd)
+    for i, skipped in enumerate(operands):
+        others = [t for t in operands if t is not skipped]
+        partial, partial_bwd = grads(*others)
+        assert partial_bwd[i] is None
+        for t in others:
+            np.testing.assert_array_equal(partial[t], every[t])
 
 
 def test_conv2d_memory_stays_blocked():
@@ -348,7 +348,7 @@ def test_conv2d_memory_stays_blocked():
     try:
         with Tape() as tape:
             tape.watch(x, k)
-            out = dc.conv2d(x, k)
+            out = dc.conv2d(x, k, Tensor(np.zeros(8)))
             loss = dc.tsum(out)
         grads = backward(tape, loss)
         peak = tracemalloc.get_traced_memory()[1]
@@ -367,8 +367,8 @@ def test_grad_mlp_composition():
     labels = rng.integers(0, 2, size=4)
 
     def build(ls):
-        h = dc.relu(dc.add(dc.matmul(Tensor(x), ls[0]), ls[1]))
-        z = dc.add(dc.matmul(h, ls[2]), ls[3])
+        h = dc.relu(dc.affine(Tensor(x), ls[0], ls[1]))
+        z = dc.affine(h, ls[2], ls[3])
         return dc.tmean(dc.neg(dc.gather_labels(dc.log_softmax_t(z, 1.0), labels)))
 
     check_grads(build, [w1, b1, w2, b2])
@@ -469,12 +469,24 @@ def test_shape_errors():
         dc.matmul(Tensor([[1.0]]), Tensor([[1.0, 2.0], [3.0, 4.0]]))
     with pytest.raises(ShapeError):
         dc.add(Tensor([[1.0, 2.0]]), Tensor([1.0, 2.0, 3.0]))
+    with pytest.raises(ShapeError):  # a bias row belongs to affine
+        dc.add(Tensor([[1.0, 2.0]]), Tensor([1.0, 2.0]))
+    with pytest.raises(ShapeError):
+        dc.sub(Tensor([[1.0, 2.0]]), Tensor([1.0, 2.0]))
+    with pytest.raises(ShapeError):  # sub takes its scalar on the right only
+        dc.sub(Tensor(1.0), Tensor([1.0, 2.0]))
+    with pytest.raises(ShapeError):
+        dc.affine(Tensor([[1.0, 2.0]]), Tensor([[1.0], [2.0]]), Tensor([1.0, 2.0]))
+    with pytest.raises(ShapeError):
+        dc.affine(Tensor([1.0, 2.0]), Tensor([[1.0], [2.0]]), Tensor([1.0]))
     with pytest.raises(ShapeError):
         dc.mul(Tensor([1.0, 2.0]), Tensor([[1.0], [2.0]]))
     with pytest.raises(ShapeError):
         dc.reshape(Tensor([1.0, 2.0]), (3,))
     with pytest.raises(ShapeError):
-        dc.conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 3, 3))))
+        dc.conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 3, 3))), Tensor([0.0]))
+    with pytest.raises(ShapeError):
+        dc.conv2d(Tensor(np.ones((1, 1, 3, 3))), Tensor(np.ones((2, 1, 2, 2))), Tensor([0.0]))
 
 
 def test_poisoning_surfaces_at_op_boundary():

@@ -395,7 +395,7 @@ def test_diverging_client_names_round_client_batch_and_op():
     with pytest.raises(fed.FederationError) as info:
         drive(ds, cfg, server, clients, 1)
     assert str(info.value) == (
-        "client 0 failed in round 1: epoch 0 batch 1: matmul produced a non-finite value"
+        "client 0 failed in round 1: epoch 0 batch 1: affine produced a non-finite value"
     )
     assert isinstance(info.value.__cause__.__cause__, dc.NonFiniteError)
 

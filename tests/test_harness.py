@@ -246,6 +246,27 @@ def test_bad_setup_fails_when_read(tmp_path, bad, match):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "bad, commands",
+    [
+        ("[dataset]\nclasses = 1\n", ["run", "partition-audit"]),
+        ("[partition]\nalpha = 0\n", ["run", "partition-audit"]),
+        ("[model]\nhidden = 0\n", ["run"]),
+    ],
+)
+def test_bad_data_or_model_value_writes_nothing(tmp_path, bad, commands):
+    # These values are checked where the data, the partition and the model
+    # are built; the run directory is made only after all three are.
+    out = tmp_path / "run"
+    ini = tmp_path / "bad.ini"
+    ini.write_text(bad + f"[run]\nout = {out}\n")
+    from protofed.cli import main
+
+    for command in commands:
+        assert main([command, "--config", str(ini)]) == 2
+        assert not out.exists()
+
+
 def test_override_skips_none():
     cfg = ExperimentConfig()
     same = cfg.override(seed=None, method=None)
