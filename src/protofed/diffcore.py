@@ -1,10 +1,11 @@
 """Dense float64 tensors with a per-pass reverse-mode gradient tape.
 
-Deliberately small: the op set is the closure needed by the bundled
-backbones and loss kernels, nothing more. Arrays are wrapped read-only,
-every op output is checked for NaN/Inf so numeric poisoning surfaces at
-the op boundary, and gradients are recorded only while a ``Tape`` is
-active on the current thread. A tape lives for one forward pass and is
+Deliberately small: the op set serves the bundled backbones, the federation
+regularizers and the loss kernels' op-chain test references. Every op
+output, a fused loss kernel's too, is made by ``_op``: it is wrapped
+read-only and checked for NaN/Inf, so numeric poisoning surfaces at the op
+boundary, and its gradient is recorded only while a ``Tape`` is active on
+the current thread. A tape lives for one forward pass and is
 confined to the worker that opened it; tensors themselves carry no tape
 state and may be shared read-only across workers.
 """
@@ -29,6 +30,7 @@ __all__ = [
     "add",
     "sub",
     "mul",
+    "weighted_sum",
     "neg",
     "relu",
     "log",
@@ -176,13 +178,16 @@ class Tape:
         stack.pop()
 
 
-def _record(out: Tensor, inputs: tuple[Tensor, ...], bwd: Callable) -> None:
+def _op(value: np.ndarray, name: str, inputs: tuple[Tensor, ...], bwd: Callable) -> Tensor:
+    """The one way an op output is made: wrap and check ``value``, and record
+    ``bwd`` when the active tape tracks any input. ``bwd(g)`` returns one
+    gradient per input, None for an input it skips."""
+    out = _wrap(value, name)
     tape = _active_tape()
-    if tape is None:
-        return
-    if any(id(i) in tape._tracked for i in inputs):
+    if tape is not None and any(id(i) in tape._tracked for i in inputs):
         tape._records.append((out, inputs, bwd))
         tape._tracked.add(id(out))
+    return out
 
 
 def _tracked(t: Tensor) -> bool:
@@ -228,14 +233,19 @@ def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul {a.shape} @ {b.shape}")
-    out = _wrap(a.data @ b.data, "matmul")
     need_a, need_b = _tracked(a), _tracked(b)  # a is often the unwatched batch
 
     def bwd(g):
         return (g @ b.data.T if need_a else None), (a.data.T @ g if need_b else None)
 
-    _record(out, (a, b), bwd)
-    return out
+    return _op(a.data @ b.data, "matmul", (a, b), bwd)
+
+
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """affine's value on plain arrays."""
+    acc = x @ w
+    acc += b
+    return acc
 
 
 def affine(x, w, b) -> Tensor:
@@ -243,9 +253,6 @@ def affine(x, w, b) -> Tensor:
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
         raise ShapeError(f"affine {x.shape} @ {w.shape} + {b.shape}")
-    acc = x.data @ w.data
-    acc += b.data
-    out = _wrap(acc, "affine")
     need_x, need_w, need_b = _tracked(x), _tracked(w), _tracked(b)  # x is often the batch
 
     def bwd(g):
@@ -255,8 +262,7 @@ def affine(x, w, b) -> Tensor:
             g.sum(axis=0) if need_b else None,
         )
 
-    _record(out, (x, w, b), bwd)
-    return out
+    return _op(_affine(x.data, w.data, b.data), "affine", (x, w, b), bwd)
 
 
 def _same_or_scalar(a: Tensor, b: Tensor, op: str) -> None:
@@ -269,7 +275,6 @@ def add(a, b) -> Tensor:
     if a.shape != b.shape and a.shape == ():  # scalar on the left, by symmetry
         a, b = b, a
     _same_or_scalar(a, b, "add")
-    out = _wrap(a.data + b.data, "add")
     need_a, need_b = _tracked(a), _tracked(b)
     scalar_b = a.shape != b.shape
 
@@ -277,14 +282,12 @@ def add(a, b) -> Tensor:
         gb = (np.sum(g) if scalar_b else g) if need_b else None
         return (g if need_a else None), gb
 
-    _record(out, (a, b), bwd)
-    return out
+    return _op(a.data + b.data, "add", (a, b), bwd)
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _same_or_scalar(a, b, "sub")
-    out = _wrap(a.data - b.data, "sub")
     need_a, need_b = _tracked(a), _tracked(b)
     scalar_b = a.shape != b.shape
 
@@ -292,8 +295,7 @@ def sub(a, b) -> Tensor:
         gb = -(np.sum(g) if scalar_b else g) if need_b else None
         return (g if need_a else None), gb
 
-    _record(out, (a, b), bwd)
-    return out
+    return _op(a.data - b.data, "sub", (a, b), bwd)
 
 
 def mul(a, b) -> Tensor:
@@ -301,7 +303,6 @@ def mul(a, b) -> Tensor:
     if a.shape != b.shape and a.shape == ():
         a, b = b, a
     _same_or_scalar(a, b, "mul")
-    out = _wrap(a.data * b.data, "mul")
     scalar_b = b.shape == ()
     need_a, need_b = _tracked(a), _tracked(b)
 
@@ -310,74 +311,60 @@ def mul(a, b) -> Tensor:
         gb = (np.sum(g * a.data) if scalar_b else g * a.data) if need_b else None
         return ga, gb
 
-    _record(out, (a, b), bwd)
-    return out
+    return _op(a.data * b.data, "mul", (a, b), bwd)
+
+
+def weighted_sum(terms: Sequence, weights: Sequence[float]) -> Tensor:
+    """sum_i weights[i] * terms[i] over scalar terms, added left to right."""
+    terms = tuple(as_tensor(t) for t in terms)
+    weights = [float(w) for w in weights]
+    if not terms or len(terms) != len(weights) or any(t.shape != () for t in terms):
+        shapes = [t.shape for t in terms]
+        raise ShapeError(f"weighted_sum needs scalar terms, one weight each, got {shapes}")
+    acc = terms[0].data * weights[0]
+    for t, w in zip(terms[1:], weights[1:]):
+        acc = acc + t.data * w
+    need = [_tracked(t) for t in terms]
+
+    def bwd(g):
+        return tuple(g * w if n else None for w, n in zip(weights, need))
+
+    return _op(acc, "weighted_sum", terms, bwd)
 
 
 def neg(x) -> Tensor:
     x = as_tensor(x)
-    out = _wrap(-x.data, "neg")
-    _record(out, (x,), lambda g: (-g,))
-    return out
+    return _op(-x.data, "neg", (x,), lambda g: (-g,))
 
 
 def relu(x) -> Tensor:
     x = as_tensor(x)
-    out = _wrap(np.maximum(x.data, 0.0), "relu")
     mask = x.data > 0.0
-
-    def bwd(g):
-        return (g * mask,)
-
-    _record(out, (x,), bwd)
-    return out
+    return _op(np.maximum(x.data, 0.0), "relu", (x,), lambda g: (g * mask,))
 
 
 def log(x) -> Tensor:
     x = as_tensor(x)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = _wrap(np.log(x.data), "log")
-
-    def bwd(g):
-        return (g / x.data,)
-
-    _record(out, (x,), bwd)
-    return out
+        return _op(np.log(x.data), "log", (x,), lambda g: (g / x.data,))
 
 
 def exp(x) -> Tensor:
     x = as_tensor(x)
     with np.errstate(over="ignore"):
-        out = _wrap(np.exp(x.data), "exp")
-
-    def bwd(g):
-        return (g * out.data,)
-
-    _record(out, (x,), bwd)
-    return out
+        e = np.exp(x.data)
+        return _op(e, "exp", (x,), lambda g: (g * e,))
 
 
 def square(x) -> Tensor:
     x = as_tensor(x)
-    out = _wrap(x.data * x.data, "square")
-
-    def bwd(g):
-        return (2.0 * g * x.data,)
-
-    _record(out, (x,), bwd)
-    return out
+    return _op(x.data * x.data, "square", (x,), lambda g: (2.0 * g * x.data,))
 
 
 def tsum(x) -> Tensor:
     """Full reduction to a scalar."""
     x = as_tensor(x)
-    out = _wrap(np.sum(x.data), "sum")
-
-    def bwd(g):
-        return (np.broadcast_to(g, x.shape),)
-
-    _record(out, (x,), bwd)
-    return out
+    return _op(np.sum(x.data), "sum", (x,), lambda g: (np.broadcast_to(g, x.shape),))
 
 
 def tmean(x) -> Tensor:
@@ -385,14 +372,8 @@ def tmean(x) -> Tensor:
     x = as_tensor(x)
     if x.size == 0:
         raise ShapeError("mean of an empty tensor")
-    out = _wrap(np.mean(x.data), "mean")
     n = x.size
-
-    def bwd(g):
-        return (np.broadcast_to(g / n, x.shape),)
-
-    _record(out, (x,), bwd)
-    return out
+    return _op(np.mean(x.data), "mean", (x,), lambda g: (np.broadcast_to(g / n, x.shape),))
 
 
 def mean_rows(x) -> Tensor:
@@ -400,14 +381,12 @@ def mean_rows(x) -> Tensor:
     x = as_tensor(x)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ShapeError(f"mean_rows needs a nonempty matrix, got {x.shape}")
-    out = _wrap(np.mean(x.data, axis=0), "mean_rows")
     n = x.shape[0]
 
     def bwd(g):
         return (np.broadcast_to(g / n, x.shape),)
 
-    _record(out, (x,), bwd)
-    return out
+    return _op(np.mean(x.data, axis=0), "mean_rows", (x,), bwd)
 
 
 def reshape(x, shape: Sequence[int]) -> Tensor:
@@ -415,13 +394,7 @@ def reshape(x, shape: Sequence[int]) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape, dtype=np.int64)) != x.size:
         raise ShapeError(f"cannot reshape {x.shape} to {shape}")
-    out = _wrap(x.data.reshape(shape), "reshape")
-
-    def bwd(g):
-        return (g.reshape(x.shape),)
-
-    _record(out, (x,), bwd)
-    return out
+    return _op(x.data.reshape(shape), "reshape", (x,), lambda g: (g.reshape(x.shape),))
 
 
 # Cap on the im2col buffer of one sample block, in float64 entries (2 MiB):
@@ -436,6 +409,28 @@ def _im2col(xb: np.ndarray, kh: int, kw: int) -> np.ndarray:
     win = np.lib.stride_tricks.sliding_window_view(xb, (kh, kw), axis=(2, 3))
     b, ci, ho, wo = win.shape[:4]
     return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, ci * kh * kw, ho * wo)
+
+
+def _conv_blocks(x: np.ndarray, k: np.ndarray) -> list[slice]:
+    """Sample blocks whose im2col columns hold at most _CONV_BLOCK_ENTRIES."""
+    n, ci, h, w = x.shape
+    kh, kw = k.shape[2:]
+    step = max(1, _CONV_BLOCK_ENTRIES // (ci * kh * kw * (h - kh + 1) * (w - kw + 1)))
+    return [slice(s, s + step) for s in range(0, n, step)]
+
+
+def _conv2d(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """conv2d's value on plain arrays, one GEMM per sample block."""
+    n, _, h, w = x.shape
+    co, ci, kh, kw = k.shape
+    ho, wo = h - kh + 1, w - kw + 1
+    k2 = k.reshape(co, ci * kh * kw)
+    acc = np.empty((n, co, ho, wo))
+    for sl in _conv_blocks(x, k):
+        cols = _im2col(x[sl], kh, kw)
+        np.matmul(k2, cols, out=acc[sl].reshape(cols.shape[0], co, ho * wo))
+    acc += b[:, None, None]
+    return acc
 
 
 def conv2d(x, k, b) -> Tensor:
@@ -456,15 +451,8 @@ def conv2d(x, k, b) -> Tensor:
     if b.shape != (co,):
         raise ShapeError(f"conv2d bias {b.shape} does not fit kernel {k.shape}")
     ho, wo = h - kh + 1, w - kw + 1
-    step = max(1, _CONV_BLOCK_ENTRIES // (ci * kh * kw * ho * wo))
-    blocks = [slice(s, s + step) for s in range(0, n, step)]
     k2 = k.data.reshape(co, ci * kh * kw)
-    acc = np.empty((n, co, ho, wo))
-    for sl in blocks:
-        cols = _im2col(x.data[sl], kh, kw)
-        np.matmul(k2, cols, out=acc[sl].reshape(cols.shape[0], co, ho * wo))
-    acc += b.data[:, None, None]
-    out = _wrap(acc, "conv2d")
+    blocks = _conv_blocks(x.data, k.data)
     need_dx, need_dk, need_db = _tracked(x), _tracked(k), _tracked(b)  # x is often the batch
 
     def bwd(g):
@@ -482,48 +470,48 @@ def conv2d(x, k, b) -> Tensor:
         dk = dk.reshape(k.shape) if need_dk else None
         return dx, dk, (g.sum(axis=(0, 2, 3)) if need_db else None)
 
-    _record(out, (x, k, b), bwd)
-    return out
+    return _op(_conv2d(x.data, k.data, b.data), "conv2d", (x, k, b), bwd)
 
 
-def _temp_scaled(logits: Tensor, tau: float) -> np.ndarray:
+def _temp_scaled(logits: np.ndarray, tau: float) -> np.ndarray:
+    """Logits over tau, shifted so each row's maximum is 0."""
     if not tau > 0:
         raise ValueError(f"temperature must be positive, got {tau}")
     if logits.ndim != 2:
         raise ShapeError(f"logits must be 2-D, got {logits.shape}")
-    z = logits.data / tau
+    z = logits / tau
     return z - z.max(axis=1, keepdims=True)
+
+
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    """Row log-softmax of temperature-scaled, shifted logits."""
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
+def _log_softmax_grad(g: np.ndarray, p: np.ndarray, tau: float) -> np.ndarray:
+    """Gradient to the logits from g at the log-softmax, whose exp is p."""
+    return (g - p * g.sum(axis=1, keepdims=True)) / tau
 
 
 def softmax_t(logits, tau: float = 1.0) -> Tensor:
     """Temperature-scaled row softmax with max subtraction."""
     logits = as_tensor(logits)
-    z = _temp_scaled(logits, tau)
-    e = np.exp(z)
+    e = np.exp(_temp_scaled(logits.data, tau))
     p = e / e.sum(axis=1, keepdims=True)
-    out = _wrap(p, "softmax_t")
 
     def bwd(g):
         inner = (g * p).sum(axis=1, keepdims=True)
         return ((p * (g - inner)) / tau,)
 
-    _record(out, (logits,), bwd)
-    return out
+    return _op(p, "softmax_t", (logits,), bwd)
 
 
 def log_softmax_t(logits, tau: float = 1.0) -> Tensor:
     """Log of the temperature-scaled softmax; stable for any finite logits."""
     logits = as_tensor(logits)
-    z = _temp_scaled(logits, tau)
-    ls = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    out = _wrap(ls, "log_softmax_t")
+    ls = _log_softmax(_temp_scaled(logits.data, tau))
     p = np.exp(ls)
-
-    def bwd(g):
-        return ((g - p * g.sum(axis=1, keepdims=True)) / tau,)
-
-    _record(out, (logits,), bwd)
-    return out
+    return _op(ls, "log_softmax_t", (logits,), lambda g: (_log_softmax_grad(g, p, tau),))
 
 
 def _as_index(labels, n: int, bound: int, what: str) -> np.ndarray:
@@ -542,15 +530,13 @@ def gather_labels(x, labels) -> Tensor:
         raise ShapeError(f"gather_labels needs a matrix, got {x.shape}")
     idx = _as_index(labels, x.shape[0], x.shape[1], "labels")
     rows = np.arange(x.shape[0])
-    out = _wrap(x.data[rows, idx], "gather_labels")
 
     def bwd(g):
         gx = np.zeros(x.shape)
         np.add.at(gx, (rows, idx), g)
         return (gx,)
 
-    _record(out, (x,), bwd)
-    return out
+    return _op(x.data[rows, idx], "gather_labels", (x,), bwd)
 
 
 def take_rows(x, indices) -> Tensor:
@@ -563,15 +549,13 @@ def take_rows(x, indices) -> Tensor:
         raise ShapeError("indices must be a 1-D vector")
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise ValueError(f"row index out of range [0, {x.shape[0]})")
-    out = _wrap(x.data[idx], "take_rows")
 
     def bwd(g):
         gx = np.zeros(x.shape)
         np.add.at(gx, idx, g)
         return (gx,)
 
-    _record(out, (x,), bwd)
-    return out
+    return _op(x.data[idx], "take_rows", (x,), bwd)
 
 
 def concat_rows(parts: Sequence) -> Tensor:
@@ -586,14 +570,12 @@ def concat_rows(parts: Sequence) -> Tensor:
     blocks = [p.data.reshape(1, -1) if p.ndim == 1 else p.data for p in parts]
     if len({b.shape[1] for b in blocks}) != 1:
         raise ShapeError(f"concat_rows parts differ in width: {[p.shape for p in parts]}")
-    out = _wrap(np.concatenate(blocks, axis=0), "concat_rows")
     stops = np.cumsum([b.shape[0] for b in blocks])[:-1]
 
     def bwd(g):
         return tuple(gp.reshape(p.shape) for gp, p in zip(np.split(g, stops), parts))
 
-    _record(out, parts, bwd)
-    return out
+    return _op(np.concatenate(blocks, axis=0), "concat_rows", parts, bwd)
 
 
 def sq_dists(x, p) -> Tensor:
@@ -608,15 +590,13 @@ def sq_dists(x, p) -> Tensor:
         raise ShapeError(f"sq_dists needs (n, q) and (C, q) matrices, got {x.shape}, {p.shape}")
     q = x.shape[1]
     diff = x.data[:, None, :] - p.data[None, :, :]
-    out = _wrap(np.add.reduce(diff * diff, axis=2) / q, "sq_dists")
     need_x, need_p = _tracked(x), _tracked(p)
 
     def bwd(g):
         gd = (2.0 / q) * g[:, :, None] * diff
         return (gd.sum(axis=1) if need_x else None), (-gd.sum(axis=0) if need_p else None)
 
-    _record(out, (x, p), bwd)
-    return out
+    return _op(np.add.reduce(diff * diff, axis=2) / q, "sq_dists", (x, p), bwd)
 
 
 def detach(x) -> Tensor:

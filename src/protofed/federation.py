@@ -218,13 +218,12 @@ def select_clients(client_ids, fraction: float, seed: int, round_idx: int) -> tu
 
 
 def _forward_chunks(model: Backbone, feats: np.ndarray, batch: int) -> tuple[np.ndarray, ...]:
-    """Embeddings and logits of ``feats``, ``batch`` rows per forward pass.
-    ``feats`` is a fresh gather, so its rows are wrapped without a copy."""
+    """Embeddings and logits of ``feats``, ``batch`` rows per forward pass."""
     embs, logits = [], []
     for i in range(0, feats.shape[0], batch):
-        emb, out = model.forward(dc._wrap(feats[i : i + batch], "batch"))
-        embs.append(emb.data)
-        logits.append(out.data)
+        emb, out = model.infer(feats[i : i + batch])
+        embs.append(emb)
+        logits.append(out)
     if not embs:
         return np.zeros((0, model.embedding_dim)), np.zeros((0, model.num_classes))
     return np.concatenate(embs, axis=0), np.concatenate(logits, axis=0)
@@ -310,7 +309,7 @@ def client_update(
                 xb = dc._wrap(feats[idx], "batch")  # fresh gather: no second copy
                 yb = labels_all[idx]
                 if aux:
-                    t_emb, t_logits = teacher_model.forward(xb)  # constants: off the tape
+                    t_emb, t_logits = teacher_model.infer(xb.data)  # constants: off the tape
                     # A diagnostic, so off the tape too: its embeddings are detached
                     # and the prototypes are plain arrays, leaving no gradient path.
                     al = losses.align_loss(losses.ClassGroups(t_emb, yb), global_protos)

@@ -294,10 +294,11 @@ def compare_clusterers(cfg: ExperimentConfig) -> dict:
     """Run the hierarchical and kmeans prototype variants side by side.
 
     Both runs share every seed; only the within-class clusterer differs.
-    Writes clusterer_compare.csv with one accuracy series per variant.
+    Writes clusterer_compare.csv with one accuracy series per variant. The
+    first run makes ``out`` as its directory's parent, after building all
+    that a bad value can fail in.
     """
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     series = {}
     summaries = {}
     for variant in ("mp-fedkd", "mp-fedkd-kmeans"):

@@ -11,6 +11,11 @@ Gradient routing is part of each kernel's contract: distillation
 teachers, alignment embeddings, and attraction prototypes are constants
 (detached inside the kernel), so gradients only ever reach the intended
 side no matter what the caller watched.
+
+Each kernel computes its value in numpy and records one taped op (the
+prototype terms two: ``sq_dists``, then their reduction). A hand-written
+backward repeats, step for step, the arithmetic of the chain of small ops
+it replaces, so every gradient is bitwise that chain's.
 """
 from __future__ import annotations
 
@@ -126,8 +131,18 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     logits = as_tensor(logits)
     if logits.ndim != 2 or logits.shape[0] < 1:
         raise ShapeError(f"logits must be a nonempty (n, C) matrix, got {logits.shape}")
-    picked = dc.gather_labels(dc.log_softmax_t(logits, 1.0), labels)
-    return dc.tmean(dc.neg(picked))
+    n = logits.shape[0]
+    ls = dc._log_softmax(dc._temp_scaled(logits.data, 1.0))
+    idx = dc._as_index(labels, n, logits.shape[1], "labels")
+    rows = np.arange(n)
+    p = np.exp(ls)
+
+    def bwd(g):
+        gx = np.zeros(ls.shape)
+        np.add.at(gx, (rows, idx), -(g / n))
+        return (dc._log_softmax_grad(gx, p, 1.0),)
+
+    return dc._op(np.mean(-ls[rows, idx]), "cross_entropy", (logits,), bwd)
 
 
 def distill_loss(teacher_logits: Tensor, student_logits: Tensor, temperature: float) -> Tensor:
@@ -137,20 +152,24 @@ def distill_loss(teacher_logits: Tensor, student_logits: Tensor, temperature: fl
     The teacher side is detached: gradients flow through the student
     logits only.
     """
-    teacher_logits = dc.detach(as_tensor(teacher_logits))
+    teacher = as_tensor(teacher_logits).data
     student_logits = as_tensor(student_logits)
-    if teacher_logits.shape != student_logits.shape:
-        raise ShapeError(
-            f"teacher {teacher_logits.shape} and student {student_logits.shape} differ"
-        )
+    if teacher.shape != student_logits.shape:
+        raise ShapeError(f"teacher {teacher.shape} and student {student_logits.shape} differ")
     if student_logits.ndim != 2 or student_logits.shape[0] < 1:
         raise ShapeError("logits must be a nonempty (n, C) matrix")
-    n = student_logits.shape[0]
-    p = dc.softmax_t(teacher_logits, temperature)
-    log_p = dc.log_softmax_t(teacher_logits, temperature)
-    log_q = dc.log_softmax_t(student_logits, temperature)
-    kl_sum = dc.tsum(dc.mul(p, dc.sub(log_p, log_q)))
-    return dc.mul(kl_sum, temperature * temperature / n)
+    z = dc._temp_scaled(teacher, temperature)
+    e = np.exp(z)
+    p = e / e.sum(axis=1, keepdims=True)
+    log_q = dc._log_softmax(dc._temp_scaled(student_logits.data, temperature))
+    q = np.exp(log_q)
+    c = temperature * temperature / student_logits.shape[0]
+
+    def bwd(g):
+        return (dc._log_softmax_grad(-((g * c) * p), q, temperature),)
+
+    kl_sum = np.sum(p * (dc._log_softmax(z) - log_q))
+    return dc._op(kl_sum * c, "distill_loss", (student_logits,), bwd)
 
 
 class ClassGroups(Mapping[int, Tensor]):
@@ -201,6 +220,11 @@ def _join_blocks(embeddings_by_class: Mapping[int, Tensor], width: int) -> Class
     if not blocks:
         return ClassGroups(np.zeros((0, width)), labels)
     return ClassGroups(blocks[0] if len(blocks) == 1 else dc.concat_rows(blocks), labels)
+
+
+def _weighted_total(dists: Tensor, weights: np.ndarray, name: str) -> Tensor:
+    """sum(dists * weights) for a constant weight matrix, as one op."""
+    return dc._op(np.sum(dists.data * weights), name, (dists,), lambda g: (g * weights,))
 
 
 def _proto_matrix(protos: GlobalPrototypes, classes: list[int], live: bool) -> Tensor:
@@ -262,7 +286,7 @@ def align_loss(embeddings_by_class: Mapping[int, Tensor], protos: GlobalPrototyp
     if found is None:
         return as_tensor(0.0)
     dists, weights = found
-    return dc.tsum(dc.mul(dists, Tensor(weights / dists.shape[1])))
+    return _weighted_total(dists, weights / dists.shape[1], "align_loss")
 
 
 def attract_loss(
@@ -279,7 +303,7 @@ def attract_loss(
     if found is None:
         return as_tensor(0.0)
     dists, weights = found
-    return dc.tsum(dc.mul(dists, Tensor(weights * float(scale))))
+    return _weighted_total(dists, weights * float(scale), "attract_loss")
 
 
 def repel_loss(
@@ -316,20 +340,25 @@ def repel_loss(
         return as_tensor(0.0)
     # Only the requested columns exist, so no excluded class is exponentiated.
     dists = dc.sq_dists(embeddings, _proto_matrix(protos, wanted, live=True))
-    scores = dc.mul(dc.mean_rows(dists), -float(scale))
-    shift = float(scores.data.max())  # constant: gradient-neutral shift
-    total = dc.tsum(dc.exp(dc.sub(scores, shift)))
-    return dc.add(dc.log(total), shift)
+    n = dists.shape[0]
+    scores = np.mean(dists.data, axis=0) * -float(scale)
+    shift = float(scores.max())  # constant: gradient-neutral shift
+    with np.errstate(over="ignore"):
+        e = np.exp(scores - shift)
+    total = np.sum(e)
+
+    def bwd(g):
+        return (np.broadcast_to((((g / total) * e) * -float(scale)) / n, dists.shape),)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return dc._op(np.log(total) + shift, "repel_loss", (dists,), bwd)
 
 
 def attract_repel_loss(attract: Tensor, repel: Tensor, balance: float) -> Tensor:
     """Convex mix of the attract and repel terms."""
     if not 0.0 < balance <= 1.0:
         raise ValueError("balance must sit in (0, 1]")
-    attract, repel = as_tensor(attract), as_tensor(repel)
-    if attract.shape != () or repel.shape != ():
-        raise ShapeError("component losses must be scalars")
-    return dc.add(dc.mul(attract, float(balance)), dc.mul(repel, 1.0 - float(balance)))
+    return dc.weighted_sum((attract, repel), (float(balance), 1.0 - float(balance)))
 
 
 def local_loss(
@@ -356,11 +385,7 @@ def local_loss(
     for name, part in parts.items():
         if part is None:
             raise ValueError(f"{name} loss is required after round 1")
-        if as_tensor(part).shape != ():
-            raise ShapeError(f"{name} must be a scalar loss")
-    out = dc.add(
-        dc.mul(ce, weights.ce_weight),
-        dc.mul(as_tensor(distill), 1.0 - weights.ce_weight),
+    return dc.weighted_sum(
+        (ce, distill, align, attract_repel),
+        (weights.ce_weight, 1.0 - weights.ce_weight, weights.align_weight, weights.proto_weight),
     )
-    out = dc.add(out, dc.mul(as_tensor(align), weights.align_weight))
-    return dc.add(out, dc.mul(as_tensor(attract_repel), weights.proto_weight))

@@ -2,7 +2,9 @@
 
 A backbone is two parameter groups: representation layers that map a flat
 feature batch to embeddings, and a classifier that maps embeddings to
-logits. Forward passes are pure; training mutates parameters only through
+logits. Forward passes are pure: ``forward`` runs the layers as taped ops
+for training, ``infer`` runs the same layer list on plain arrays for a model
+whose outputs are constants. Training mutates parameters only through
 ``sgd_step``. Snapshots freeze parameters into a flat vector that can be
 rebuilt into an identical backbone (used for aggregation, teachers, and
 checkpoints) and serialize to a little-endian buffer with a JSON shape
@@ -12,12 +14,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import diffcore as dc
-from .diffcore import ShapeError, Tape, Tensor, _wrap
+from .diffcore import ShapeError, Tape, Tensor, _check_finite, _wrap
 
 __all__ = [
     "Arch",
@@ -99,6 +102,16 @@ def _param_shapes(arch: Arch) -> tuple[list[tuple[int, ...]], list[tuple[int, ..
     return rep, cls, fans
 
 
+# The layer ops ``embed`` takes on plain arrays: each computes the value of
+# the taped op of the same name, with no wrapping, checking or recording.
+_ARRAY_OPS = SimpleNamespace(
+    affine=lambda x, w, b: dc._affine(x, w.data, b.data),
+    conv2d=lambda x, k, b: dc._conv2d(x, k.data, b.data),
+    relu=lambda x: np.maximum(x, 0.0),
+    reshape=np.reshape,
+)
+
+
 class Backbone:
     """Parameter container plus a pure forward pass."""
 
@@ -140,47 +153,60 @@ class Backbone:
         self._check(cls, want_cls, "classifier")
         self.rep_params, self.cls_params = rep, cls
 
-    def embed(self, x: Tensor) -> Tensor:
+    def embed(self, x, ops):
+        """The representation layers, built from ``ops``: ``diffcore`` for
+        tensors on the tape, ``_ARRAY_OPS`` for plain arrays."""
         raise NotImplementedError
 
-    def forward(self, x: Tensor) -> tuple[Tensor, Tensor]:
-        """Batch of flat features -> (embeddings, logits)."""
+    def _layers(self, x, ops) -> tuple:
         if x.ndim != 2 or x.shape[1] != self.arch.input_dim:
             raise ShapeError(f"expected (n, {self.arch.input_dim}) input, got {x.shape}")
-        emb = self.embed(x)
+        emb = self.embed(x, ops)
         w, b = self.cls_params
-        return emb, dc.affine(emb, w, b)
+        return emb, ops.affine(emb, w, b)
+
+    def forward(self, x: Tensor) -> tuple[Tensor, Tensor]:
+        """Batch of flat features -> (embeddings, logits), as taped ops."""
+        return self._layers(x, dc)
+
+    def infer(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``forward``'s values on plain arrays, off the tape: for a model
+        whose outputs are constants (teachers, prototypes, evaluation)."""
+        emb, logits = self._layers(np.asarray(x, dtype=np.float64), _ARRAY_OPS)
+        _check_finite(emb, "infer embeddings")
+        _check_finite(logits, "infer logits")
+        return emb, logits
 
 
 class MLPBackbone(Backbone):
     """input -> hidden (relu) -> embedding (relu) -> classifier."""
 
-    def embed(self, x: Tensor) -> Tensor:
+    def embed(self, x, ops):
         w1, b1, w2, b2 = self.rep_params
-        h = dc.relu(dc.affine(x, w1, b1))
-        return dc.relu(dc.affine(h, w2, b2))
+        h = ops.relu(ops.affine(x, w1, b1))
+        return ops.relu(ops.affine(h, w2, b2))
 
 
 class LinearBackbone(Backbone):
     """Single affine representation layer; embeddings can reproduce inputs."""
 
-    def embed(self, x: Tensor) -> Tensor:
+    def embed(self, x, ops):
         w, b = self.rep_params
-        return dc.affine(x, w, b)
+        return ops.affine(x, w, b)
 
 
 class ConvBackbone(Backbone):
     """Two valid 3x3 convs then two fully connected layers, relu throughout."""
 
-    def embed(self, x: Tensor) -> Tensor:
+    def embed(self, x, ops):
         k1, cb1, k2, cb2, w1, b1, w2, b2 = self.rep_params
         n = x.shape[0]
-        img = dc.reshape(x, (n,) + self.arch.image_shape)
-        a = dc.relu(dc.conv2d(img, k1, cb1))
-        a = dc.relu(dc.conv2d(a, k2, cb2))
-        flat = dc.reshape(a, (n, a.size // n))
-        h = dc.relu(dc.affine(flat, w1, b1))
-        return dc.relu(dc.affine(h, w2, b2))
+        img = ops.reshape(x, (n,) + self.arch.image_shape)
+        a = ops.relu(ops.conv2d(img, k1, cb1))
+        a = ops.relu(ops.conv2d(a, k2, cb2))
+        flat = ops.reshape(a, (n, a.size // n))
+        h = ops.relu(ops.affine(flat, w1, b1))
+        return ops.relu(ops.affine(h, w2, b2))
 
 
 _KINDS = {"mlp": MLPBackbone, "linear": LinearBackbone, "cnn": ConvBackbone}

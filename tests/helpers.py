@@ -1,13 +1,16 @@
 """Shared test oracles: central finite differences against the gradient tape,
-and a naive Ward clustering to check chac against."""
+a naive Ward clustering to check chac against, and op-chain references for
+the fused loss kernels."""
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
 import numpy as np
 
+from protofed import diffcore as dc
 from protofed.chac import Cluster, ClusteringResult, _as_points, _pair_cost, _singletons
-from protofed.diffcore import Tape, Tensor, backward
+from protofed.diffcore import Tape, Tensor, as_tensor, backward
+from protofed.losses import _class_mean_distances, _proto_matrix
 
 FD_STEP = 1e-5
 FD_RTOL = 1e-4
@@ -97,3 +100,58 @@ def ward_reference(points, requested: int) -> ClusteringResult:
         Cluster(tuple(sorted(mem)), pts[mem].mean(axis=0)) for _, mem in groups
     )
     return ClusteringResult(clusters, tuple(merges), requested)
+
+
+# Op-chain references for the fused loss kernels in protofed.losses: each
+# composes the small diffcore ops its kernel replaced, in the same order, so
+# a kernel's value and every gradient must equal its reference's bit for bit.
+# Argument checks and empty-coverage warnings are the kernels' own; these
+# take valid inputs only. Testing only.
+
+
+def cross_entropy_reference(logits, labels) -> Tensor:
+    picked = dc.gather_labels(dc.log_softmax_t(logits, 1.0), labels)
+    return dc.tmean(dc.neg(picked))
+
+
+def distill_reference(teacher_logits, student_logits, temperature: float) -> Tensor:
+    teacher_logits = dc.detach(as_tensor(teacher_logits))
+    n = student_logits.shape[0]
+    p = dc.softmax_t(teacher_logits, temperature)
+    log_p = dc.log_softmax_t(teacher_logits, temperature)
+    log_q = dc.log_softmax_t(student_logits, temperature)
+    kl_sum = dc.tsum(dc.mul(p, dc.sub(log_p, log_q)))
+    return dc.mul(kl_sum, temperature * temperature / n)
+
+
+def align_reference(embeddings_by_class, protos) -> Tensor:
+    dists, weights = _class_mean_distances(embeddings_by_class, protos, "align", False)
+    return dc.tsum(dc.mul(dists, Tensor(weights / dists.shape[1])))
+
+
+def attract_reference(embeddings_by_class, protos, scale: float) -> Tensor:
+    dists, weights = _class_mean_distances(embeddings_by_class, protos, "attract", True)
+    return dc.tsum(dc.mul(dists, Tensor(weights * float(scale))))
+
+
+def repel_reference(embeddings, protos, scale: float, classes) -> Tensor:
+    wanted = [c for c in sorted(set(int(c) for c in classes)) if protos.has(c)]
+    dists = dc.sq_dists(embeddings, _proto_matrix(protos, wanted, live=True))
+    scores = dc.mul(dc.mean_rows(dists), -float(scale))
+    shift = float(scores.data.max())
+    total = dc.tsum(dc.exp(dc.sub(scores, shift)))
+    return dc.add(dc.log(total), shift)
+
+
+def attract_repel_reference(attract, repel, balance: float) -> Tensor:
+    return dc.add(dc.mul(attract, float(balance)), dc.mul(repel, 1.0 - float(balance)))
+
+
+def local_loss_reference(ce, distill, align, attract_repel, weights) -> Tensor:
+    """Rounds after the first; round 1 returns ce itself."""
+    out = dc.add(
+        dc.mul(ce, weights.ce_weight),
+        dc.mul(as_tensor(distill), 1.0 - weights.ce_weight),
+    )
+    out = dc.add(out, dc.mul(as_tensor(align), weights.align_weight))
+    return dc.add(out, dc.mul(as_tensor(attract_repel), weights.proto_weight))

@@ -249,9 +249,9 @@ def test_bad_setup_fails_when_read(tmp_path, bad, match):
 @pytest.mark.parametrize(
     "bad, commands",
     [
-        ("[dataset]\nclasses = 1\n", ["run", "partition-audit"]),
-        ("[partition]\nalpha = 0\n", ["run", "partition-audit"]),
-        ("[model]\nhidden = 0\n", ["run"]),
+        ("[dataset]\nclasses = 1\n", ["run", "partition-audit", "compare-clusterers"]),
+        ("[partition]\nalpha = 0\n", ["run", "partition-audit", "compare-clusterers"]),
+        ("[model]\nhidden = 0\n", ["run", "compare-clusterers"]),
     ],
 )
 def test_bad_data_or_model_value_writes_nothing(tmp_path, bad, commands):

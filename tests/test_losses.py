@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from helpers import check_grads
+from helpers import (
+    align_reference,
+    attract_reference,
+    attract_repel_reference,
+    check_grads,
+    cross_entropy_reference,
+    distill_reference,
+    local_loss_reference,
+    repel_reference,
+)
 from protofed import diffcore as dc
 from protofed.diffcore import ShapeError, Tape, Tensor, backward
 from protofed.losses import (
@@ -424,6 +433,134 @@ def test_combined_loss_matches_finite_differences_through_model():
     check_grads(build, [p.data for p in base.params])
 
 
+# ---------------------------------------------------------------------------
+# Fused kernels against their op-chain references
+# ---------------------------------------------------------------------------
+
+
+def _bits(a) -> tuple:
+    a = np.asarray(a, dtype=np.float64)
+    return a.shape, a.tobytes()
+
+
+def _value_and_grads(build, leaves) -> list[tuple]:
+    with Tape() as tape:
+        tape.watch(*leaves)
+        loss = build()
+    grads = backward(tape, loss)
+    return [_bits(loss.data)] + [_bits(grads[leaf]) for leaf in leaves]
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_fused_kernels_match_op_chain_references_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    n, C, q = (int(v) for v in rng.integers((1, 2, 1), (9, 6, 6)))
+    labels = rng.integers(0, C, size=n)
+    logits = Tensor(rng.uniform(-3, 3, (n, C)))
+    teacher = Tensor(rng.uniform(-3, 3, (n, C)))
+    tau = float(rng.uniform(0.05, 3.0))
+    emb = Tensor(rng.uniform(-2, 2, (n, q)))
+    groups = ClassGroups(emb, labels)
+    # prototypes for some classes, always one the batch holds; once as plain
+    # arrays and once as tracked tensors
+    arrays = {c: rng.uniform(-2, 2, q) for c in range(C) if c == labels[0] or rng.random() < 0.7}
+    plain = protos_from(arrays, q)
+    tensors = [Tensor(v) for v in arrays.values()]
+    live = protos_from(dict(zip(arrays, tensors)), q)
+    scale = float(rng.uniform(0.1, 2.0))
+    own = sorted(set(labels.tolist()) | {int(rng.integers(0, C))})
+    terms = [Tensor(v) for v in rng.uniform(-2, 2, 4)]
+    w = LossWeights(
+        ce_weight=float(rng.uniform()),
+        align_weight=float(rng.uniform(0, 2)),
+        proto_weight=float(rng.uniform(0, 2)),
+        balance=float(rng.uniform(0.01, 1.0)),
+    )
+    cases = {
+        "cross_entropy": (
+            lambda: cross_entropy(logits, labels),
+            lambda: cross_entropy_reference(logits, labels),
+            [logits],
+        ),
+        "distill": (
+            lambda: distill_loss(teacher, logits, tau),
+            lambda: distill_reference(teacher, logits, tau),
+            [teacher, logits],
+        ),
+        "attract": (
+            lambda: attract_loss(groups, plain, scale),
+            lambda: attract_reference(groups, plain, scale),
+            [emb],
+        ),
+        "align": (
+            lambda: align_loss(groups, live),
+            lambda: align_reference(groups, live),
+            [emb, *tensors],
+        ),
+        "repel": (
+            lambda: repel_loss(emb, plain, scale, classes=own),
+            lambda: repel_reference(emb, plain, scale, own),
+            [emb],
+        ),
+        "repel, tracked prototypes": (
+            lambda: repel_loss(emb, live, scale, classes=own),
+            lambda: repel_reference(emb, live, scale, own),
+            [emb, *tensors],
+        ),
+        "attract_repel": (
+            lambda: attract_repel_loss(terms[0], terms[1], w.balance),
+            lambda: attract_repel_reference(terms[0], terms[1], w.balance),
+            terms[:2],
+        ),
+        "local_loss": (
+            lambda: local_loss(*terms, w, round_idx=2),
+            lambda: local_loss_reference(*terms, w),
+            terms,
+        ),
+    }
+    for name, (fused, reference, leaves) in cases.items():
+        got = _value_and_grads(fused, leaves)
+        assert got == _value_and_grads(reference, leaves), name
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fused_training_loss_matches_op_chain_bitwise(seed):
+    # The client's post-round-1 batch loss through an MLP, in client_update's
+    # order: every parameter gradient equals the op chain's, so the order in
+    # which the terms' gradients add up at the embeddings and logits held.
+    from protofed.model import Arch, init_backbone
+
+    rng = np.random.default_rng(100 + seed)
+    arch = Arch(kind="mlp", input_dim=3, embedding_dim=4, num_classes=3, hidden=5)
+    model, teacher = init_backbone(arch, rng), init_backbone(arch, rng)
+    x = rng.uniform(-1, 1, size=(9, 3))
+    labels = rng.integers(0, 3, size=9)
+    t_emb, t_logits = teacher.infer(x)
+    table = protos_from({c: rng.uniform(-1, 1, 4) for c in range(3)}, 4)
+    w = LossWeights(temperature=0.3)
+
+    def build(kernels):
+        ce_k, distill_k, align_k, attract_k, repel_k, pair_k, local_k = kernels
+        emb, logits = model.forward(Tensor(x))
+        ce = ce_k(logits, labels)
+        al = align_k(ClassGroups(t_emb, labels), table)
+        dist = distill_k(t_logits, logits, w.temperature)
+        att = attract_k(ClassGroups(emb, labels), table, w.scale)
+        rep = repel_k(emb, table, w.scale, [0, 1, 2])
+        return local_k(ce, dist, al, pair_k(att, rep, w.balance), w)
+
+    fused = (
+        cross_entropy, distill_loss, align_loss, attract_loss, repel_loss,
+        attract_repel_loss, lambda *a: local_loss(*a, round_idx=2),
+    )
+    reference = (
+        cross_entropy_reference, distill_reference, align_reference, attract_reference,
+        repel_reference, attract_repel_reference, local_loss_reference,
+    )
+    got = _value_and_grads(lambda: build(fused), model.params)
+    assert got == _value_and_grads(lambda: build(reference), model.params)
+
+
 def test_shape_errors():
     with pytest.raises(ShapeError):
         cross_entropy(Tensor([1.0, 2.0]), [0])
@@ -436,3 +573,7 @@ def test_shape_errors():
         repel_loss(Tensor([[1.0, 2.0, 3.0]]), table, 1.0)
     with pytest.raises(ValueError):
         attract_loss({0: Tensor([[1.0, 0.0]])}, table, scale=0.0)
+    with pytest.raises(ShapeError):
+        attract_repel_loss(Tensor([1.0, 2.0]), Tensor(0.0), 0.5)
+    with pytest.raises(ShapeError):
+        local_loss(Tensor(1.0), Tensor(0.0), Tensor([0.0]), Tensor(0.0), LossWeights(), 2)

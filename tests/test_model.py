@@ -6,7 +6,7 @@ import pytest
 
 from helpers import check_grads
 from protofed import diffcore as dc
-from protofed.diffcore import ShapeError, Tape, Tensor, backward
+from protofed.diffcore import NonFiniteError, ShapeError, Tape, Tensor, backward
 from protofed.model import (
     Arch,
     ConvBackbone,
@@ -26,6 +26,44 @@ MLP2x4x3 = Arch(kind="mlp", input_dim=2, embedding_dim=4, num_classes=3, hidden=
 
 def small_mlp(seed=0, arch=MLP2x4x3):
     return init_backbone(arch, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize(
+    "arch, block_entries",
+    [
+        (MLP2x4x3, None),
+        (Arch(kind="linear", input_dim=5, embedding_dim=3, num_classes=4), None),
+        (Arch(kind="cnn", input_dim=42, embedding_dim=3, num_classes=4, hidden=5,
+              image_shape=(1, 7, 6), channels=(2, 3)), None),
+        (Arch(kind="cnn", input_dim=84, embedding_dim=3, num_classes=4, hidden=5,
+              image_shape=(2, 7, 6), channels=(2, 3)), 2 * 18 * 5 * 4),  # first conv: 2-sample blocks
+    ],
+)
+def test_infer_is_forward_off_the_tape(monkeypatch, arch, block_entries):
+    if block_entries is not None:
+        monkeypatch.setattr(dc, "_CONV_BLOCK_ENTRIES", block_entries)
+    rng = np.random.default_rng(11)
+    model = init_backbone(arch, rng)
+    x = rng.uniform(-1, 1, size=(7, arch.input_dim))
+    emb, logits = model.forward(Tensor(x))
+    with Tape() as tape:
+        model.watch(tape)
+        got = model.infer(x)
+    assert tape.num_records == 0
+    for arr, want in zip(got, (emb, logits)):
+        assert type(arr) is np.ndarray
+        assert arr.shape == want.shape and arr.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_infer_checks_input_and_outputs():
+    model = small_mlp()
+    with pytest.raises(ShapeError):
+        model.infer(np.zeros((3, 5)))
+    w1, *rest = model.params
+    model.load([Tensor(np.full(w1.shape, 1e300)), *rest])
+    with pytest.raises(NonFiniteError, match="^infer embeddings produced"):
+        model.infer(np.full((2, 2), 1e300))
 
 
 def test_init_is_seed_deterministic():
