@@ -1,11 +1,11 @@
 """Dense float64 tensors with a per-pass reverse-mode gradient tape.
 
-Deliberately small: the op set serves the bundled backbones, the federation
-regularizers and the loss kernels' op-chain test references. Every op
-output, a fused loss kernel's too, is made by ``_op``: it is wrapped
-read-only and checked for NaN/Inf, so numeric poisoning surfaces at the op
-boundary, and its gradient is recorded only while a ``Tape`` is active on
-the current thread. A tape lives for one forward pass and is
+Deliberately small: the op set serves the classifier, the federation
+regularizers and the op-chain test references. Every op output, a fused
+loss kernel's and a backbone's representation too, is made by ``_op``: it is
+wrapped read-only and checked for NaN/Inf, so numeric poisoning surfaces at
+the op boundary, and its gradient is recorded only while a ``Tape`` is
+active on the current thread. A tape lives for one forward pass and is
 confined to the worker that opened it; tensors themselves carry no tape
 state and may be shared read-only across workers.
 """
@@ -67,7 +67,8 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
     # NaN and +-Inf survive a sum, so a finite sum clears the array in one
     # reduction. A non-finite sum can also come from finite values whose sum
     # overflows (numpy then warns), so only the elementwise scan may raise.
-    if not math.isfinite(arr.sum()) and not np.isfinite(arr).all():
+    # np.add.reduce is arr.sum() without its Python wrapper.
+    if not math.isfinite(np.add.reduce(arr, None)) and not np.isfinite(arr).all():
         raise NonFiniteError(f"{op} produced a non-finite value")
 
 
@@ -112,7 +113,12 @@ def _wrap(arr: np.ndarray, op: str) -> Tensor:
     # Internal constructor for buffers we own: no copy, just freeze.
     arr = np.asarray(arr, dtype=np.float64)
     _check_finite(arr, op)
-    arr.flags.writeable = False
+    arr.setflags(write=False)
+    return _tensor(arr)
+
+
+def _tensor(arr: np.ndarray) -> Tensor:
+    # A Tensor over a read-only, checked float64 array: no copy, no check.
     t = Tensor.__new__(Tensor)
     t.data = arr
     return t
@@ -138,7 +144,7 @@ def _tape_stack() -> list["Tape"]:
 
 
 def _active_tape() -> Optional["Tape"]:
-    stack = _tape_stack()
+    stack = getattr(_TLS, "stack", None)
     return stack[-1] if stack else None
 
 
@@ -248,21 +254,20 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _affine_grads(g, x, w, need_x: bool, need_w: bool, need_b: bool) -> tuple:
+    """affine's backward on plain arrays: gradients to x, w and b, or None."""
+    gx, gw = (g @ w.T if need_x else None), (x.T @ g if need_w else None)
+    return gx, gw, (np.add.reduce(g, 0) if need_b else None)  # g.sum(axis=0), unwrapped
+
+
 def affine(x, w, b) -> Tensor:
     """A dense layer, x @ w + b: (n, d) batch, (d, m) weights, (m,) bias."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
         raise ShapeError(f"affine {x.shape} @ {w.shape} + {b.shape}")
-    need_x, need_w, need_b = _tracked(x), _tracked(w), _tracked(b)  # x is often the batch
-
-    def bwd(g):
-        return (
-            g @ w.data.T if need_x else None,
-            x.data.T @ g if need_w else None,
-            g.sum(axis=0) if need_b else None,
-        )
-
-    return _op(_affine(x.data, w.data, b.data), "affine", (x, w, b), bwd)
+    need = (_tracked(x), _tracked(w), _tracked(b))  # x is often the batch
+    return _op(_affine(x.data, w.data, b.data), "affine", (x, w, b),
+               lambda g: _affine_grads(g, x.data, w.data, *need))
 
 
 def _same_or_scalar(a: Tensor, b: Tensor, op: str) -> None:
@@ -337,10 +342,14 @@ def neg(x) -> Tensor:
     return _op(-x.data, "neg", (x,), lambda g: (-g,))
 
 
+def _relu_grad(g, x):
+    """relu's backward on plain arrays: g where x > 0, else 0."""
+    return g * (x > 0.0)
+
+
 def relu(x) -> Tensor:
     x = as_tensor(x)
-    mask = x.data > 0.0
-    return _op(np.maximum(x.data, 0.0), "relu", (x,), lambda g: (g * mask,))
+    return _op(np.maximum(x.data, 0.0), "relu", (x,), lambda g: (_relu_grad(g, x.data),))
 
 
 def log(x) -> Tensor:
@@ -433,44 +442,48 @@ def _conv2d(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _conv2d_grads(g, x, k, need_dx: bool, need_dk: bool, need_db: bool) -> tuple:
+    """conv2d's backward on plain arrays, block by block as the forward:
+    gradients to x, k and b, or None. Each block's columns are recomputed
+    rather than kept."""
+    _, ci, h, w = x.shape
+    co, _, kh, kw = k.shape
+    ho, wo = h - kh + 1, w - kw + 1
+    k2 = k.reshape(co, ci * kh * kw)
+    dk = np.zeros((co, ci * kh * kw)) if need_dk else None
+    dx = np.zeros(x.shape) if need_dx else None
+    for sl in _conv_blocks(x, k):
+        g3 = g[sl].reshape(-1, co, ho * wo)
+        if need_dk:  # the block's columns are freed before dcols exists
+            dk += np.matmul(g3, _im2col(x[sl], kh, kw).transpose(0, 2, 1)).sum(axis=0)
+        if need_dx:  # col2im: one slice-add per kernel tap
+            dcols = np.matmul(k2.T, g3).reshape(-1, ci, kh, kw, ho, wo)
+            for i in range(kh):
+                for j in range(kw):
+                    dx[sl, :, i : i + ho, j : j + wo] += dcols[:, :, i, j]
+    dk = dk.reshape(k.shape) if need_dk else None
+    return dx, dk, (g.sum(axis=(0, 2, 3)) if need_db else None)
+
+
 def conv2d(x, k, b) -> Tensor:
     """Valid-padding stride-1 convolution plus a channel bias: NCHW input,
     OIHW kernel, (O,) bias.
 
-    One GEMM per block of samples over im2col columns; backward recomputes
-    each block's columns rather than keeping them, and skips the gradient
-    of an operand the tape does not track.
+    One GEMM per block of samples over im2col columns; backward skips the
+    gradient of an operand the tape does not track.
     """
     x, k, b = as_tensor(x), as_tensor(k), as_tensor(b)
     if x.ndim != 4 or k.ndim != 4:
         raise ShapeError(f"conv2d needs 4-D operands, got {x.shape}, {k.shape}")
-    n, ci, h, w = x.shape
+    ci, h, w = x.shape[1:]
     co, ci_k, kh, kw = k.shape
     if ci != ci_k or kh > h or kw > w:
         raise ShapeError(f"conv2d kernel {k.shape} does not fit input {x.shape}")
     if b.shape != (co,):
         raise ShapeError(f"conv2d bias {b.shape} does not fit kernel {k.shape}")
-    ho, wo = h - kh + 1, w - kw + 1
-    k2 = k.data.reshape(co, ci * kh * kw)
-    blocks = _conv_blocks(x.data, k.data)
-    need_dx, need_dk, need_db = _tracked(x), _tracked(k), _tracked(b)  # x is often the batch
-
-    def bwd(g):
-        dk = np.zeros((co, ci * kh * kw)) if need_dk else None
-        dx = np.zeros(x.shape) if need_dx else None
-        for sl in blocks:
-            g3 = g[sl].reshape(-1, co, ho * wo)
-            if need_dk:  # the block's columns are freed before dcols exists
-                dk += np.matmul(g3, _im2col(x.data[sl], kh, kw).transpose(0, 2, 1)).sum(axis=0)
-            if need_dx:  # col2im: one slice-add per kernel tap
-                dcols = np.matmul(k2.T, g3).reshape(-1, ci, kh, kw, ho, wo)
-                for i in range(kh):
-                    for j in range(kw):
-                        dx[sl, :, i : i + ho, j : j + wo] += dcols[:, :, i, j]
-        dk = dk.reshape(k.shape) if need_dk else None
-        return dx, dk, (g.sum(axis=(0, 2, 3)) if need_db else None)
-
-    return _op(_conv2d(x.data, k.data, b.data), "conv2d", (x, k, b), bwd)
+    need = (_tracked(x), _tracked(k), _tracked(b))  # x is often the batch
+    return _op(_conv2d(x.data, k.data, b.data), "conv2d", (x, k, b),
+               lambda g: _conv2d_grads(g, x.data, k.data, *need))
 
 
 def _temp_scaled(logits: np.ndarray, tau: float) -> np.ndarray:

@@ -312,7 +312,9 @@ def client_update(
                     t_emb, t_logits = teacher_model.infer(xb.data)  # constants: off the tape
                     # A diagnostic, so off the tape too: its embeddings are detached
                     # and the prototypes are plain arrays, leaving no gradient path.
-                    al = losses.align_loss(losses.ClassGroups(t_emb, yb), global_protos)
+                    # The attract term regroups the student's embeddings by it.
+                    groups = losses.ClassGroups(t_emb, yb)
+                    al = losses.align_loss(groups, global_protos)
                 with dc.Tape() as tape:
                     state.model.watch(tape)
                     emb, logits = state.model.forward(xb)
@@ -320,7 +322,7 @@ def client_update(
                     if aux:
                         dist = losses.distill_loss(t_logits, logits, w.temperature)
                         att = losses.attract_loss(
-                            losses.ClassGroups(emb, yb), global_protos, w.scale
+                            groups.with_embeddings(emb), global_protos, w.scale
                         )
                         rep = losses.repel_loss(emb, global_protos, w.scale, classes=own_classes)
                         pair = losses.attract_repel_loss(att, rep, w.balance)
@@ -332,10 +334,9 @@ def client_update(
                         loss = ce
                     if method == "fedproto":
                         groups = losses.ClassGroups(emb, yb)
-                        covered = [c for c in groups if global_protos.has(c)]
+                        covered, weights, targets = groups.covered(global_protos)
                         if covered:
-                            centers = dc.matmul(groups.mean_weights(covered).T, emb)
-                            targets = np.stack([global_protos.get(c) for c in covered])
+                            centers = dc.matmul(weights.T, emb)
                             reg = dc.tmean(dc.square(dc.sub(centers, targets)))
                             loss = dc.add(loss, dc.mul(reg, cfg.fedproto_weight))
                             sums["proto"] += reg.item()

@@ -188,6 +188,15 @@ class ClassGroups(Mapping[int, Tensor]):
         if self.labels.shape != (self.embeddings.shape[0],):
             raise ShapeError(f"need one label per embedding row, got {self.labels.shape}")
         self._classes = [int(c) for c in np.unique(self.labels)]
+        self._covered: list = []  # the prototypes covered() saw, then its result
+
+    def with_embeddings(self, embeddings) -> "ClassGroups":
+        """The same grouping of other embeddings of these rows, sharing ``covered``."""
+        twin = ClassGroups.__new__(ClassGroups)
+        twin.__dict__.update(vars(self), embeddings=as_tensor(embeddings))
+        if twin.embeddings.ndim != 2 or twin.embeddings.shape[0] != len(self.labels):
+            raise ShapeError(f"need {len(self.labels)} embedding rows, got {twin.embeddings.shape}")
+        return twin
 
     def __getitem__(self, label: int) -> Tensor:
         rows = np.flatnonzero(self.labels == int(label))
@@ -207,6 +216,16 @@ class ClassGroups(Mapping[int, Tensor]):
         label, zeros elsewhere. Every listed class must be present."""
         onehot = self.labels[:, None] == np.asarray(classes)[None, :]
         return onehot / onehot.sum(axis=0)
+
+    def covered(self, protos: GlobalPrototypes) -> tuple[list[int], np.ndarray, Tensor]:
+        """The classes here with a prototype, their ``mean_weights`` and their
+        prototypes as constant rows; recomputed only when those prototypes change."""
+        vectors = [protos.get(c) for c in self._classes]
+        if not self._covered or any(a is not b for a, b in zip(vectors, self._covered[0])):
+            classes = [c for c, v in zip(self._classes, vectors) if v is not None]
+            rows = _proto_matrix(protos, classes, live=False)
+            self._covered[:] = [vectors, classes, self.mean_weights(classes), rows]
+        return tuple(self._covered[1:])
 
 
 def _join_blocks(embeddings_by_class: Mapping[int, Tensor], width: int) -> ClassGroups:
@@ -260,7 +279,7 @@ def _class_mean_distances(
         raise ShapeError(
             f"embeddings are {emb.shape[1]}-wide, prototypes are {protos.embedding_dim}-wide"
         )
-    classes = [c for c in groups if protos.has(c)]
+    classes, weights, rows = groups.covered(protos)
     if not classes:
         warnings.warn(
             f"{caller}: no batch class has a global prototype; returning 0",
@@ -270,8 +289,9 @@ def _class_mean_distances(
         return None
     if not grad_to_embeddings:
         emb = dc.detach(emb)
-    dists = dc.sq_dists(emb, _proto_matrix(protos, classes, live=not grad_to_embeddings))
-    return dists, groups.mean_weights(classes)
+        if any(isinstance(protos.get(c), Tensor) for c in classes):
+            rows = _proto_matrix(protos, classes, live=True)
+    return dc.sq_dists(emb, rows), weights
 
 
 def align_loss(embeddings_by_class: Mapping[int, Tensor], protos: GlobalPrototypes) -> Tensor:

@@ -2,25 +2,25 @@
 
 A backbone is two parameter groups: representation layers that map a flat
 feature batch to embeddings, and a classifier that maps embeddings to
-logits. Forward passes are pure: ``forward`` runs the layers as taped ops
-for training, ``infer`` runs the same layer list on plain arrays for a model
-whose outputs are constants. Training mutates parameters only through
-``sgd_step``. Snapshots freeze parameters into a flat vector that can be
-rebuilt into an identical backbone (used for aggregation, teachers, and
-checkpoints) and serialize to a little-endian buffer with a JSON shape
-manifest up front.
+logits. Forward passes are pure and run one layer list on plain arrays:
+``forward`` records it as one taped op, then the classifier's ``affine``;
+``infer`` computes the same values off the tape. Training mutates parameters
+only through ``sgd_step``, one step on a frozen vector of all parameters.
+Snapshots share that vector and can be rebuilt into an identical backbone
+(used for aggregation, teachers, and checkpoints); they serialize to a
+little-endian buffer with a JSON shape manifest up front.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from types import SimpleNamespace
+from functools import cache
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import diffcore as dc
-from .diffcore import ShapeError, Tape, Tensor, _check_finite, _wrap
+from .diffcore import ShapeError, Tape, Tensor, _check_finite, as_tensor
 
 __all__ = [
     "Arch",
@@ -102,32 +102,26 @@ def _param_shapes(arch: Arch) -> tuple[list[tuple[int, ...]], list[tuple[int, ..
     return rep, cls, fans
 
 
-# The layer ops ``embed`` takes on plain arrays: each computes the value of
-# the taped op of the same name, with no wrapping, checking or recording.
-_ARRAY_OPS = SimpleNamespace(
-    affine=lambda x, w, b: dc._affine(x, w.data, b.data),
-    conv2d=lambda x, k, b: dc._conv2d(x, k.data, b.data),
-    relu=lambda x: np.maximum(x, 0.0),
-    reshape=np.reshape,
-)
+@cache
+def _flat_layout(arch: Arch) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(start, stop, shape) of each parameter in a backbone's flat vector."""
+    rep, cls, _ = _param_shapes(arch)
+    ends = np.cumsum([int(np.prod(s)) for s in rep + cls]).tolist()
+    return tuple((end - int(np.prod(s)), end, s) for s, end in zip(rep + cls, ends))
+
+
+# The layers that take two parameters (weights, bias): value, backward.
+_PARAM_LAYERS = {"affine": (dc._affine, dc._affine_grads), "conv2d": (dc._conv2d, dc._conv2d_grads)}
 
 
 class Backbone:
-    """Parameter container plus a pure forward pass."""
+    """Parameter container plus a pure forward pass. ``layers`` lists the
+    representation layers: "affine" and "conv2d" take the next two parameters;
+    "image" and "flat" reshape the batch to images and back."""
 
-    def __init__(self, arch: Arch, rep_params: list[Tensor], cls_params: list[Tensor]):
+    def __init__(self, arch: Arch, params: Sequence[Tensor]):
         self.arch = arch
-        want_rep, want_cls, _ = _param_shapes(arch)
-        self._check(rep_params, want_rep, "representation")
-        self._check(cls_params, want_cls, "classifier")
-        self.rep_params = list(rep_params)
-        self.cls_params = list(cls_params)
-
-    @staticmethod
-    def _check(params, want, group):
-        got = [p.shape for p in params]
-        if got != want:
-            raise ShapeError(f"{group} params {got} != expected {want}")
+        self.load(params)
 
     @property
     def params(self) -> list[Tensor]:
@@ -145,34 +139,89 @@ class Backbone:
         tape.watch(*self.params)
 
     def load(self, params: Sequence[Tensor]) -> None:
-        """Replace all parameters (representation first, classifier last)."""
-        n_rep = len(self.rep_params)
-        rep, cls = list(params[:n_rep]), list(params[n_rep:])
+        """Replace all parameters (representation first, classifier last).
+        The tensors are kept, so a tape can watch them."""
         want_rep, want_cls, _ = _param_shapes(self.arch)
-        self._check(rep, want_rep, "representation")
-        self._check(cls, want_cls, "classifier")
-        self.rep_params, self.cls_params = rep, cls
+        rep, cls = list(params[: len(want_rep)]), list(params[len(want_rep) :])
+        for group, got, want in (("representation", rep, want_rep), ("classifier", cls, want_cls)):
+            if [p.shape for p in got] != want:
+                raise ShapeError(f"{group} params {[p.shape for p in got]} != expected {want}")
+        self.rep_params, self.cls_params, self._flat = rep, cls, None
 
-    def embed(self, x, ops):
-        """The representation layers, built from ``ops``: ``diffcore`` for
-        tensors on the tape, ``_ARRAY_OPS`` for plain arrays."""
-        raise NotImplementedError
+    @property
+    def flat(self) -> np.ndarray:
+        """All parameters end to end in one frozen vector, built on first use."""
+        if self._flat is None:
+            self._flat = flatten_params(self.params)
+            self._flat.setflags(write=False)
+        return self._flat
 
-    def _layers(self, x, ops) -> tuple:
+    def _adopt(self, flat: np.ndarray) -> None:
+        """Take a checked vector as ``flat``; each parameter becomes a view into it."""
+        flat.setflags(write=False)
+        layout = _flat_layout(self.arch)
+        views = [dc._tensor(flat[start:stop].reshape(shape)) for start, stop, shape in layout]
+        n_rep = len(self.rep_params)
+        self.rep_params, self.cls_params, self._flat = views[:n_rep], views[n_rep:], flat
+
+    def _embed(self, x: np.ndarray, inputs: Optional[list]) -> np.ndarray:
+        """The representation layers on plain arrays. Given a list ``inputs``,
+        each layer's input is appended to it for the backward, and each affine
+        or conv2d output is checked under its op name."""
         if x.ndim != 2 or x.shape[1] != self.arch.input_dim:
             raise ShapeError(f"expected (n, {self.arch.input_dim}) input, got {x.shape}")
-        emb = self.embed(x, ops)
-        w, b = self.cls_params
-        return emb, ops.affine(emb, w, b)
+        rep, j, a = self.rep_params, 0, x
+        for op in self.layers:
+            if inputs is not None:
+                inputs.append(a)
+            fns = _PARAM_LAYERS.get(op)
+            if fns is not None:
+                a = fns[0](a, rep[j].data, rep[j + 1].data)
+                j += 2
+                if inputs is not None:
+                    _check_finite(a, op)
+            elif op == "relu":
+                a = np.maximum(a, 0.0)
+            else:
+                a = a.reshape((x.shape[0],) + (self.arch.image_shape if op == "image" else (-1,)))
+        return a
 
     def forward(self, x: Tensor) -> tuple[Tensor, Tensor]:
-        """Batch of flat features -> (embeddings, logits), as taped ops."""
-        return self._layers(x, dc)
+        """Batch of flat features -> (embeddings, logits): the representation
+        layers as one taped op, then the classifier's affine."""
+        x = as_tensor(x)
+        inputs: list[np.ndarray] = []
+        emb = self._embed(x.data, inputs)
+        rep = self.rep_params
+        need = [dc._tracked(t) for t in (x, *rep)]  # x is often the untracked batch
+
+        def bwd(g):
+            grads, j = [None] * len(rep), len(rep)
+            for op, a in zip(reversed(self.layers), reversed(inputs)):
+                if g is None:  # nothing below this layer is tracked
+                    break
+                fns = _PARAM_LAYERS.get(op)
+                if fns is not None:
+                    j -= 2
+                    g, grads[j], grads[j + 1] = fns[1](
+                        g, a, rep[j].data, any(need[: j + 1]), need[j + 1], need[j + 2]
+                    )
+                elif op == "relu":
+                    g = dc._relu_grad(g, a)
+                else:
+                    g = g.reshape(a.shape)
+            return (g if need[0] else None, *grads)
+
+        emb_t = dc._op(emb, "embed", (x, *rep), bwd)
+        w, b = self.cls_params
+        return emb_t, dc.affine(emb_t, w, b)
 
     def infer(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``forward``'s values on plain arrays, off the tape: for a model
         whose outputs are constants (teachers, prototypes, evaluation)."""
-        emb, logits = self._layers(np.asarray(x, dtype=np.float64), _ARRAY_OPS)
+        emb = self._embed(np.asarray(x, dtype=np.float64), None)
+        w, b = self.cls_params
+        logits = dc._affine(emb, w.data, b.data)
         _check_finite(emb, "infer embeddings")
         _check_finite(logits, "infer logits")
         return emb, logits
@@ -181,40 +230,27 @@ class Backbone:
 class MLPBackbone(Backbone):
     """input -> hidden (relu) -> embedding (relu) -> classifier."""
 
-    def embed(self, x, ops):
-        w1, b1, w2, b2 = self.rep_params
-        h = ops.relu(ops.affine(x, w1, b1))
-        return ops.relu(ops.affine(h, w2, b2))
+    layers = ("affine", "relu", "affine", "relu")
 
 
 class LinearBackbone(Backbone):
     """Single affine representation layer; embeddings can reproduce inputs."""
 
-    def embed(self, x, ops):
-        w, b = self.rep_params
-        return ops.affine(x, w, b)
+    layers = ("affine",)
 
 
 class ConvBackbone(Backbone):
     """Two valid 3x3 convs then two fully connected layers, relu throughout."""
 
-    def embed(self, x, ops):
-        k1, cb1, k2, cb2, w1, b1, w2, b2 = self.rep_params
-        n = x.shape[0]
-        img = ops.reshape(x, (n,) + self.arch.image_shape)
-        a = ops.relu(ops.conv2d(img, k1, cb1))
-        a = ops.relu(ops.conv2d(a, k2, cb2))
-        flat = ops.reshape(a, (n, a.size // n))
-        h = ops.relu(ops.affine(flat, w1, b1))
-        return ops.relu(ops.affine(h, w2, b2))
+    layers = ("image", "conv2d", "relu", "conv2d", "relu", "flat",
+              "affine", "relu", "affine", "relu")
 
 
 _KINDS = {"mlp": MLPBackbone, "linear": LinearBackbone, "cnn": ConvBackbone}
 
 
 def build_backbone(arch: Arch, params: Sequence[Tensor]) -> Backbone:
-    rep_n = len(_param_shapes(arch)[0])
-    return _KINDS[arch.kind](arch, list(params[:rep_n]), list(params[rep_n:]))
+    return _KINDS[arch.kind](arch, params)
 
 
 def init_backbone(arch: Arch, rng: np.random.Generator) -> Backbone:
@@ -296,26 +332,26 @@ class ModelSnapshot:
 
 
 def snapshot(backbone: Backbone, round_idx: int) -> ModelSnapshot:
+    """The backbone's parameters at ``round_idx``; shares its frozen vector."""
     shapes = tuple(p.shape for p in backbone.params)
-    return ModelSnapshot(
-        arch=backbone.arch,
-        shapes=shapes,
-        flat=flatten_params(backbone.params),
-        round_idx=round_idx,
-    )
+    return ModelSnapshot(arch=backbone.arch, shapes=shapes, flat=backbone.flat, round_idx=round_idx)
 
 
 def sgd_step(backbone: Backbone, grads: Mapping[Tensor, np.ndarray], lr: float) -> Backbone:
-    """In-place gradient step: p <- p - lr * g for every parameter."""
+    """In-place gradient step: p <- p - lr * g for every parameter, as one
+    expression over the parameters and their gradients laid end to end."""
     if not lr > 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
-    new = []
+    gs = []
     for p in backbone.params:
-        if p not in grads:
+        g = grads.get(p)
+        if g is None:
             raise ShapeError("gradient map is missing a parameter")
-        g = np.asarray(grads[p], dtype=np.float64)
-        if g.shape != p.shape:
+        if g.shape != p.data.shape:
             raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        new.append(_wrap(p.data - lr * g, "sgd_step"))  # fresh buffer: no second copy
-    backbone.load(new)
+        gs.append(g.ravel())
+    step = np.concatenate(gs, dtype=np.float64)  # the one temporary: the new vector
+    np.subtract(backbone.flat, np.multiply(step, lr, out=step), out=step)
+    _check_finite(step, "sgd_step")
+    backbone._adopt(step)
     return backbone

@@ -1,6 +1,6 @@
 """Shared test oracles: central finite differences against the gradient tape,
 a naive Ward clustering to check chac against, and op-chain references for
-the fused loss kernels."""
+the fused loss kernels and the fused representation op."""
 from __future__ import annotations
 
 from typing import Callable, Sequence
@@ -155,3 +155,21 @@ def local_loss_reference(ce, distill, align, attract_repel, weights) -> Tensor:
     )
     out = dc.add(out, dc.mul(as_tensor(align), weights.align_weight))
     return dc.add(out, dc.mul(as_tensor(attract_repel), weights.proto_weight))
+
+
+def embed_reference(model, x) -> tuple[Tensor, Tensor]:
+    """(embeddings, logits) of ``model`` as one diffcore op per layer: the
+    chain the fused representation op in ``Backbone.forward`` replaced."""
+    x, rep, n = as_tensor(x), model.rep_params, x.shape[0]
+    if model.arch.kind == "cnn":
+        k1, cb1, k2, cb2, w1, b1, w2, b2 = rep
+        a = dc.relu(dc.conv2d(dc.reshape(x, (n,) + model.arch.image_shape), k1, cb1))
+        a = dc.relu(dc.conv2d(a, k2, cb2))
+        h = dc.relu(dc.affine(dc.reshape(a, (n, a.size // n)), w1, b1))
+        emb = dc.relu(dc.affine(h, w2, b2))
+    elif model.arch.kind == "mlp":
+        w1, b1, w2, b2 = rep
+        emb = dc.relu(dc.affine(dc.relu(dc.affine(x, w1, b1)), w2, b2))
+    else:
+        emb = dc.affine(x, *rep)
+    return emb, dc.affine(emb, *model.cls_params)

@@ -241,6 +241,29 @@ def test_class_groups_match_per_class_blocks_with_gradients():
             np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-15)
 
 
+def test_with_embeddings_shares_the_grouping():
+    # The client's alignment diagnostic and attract term group one batch once.
+    rng = np.random.default_rng(12)
+    labels = np.array([1, 0, 1, 2, 1, 0])
+    t_emb, emb = rng.uniform(-2, 2, (6, 3)), Tensor(rng.uniform(-2, 2, (6, 3)))
+    table = protos_from({0: rng.uniform(-2, 2, 3), 1: rng.uniform(-2, 2, 3)}, 3)
+    groups = ClassGroups(t_emb, labels)
+    align_loss(groups, table)
+    twin = groups.with_embeddings(emb)
+    assert twin.embeddings is emb and list(twin) == [0, 1, 2]
+    shared, own = twin.covered(table), ClassGroups(emb, labels).covered(table)
+    assert all(a is b for a, b in zip(shared, groups.covered(table)))
+    assert shared[0] == own[0] == [0, 1]
+    assert shared[1].tobytes() == own[1].tobytes()
+    assert shared[2].data.tobytes() == own[2].data.tobytes()
+    got = attract_loss(twin, table, 0.5).data.tobytes()
+    assert got == attract_loss(ClassGroups(emb, labels), table, 0.5).data.tobytes()
+    table.set(2, rng.uniform(-2, 2, 3))  # a changed table is covered afresh
+    assert twin.covered(table)[0] == [0, 1, 2]
+    with pytest.raises(ShapeError):
+        groups.with_embeddings(Tensor(np.zeros((5, 3))))
+
+
 def test_attract_repel_mix_hand_value():
     out = attract_repel_loss(Tensor(2.0), Tensor(-2.0), balance=0.5)
     assert out.item() == 0.0

@@ -4,9 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import check_grads
+from helpers import check_grads, embed_reference
 from protofed import diffcore as dc
 from protofed.diffcore import NonFiniteError, ShapeError, Tape, Tensor, backward
+from protofed.losses import cross_entropy
 from protofed.model import (
     Arch,
     ConvBackbone,
@@ -22,23 +23,23 @@ from protofed.model import (
 )
 
 MLP2x4x3 = Arch(kind="mlp", input_dim=2, embedding_dim=4, num_classes=3, hidden=4)
+CNN1x7x6 = Arch(kind="cnn", input_dim=42, embedding_dim=3, num_classes=4, hidden=5,
+                image_shape=(1, 7, 6), channels=(2, 3))
+# Every backbone kind, with the _CONV_BLOCK_ENTRIES to run it under (None: as is).
+KINDS = [
+    (MLP2x4x3, None),
+    (Arch(kind="linear", input_dim=5, embedding_dim=3, num_classes=4), None),
+    (CNN1x7x6, None),
+    (Arch(kind="cnn", input_dim=84, embedding_dim=3, num_classes=4, hidden=5,
+          image_shape=(2, 7, 6), channels=(2, 3)), 2 * 18 * 5 * 4),  # first conv: 2-sample blocks
+]
 
 
 def small_mlp(seed=0, arch=MLP2x4x3):
     return init_backbone(arch, np.random.default_rng(seed))
 
 
-@pytest.mark.parametrize(
-    "arch, block_entries",
-    [
-        (MLP2x4x3, None),
-        (Arch(kind="linear", input_dim=5, embedding_dim=3, num_classes=4), None),
-        (Arch(kind="cnn", input_dim=42, embedding_dim=3, num_classes=4, hidden=5,
-              image_shape=(1, 7, 6), channels=(2, 3)), None),
-        (Arch(kind="cnn", input_dim=84, embedding_dim=3, num_classes=4, hidden=5,
-              image_shape=(2, 7, 6), channels=(2, 3)), 2 * 18 * 5 * 4),  # first conv: 2-sample blocks
-    ],
-)
+@pytest.mark.parametrize("arch, block_entries", KINDS)
 def test_infer_is_forward_off_the_tape(monkeypatch, arch, block_entries):
     if block_entries is not None:
         monkeypatch.setattr(dc, "_CONV_BLOCK_ENTRIES", block_entries)
@@ -64,6 +65,55 @@ def test_infer_checks_input_and_outputs():
     model.load([Tensor(np.full(w1.shape, 1e300)), *rest])
     with pytest.raises(NonFiniteError, match="^infer embeddings produced"):
         model.infer(np.full((2, 2), 1e300))
+
+
+def _values_and_grads(forward, model, x, watch_input, labels, weights) -> list[bytes]:
+    with Tape() as tape:
+        model.watch(tape)
+        if watch_input:
+            tape.watch(x)
+        emb, logits = forward(x)
+        # The embeddings reach the loss directly and through the classifier.
+        loss = dc.add(cross_entropy(logits, labels), dc.tsum(dc.mul(emb, weights)))
+    grads = backward(tape, loss)
+    leaves = model.params + ([x] if watch_input else [])
+    return [emb.data.tobytes(), logits.data.tobytes()] + [grads[t].tobytes() for t in leaves]
+
+
+@pytest.mark.parametrize("watch_input", [False, True])
+@pytest.mark.parametrize("arch, block_entries", KINDS)
+def test_fused_representation_matches_op_chain_bitwise(monkeypatch, arch, block_entries, watch_input):
+    if block_entries is not None:
+        monkeypatch.setattr(dc, "_CONV_BLOCK_ENTRIES", block_entries)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        model = init_backbone(arch, rng)
+        x = Tensor(rng.uniform(-1, 1, size=(7, arch.input_dim)))
+        labels = rng.integers(0, arch.num_classes, size=7)
+        weights = Tensor(rng.uniform(-1, 1, size=(7, arch.embedding_dim)))
+        args = (model, x, watch_input, labels, weights)
+        got = _values_and_grads(model.forward, *args)
+        assert got == _values_and_grads(lambda t: embed_reference(model, t), *args)
+
+
+@pytest.mark.parametrize("arch, block_entries", KINDS)
+def test_training_forward_records_two_ops(arch, block_entries):
+    model = init_backbone(arch, np.random.default_rng(3))
+    with Tape() as tape:
+        model.watch(tape)
+        model.forward(Tensor(np.ones((2, arch.input_dim))))
+    assert tape.num_records == 2  # the representation, then the classifier
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cnn_overflow_names_conv2d():
+    model = init_backbone(CNN1x7x6, np.random.default_rng(19))
+    k1, *rest = model.params
+    model.load([Tensor(np.full(k1.shape, 1e300)), *rest])
+    with Tape() as tape:
+        model.watch(tape)
+        with pytest.raises(NonFiniteError, match="^conv2d produced"):
+            model.forward(Tensor(np.full((2, 42), 1e300)))
 
 
 def test_init_is_seed_deterministic():
@@ -196,6 +246,38 @@ def test_sgd_step_validations():
         sgd_step(b, bad, lr=0.1)
     with pytest.raises(ShapeError):
         sgd_step(b, {}, lr=0.1)
+
+
+def test_sgd_step_non_finite_update_names_sgd_step():
+    b = small_mlp(16)
+    before = [p.data.tobytes() for p in b.params]
+    grads = {p: np.zeros(p.shape) for p in b.params}
+    grads[b.params[3]] = np.full(b.params[3].shape, np.inf)
+    with pytest.raises(NonFiniteError, match="^sgd_step produced"):
+        sgd_step(b, grads, lr=0.1)
+    assert [p.data.tobytes() for p in b.params] == before
+
+
+def test_parameters_stay_read_only_after_a_step():
+    b = small_mlp(17)
+    for _ in range(2):
+        sgd_step(b, {p: np.ones(p.shape) for p in b.params}, lr=0.1)
+        for p in b.params:
+            with pytest.raises(ValueError):
+                p.data[...] = 0.0
+
+
+def test_stepping_one_backbone_leaves_its_siblings_unchanged():
+    server = small_mlp(18)
+    a, b = (build_backbone(MLP2x4x3, list(server.params)) for _ in range(2))
+    want = [p.data.tobytes() for p in server.params]
+    sgd_step(a, {p: np.ones(p.shape) for p in a.params}, lr=0.1)
+    stepped = [p.data.tobytes() for p in a.params]
+    assert stepped != want
+    assert [p.data.tobytes() for p in b.params] == want
+    assert [p.data.tobytes() for p in server.params] == want
+    sgd_step(b, {p: np.ones(p.shape) for p in b.params}, lr=0.2)
+    assert [p.data.tobytes() for p in a.params] == stepped
 
 
 def test_flatten_unflatten_round_trip_bitwise():
