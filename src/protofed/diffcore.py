@@ -501,9 +501,10 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
-def _log_softmax_grad(g: np.ndarray, p: np.ndarray, tau: float) -> np.ndarray:
-    """Gradient to the logits from g at the log-softmax, whose exp is p."""
-    return (g - p * g.sum(axis=1, keepdims=True)) / tau
+def _log_softmax_grad(g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Gradient to the shifted logits from g at the log-softmax, whose exp is
+    p; a caller at temperature tau divides it by tau."""
+    return g - p * g.sum(axis=1, keepdims=True)
 
 
 def softmax_t(logits, tau: float = 1.0) -> Tensor:
@@ -524,7 +525,7 @@ def log_softmax_t(logits, tau: float = 1.0) -> Tensor:
     logits = as_tensor(logits)
     ls = _log_softmax(_temp_scaled(logits.data, tau))
     p = np.exp(ls)
-    return _op(ls, "log_softmax_t", (logits,), lambda g: (_log_softmax_grad(g, p, tau),))
+    return _op(ls, "log_softmax_t", (logits,), lambda g: (_log_softmax_grad(g, p) / tau,))
 
 
 def _as_index(labels, n: int, bound: int, what: str) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Federated training loop: client selection, local updates, aggregation.
 
-One server model travels to the selected clients each round; clients train
-locally, extract per-class prototype vectors from their embeddings, and send
-both back. The server averages models by training-set size and merges
-prototype tables, keeping stale classes until fresh evidence arrives.
-Personal-model training (fedproto) skips the model exchange entirely.
+Each payload is one array. The server model travels to the selected clients
+as its flat parameter vector; clients train locally, extract each class's
+prototypes from their embeddings as one (K, q) block, and send both back.
+The server averages the vectors by training-set size and merges prototype
+tables, keeping stale classes until fresh evidence arrives. Personal-model
+training (fedproto) skips the model exchange entirely.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from . import losses
 from .data import ClientShard, Dataset, PartitionPlan
 from .losses import GlobalPrototypes, LossWeights
 from .metrics import RoundRecord, accuracy, macro_f1, rmse_mae
-from .model import Arch, Backbone, ModelSnapshot, build_backbone, init_backbone, flatten_params, sgd_step, snapshot, unflatten_params
+from .model import Arch, Backbone, ModelSnapshot, backbone_from_flat, init_backbone, sgd_step, snapshot
 
 __all__ = [
     "FederationError",
@@ -46,6 +47,8 @@ _INIT_STREAM = 107
 
 METHODS = ("mp-fedkd", "mp-fedkd-kmeans", "fedavg", "fedprox", "fedproto")
 _MULTI_PROTO = ("mp-fedkd", "mp-fedkd-kmeans")
+_SHARES_MODEL = ("mp-fedkd", "mp-fedkd-kmeans", "fedavg", "fedprox")  # the server model travels
+_USES_PROTOS = ("mp-fedkd", "mp-fedkd-kmeans", "fedproto")  # prototype tables travel
 
 
 class FederationError(RuntimeError):
@@ -97,34 +100,29 @@ class FedConfig:
 
 @dataclass
 class PrototypeSet:
-    """One client's per-class prototype vectors plus sample counts."""
+    """One client's prototypes, a (K, q) float64 block per class (a list of
+    K vectors reads as one), plus sample counts."""
 
-    protos: dict[int, list[np.ndarray]]
+    protos: dict[int, np.ndarray]
     counts: dict[int, int]
 
     def __post_init__(self):
         if set(self.protos) != set(self.counts):
             raise ValueError("prototype and count keys disagree")
-        dim = None
-        for label, vecs in self.protos.items():
-            if not vecs:
-                raise ValueError(f"class {label} has no prototype vectors")
+        self.protos = {c: np.asarray(block, dtype=np.float64) for c, block in self.protos.items()}
+        for label, block in self.protos.items():
+            if block.ndim != 2 or block.shape[0] < 1:
+                raise ValueError(f"class {label} needs a nonempty (K, q) prototype block")
             if self.counts[label] < 1:
                 raise ValueError(f"class {label} has a nonpositive sample count")
-            for v in vecs:
-                v = np.asarray(v)
-                if v.ndim != 1:
-                    raise ValueError("prototype vectors must be 1-D")
-                if dim is None:
-                    dim = v.shape[0]
-                elif v.shape[0] != dim:
-                    raise ValueError("prototype vectors have mixed widths")
+        if len({block.shape[1] for block in self.protos.values()}) > 1:
+            raise ValueError("prototype vectors have mixed widths")
 
     def classes(self) -> list[int]:
         return sorted(self.protos)
 
     def vector_floats(self) -> int:
-        return sum(len(vecs) * vecs[0].shape[0] for vecs in self.protos.values())
+        return sum(block.size for block in self.protos.values())
 
 
 @dataclass
@@ -189,7 +187,7 @@ class Topology:
 @dataclass
 class ClientRoundResult:
     client_id: int
-    params: tuple[dc.Tensor, ...]
+    flat: Optional[np.ndarray]  # the trained parameters; None when no model is shared
     protos: Optional[PrototypeSet]
     train_size: int
     ce: float
@@ -234,28 +232,27 @@ def _class_prototypes(
 ) -> PrototypeSet:
     """Per-class prototypes: the class mean for fedproto, otherwise up to
     clusters_per_class cluster means from chac (or kmeans)."""
-    protos: dict[int, list[np.ndarray]] = {}
+    protos: dict[int, np.ndarray] = {}
     counts: dict[int, int] = {}
     for c in sorted(int(v) for v in np.unique(labels)):
         rows = emb[labels == c]
         counts[c] = int(rows.shape[0])
         if cfg.method == "fedproto":
-            protos[c] = [rows.mean(axis=0)]
+            protos[c] = rows.mean(axis=0, keepdims=True)
             continue
         if cfg.method == "mp-fedkd-kmeans":
             seed = int(np.random.SeedSequence([*seed_parts, _CLUSTER_STREAM, c]).generate_state(1)[0])
             result = clustering.kmeans(rows, cfg.clusters_per_class, seed)
         else:
             result = clustering.chac(rows, cfg.clusters_per_class)
-        cents = clustering.centroids(result)
-        protos[c] = [cents[i].copy() for i in range(cents.shape[0])]
+        protos[c] = clustering.centroids(result)
     return PrototypeSet(protos=protos, counts=counts)
 
 
 def client_update(
     state: ClientState,
     dataset: Dataset,
-    global_params: Optional[Sequence[dc.Tensor]],
+    global_flat: Optional[np.ndarray],
     global_protos: GlobalPrototypes,
     cfg: FedConfig,
     round_idx: int,
@@ -263,24 +260,26 @@ def client_update(
 ) -> ClientRoundResult:
     """One client's whole contribution to a round.
 
-    For the shared-model methods the received parameters replace the local
-    ones before training. After round 1 the multi-prototype methods add the
-    distillation and attract/repel terms and log the alignment diagnostic,
-    all referenced against the model this client trained in its previous
-    participation (a client joining late starts with plain cross entropy
-    once). fedproto never loads the global model and regularizes class means
-    toward global prototypes. A failing batch raises ``FederationError``
-    naming its epoch and batch index.
+    For the shared-model methods the local model adopts the received
+    parameter vector before training, and the result carries the trained
+    one. After round 1 the multi-prototype methods add the distillation and
+    attract/repel terms and log the alignment diagnostic, all referenced
+    against the model this client trained in its previous participation (a
+    client joining late starts with plain cross entropy once). fedproto
+    never adopts the global model and regularizes class means toward global
+    prototypes. A failing batch raises ``FederationError`` naming its epoch
+    and batch index.
     """
     if round_idx < 1:
         raise ValueError("round index must be >= 1")
     method = cfg.method
     w = cfg.weights
-    if method != "fedproto":
-        if global_params is None:
+    shares_model, uses_protos = method in _SHARES_MODEL, method in _USES_PROTOS
+    if shares_model:
+        if global_flat is None:
             raise ValueError("shared-model methods need the global parameters")
-        state.model.load(list(global_params))
-        anchor = list(global_params)
+        state.model.adopt(global_flat)
+        anchor = state.model.params
 
     feats = dataset.features.data
     labels_all = dataset.labels
@@ -356,7 +355,7 @@ def client_update(
             batches_seen += 1
 
     proto_set: Optional[PrototypeSet] = None
-    if method in _MULTI_PROTO or method == "fedproto":
+    if uses_protos:
         if proto_input is None:
             emb_train, _ = _forward_chunks(state.model, feats[train_idx], 512)
             proto_input = (emb_train, labels_all[train_idx])
@@ -367,7 +366,7 @@ def client_update(
     scale = 1.0 / batches_seen if batches_seen else 0.0
     return ClientRoundResult(
         client_id=state.client_id,
-        params=tuple(state.model.params),
+        flat=state.model.flat if shares_model else None,
         protos=proto_set,
         train_size=n,
         ce=sums["ce"] * scale,
@@ -378,26 +377,27 @@ def client_update(
 
 
 def aggregate_models(
-    params_by_client: Mapping[int, Sequence[dc.Tensor]], sizes: Mapping[int, int]
-) -> list[dc.Tensor]:
-    """Training-set-size weighted parameter average, in sorted client order."""
-    ids = sorted(params_by_client)
+    flat_by_client: Mapping[int, np.ndarray], sizes: Mapping[int, int]
+) -> np.ndarray:
+    """Training-set-size weighted average of the clients' parameter vectors,
+    summed in sorted client order."""
+    ids = sorted(flat_by_client)
     if not ids:
         raise ValueError("nothing to aggregate")
     if set(sizes) != set(ids):
-        raise ValueError("sizes and parameter sets cover different clients")
+        raise ValueError("sizes and parameter vectors cover different clients")
     total = float(sum(sizes[i] for i in ids))
     if not total > 0:
         raise ValueError("total training size must be positive")
-    shapes = [p.shape for p in params_by_client[ids[0]]]
     acc = None
     for cid in ids:
-        params = params_by_client[cid]
-        if [p.shape for p in params] != shapes:
-            raise ValueError(f"client {cid} returned mismatched parameter shapes")
-        flat = flatten_params(params) * (sizes[cid] / total)
+        flat = flat_by_client[cid]
+        if acc is not None and len(flat) != len(acc):
+            raise ValueError(f"client {cid} sent {len(flat)} parameters, expected {len(acc)}")
+        flat = flat * (sizes[cid] / total)
         acc = flat if acc is None else acc + flat
-    return unflatten_params(acc, shapes)
+    dc._check_finite(acc, "aggregate_models")
+    return acc
 
 
 def aggregate_prototypes(
@@ -420,7 +420,7 @@ def aggregate_prototypes(
         vec = np.zeros(embedding_dim)
         for m in members:
             ps = sets_by_client[m]
-            stack = np.asarray(ps.protos[c])
+            stack = ps.protos[c]
             if stack.shape[1] != embedding_dim:
                 raise ValueError(
                     f"client {m} class {c} prototypes are {stack.shape[1]}-wide, "
@@ -447,15 +447,11 @@ def init_federation(
     )
     clients = {}
     for shard in plan.shards:
-        local = build_backbone(arch, list(global_model.params))
+        local = backbone_from_flat(arch, global_model.flat)
         clients[shard.client_id] = ClientState(
             client_id=shard.client_id, shard=shard, model=local
         )
     return server, clients
-
-
-def _param_floats(params: Sequence[dc.Tensor]) -> int:
-    return sum(p.size for p in params)
 
 
 def run_round(
@@ -473,25 +469,22 @@ def run_round(
     t_start = time.perf_counter()
     round_idx = server.round_idx + 1
     selected = select_clients(list(clients), cfg.fraction, server.seed, round_idx)
-    global_params = tuple(server.model.params)
-    global_protos = server.protos
     method = cfg.method
+    shares_model, uses_protos = method in _SHARES_MODEL, method in _USES_PROTOS
+    global_flat = server.model.flat if shares_model else None
+    global_protos = server.protos
 
     if topology is not None:
-        model_floats = _param_floats(global_params)
-        proto_floats = len(global_protos) * global_protos.embedding_dim
+        down = global_flat.size if shares_model else 0
+        if uses_protos:
+            down += sum(v.size for v in global_protos.as_arrays().values())
         for cid in selected:
-            down = 0
-            if method != "fedproto":
-                down += model_floats
-            if method in _MULTI_PROTO or method == "fedproto":
-                down += proto_floats
             topology.record_down(cid, 8 * down)
 
     def work(cid: int) -> ClientRoundResult:
         try:
             return client_update(
-                clients[cid], dataset, global_params, global_protos, cfg, round_idx, server.seed
+                clients[cid], dataset, global_flat, global_protos, cfg, round_idx, server.seed
             )
         except Exception as exc:
             raise FederationError(f"client {cid} failed in round {round_idx}: {exc}") from exc
@@ -509,19 +502,16 @@ def run_round(
     if topology is not None:
         for cid in selected:
             res = results[cid]
-            up = 0
-            if method != "fedproto":
-                up += _param_floats(res.params)
-            if res.protos is not None:
+            up = res.flat.size if shares_model else 0
+            if uses_protos:
                 up += res.protos.vector_floats()
             topology.record_up(cid, 8 * up)
 
-    if method != "fedproto":
+    if shares_model:
         sizes = {cid: results[cid].train_size for cid in selected}
-        new_params = aggregate_models({cid: results[cid].params for cid in selected}, sizes)
-        server.model.load(new_params)
+        server.model.adopt(aggregate_models({cid: results[cid].flat for cid in selected}, sizes))
 
-    if method in _MULTI_PROTO or method == "fedproto":
+    if uses_protos:
         proto_mode = cfg.aggregation if method in _MULTI_PROTO else "normalized"
         fresh = aggregate_prototypes(
             {cid: results[cid].protos for cid in selected},
@@ -537,7 +527,7 @@ def run_round(
     # the other methods the server model on the pooled split. Accuracy is
     # the mean over the parts; error and F1 metrics pool all predictions.
     parts = [(clients[cid].model, clients[cid].shard.test) for cid in sorted(clients)]
-    if method != "fedproto":
+    if shares_model:
         parts = [(server.model, np.concatenate([te for _, te in parts]))]
     accs, preds, ys = [], [], []
     for model, te in parts:

@@ -132,7 +132,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     if logits.ndim != 2 or logits.shape[0] < 1:
         raise ShapeError(f"logits must be a nonempty (n, C) matrix, got {logits.shape}")
     n = logits.shape[0]
-    ls = dc._log_softmax(dc._temp_scaled(logits.data, 1.0))
+    ls = dc._log_softmax(logits.data - logits.data.max(axis=1, keepdims=True))
     idx = dc._as_index(labels, n, logits.shape[1], "labels")
     rows = np.arange(n)
     p = np.exp(ls)
@@ -140,9 +140,10 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     def bwd(g):
         gx = np.zeros(ls.shape)
         np.add.at(gx, (rows, idx), -(g / n))
-        return (dc._log_softmax_grad(gx, p, 1.0),)
+        return (dc._log_softmax_grad(gx, p),)
 
-    return dc._op(np.mean(-ls[rows, idx]), "cross_entropy", (logits,), bwd)
+    # np.add.reduce(...) / n is np.mean without its Python wrapper
+    return dc._op(np.add.reduce(-ls[rows, idx]) / n, "cross_entropy", (logits,), bwd)
 
 
 def distill_loss(teacher_logits: Tensor, student_logits: Tensor, temperature: float) -> Tensor:
@@ -166,7 +167,7 @@ def distill_loss(teacher_logits: Tensor, student_logits: Tensor, temperature: fl
     c = temperature * temperature / student_logits.shape[0]
 
     def bwd(g):
-        return (dc._log_softmax_grad(-((g * c) * p), q, temperature),)
+        return (dc._log_softmax_grad(-((g * c) * p), q) / temperature,)
 
     kl_sum = np.sum(p * (dc._log_softmax(z) - log_q))
     return dc._op(kl_sum * c, "distill_loss", (student_logits,), bwd)

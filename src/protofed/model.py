@@ -6,14 +6,16 @@ logits. Forward passes are pure and run one layer list on plain arrays:
 ``forward`` records it as one taped op, then the classifier's ``affine``;
 ``infer`` computes the same values off the tape. Training mutates parameters
 only through ``sgd_step``, one step on a frozen vector of all parameters.
-Snapshots share that vector and can be rebuilt into an identical backbone
-(used for aggregation, teachers, and checkpoints); they serialize to a
-little-endian buffer with a JSON shape manifest up front.
+That vector is what travels: ``adopt`` takes one in place of the parameters
+and ``backbone_from_flat`` builds a backbone over one, each without a copy.
+Snapshots share it (teachers, checkpoints) and serialize to a little-endian
+buffer with a JSON shape manifest up front; only this module knows the
+layout.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cache
 from typing import Mapping, Optional, Sequence
 
@@ -32,8 +34,8 @@ __all__ = [
     "init_backbone",
     "build_backbone",
     "snapshot",
+    "backbone_from_flat",
     "flatten_params",
-    "unflatten_params",
     "sgd_step",
 ]
 
@@ -69,10 +71,11 @@ class Arch:
                 raise ValueError("cnn needs at least 5x5 images for two 3x3 convs")
 
 
-def _param_shapes(arch: Arch) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[int]]:
-    """Shapes of (representation, classifier) params plus per-param fan-in."""
+def _param_shapes(arch: Arch) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Shapes of all params, representation first, classifier last, plus
+    per-param fan-in."""
     if arch.kind == "mlp":
-        rep = [
+        shapes = [
             (arch.input_dim, arch.hidden),
             (arch.hidden,),
             (arch.hidden, arch.embedding_dim),
@@ -80,13 +83,13 @@ def _param_shapes(arch: Arch) -> tuple[list[tuple[int, ...]], list[tuple[int, ..
         ]
         fans = [arch.input_dim, arch.input_dim, arch.hidden, arch.hidden]
     elif arch.kind == "linear":
-        rep = [(arch.input_dim, arch.embedding_dim), (arch.embedding_dim,)]
+        shapes = [(arch.input_dim, arch.embedding_dim), (arch.embedding_dim,)]
         fans = [arch.input_dim, arch.input_dim]
     else:  # cnn
         cin, h, w = arch.image_shape
         c1, c2 = arch.channels
         flat = c2 * (h - 4) * (w - 4)  # two valid 3x3 convs
-        rep = [
+        shapes = [
             (c1, cin, 3, 3),
             (c1,),
             (c2, c1, 3, 3),
@@ -97,17 +100,17 @@ def _param_shapes(arch: Arch) -> tuple[list[tuple[int, ...]], list[tuple[int, ..
             (arch.embedding_dim,),
         ]
         fans = [cin * 9, cin * 9, c1 * 9, c1 * 9, flat, flat, arch.hidden, arch.hidden]
-    cls = [(arch.embedding_dim, arch.num_classes), (arch.num_classes,)]
+    shapes += [(arch.embedding_dim, arch.num_classes), (arch.num_classes,)]
     fans += [arch.embedding_dim, arch.embedding_dim]
-    return rep, cls, fans
+    return shapes, fans
 
 
 @cache
 def _flat_layout(arch: Arch) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """(start, stop, shape) of each parameter in a backbone's flat vector."""
-    rep, cls, _ = _param_shapes(arch)
-    ends = np.cumsum([int(np.prod(s)) for s in rep + cls]).tolist()
-    return tuple((end - int(np.prod(s)), end, s) for s, end in zip(rep + cls, ends))
+    shapes, _ = _param_shapes(arch)
+    ends = np.cumsum([int(np.prod(s)) for s in shapes]).tolist()
+    return tuple((end - int(np.prod(s)), end, s) for s, end in zip(shapes, ends))
 
 
 # The layers that take two parameters (weights, bias): value, backward.
@@ -120,8 +123,13 @@ class Backbone:
     "image" and "flat" reshape the batch to images and back."""
 
     def __init__(self, arch: Arch, params: Sequence[Tensor]):
+        """All parameters, representation first, classifier last. The tensors
+        are kept, so a tape can watch them."""
+        want = [shape for _, _, shape in _flat_layout(arch)]
+        if [p.shape for p in params] != want:
+            raise ShapeError(f"params {[p.shape for p in params]} != expected {want}")
         self.arch = arch
-        self.load(params)
+        self.rep_params, self.cls_params, self._flat = list(params[:-2]), list(params[-2:]), None
 
     @property
     def params(self) -> list[Tensor]:
@@ -138,16 +146,6 @@ class Backbone:
     def watch(self, tape: Tape) -> None:
         tape.watch(*self.params)
 
-    def load(self, params: Sequence[Tensor]) -> None:
-        """Replace all parameters (representation first, classifier last).
-        The tensors are kept, so a tape can watch them."""
-        want_rep, want_cls, _ = _param_shapes(self.arch)
-        rep, cls = list(params[: len(want_rep)]), list(params[len(want_rep) :])
-        for group, got, want in (("representation", rep, want_rep), ("classifier", cls, want_cls)):
-            if [p.shape for p in got] != want:
-                raise ShapeError(f"{group} params {[p.shape for p in got]} != expected {want}")
-        self.rep_params, self.cls_params, self._flat = rep, cls, None
-
     @property
     def flat(self) -> np.ndarray:
         """All parameters end to end in one frozen vector, built on first use."""
@@ -156,13 +154,16 @@ class Backbone:
             self._flat.setflags(write=False)
         return self._flat
 
-    def _adopt(self, flat: np.ndarray) -> None:
-        """Take a checked vector as ``flat``; each parameter becomes a view into it."""
-        flat.setflags(write=False)
+    def adopt(self, flat: np.ndarray) -> None:
+        """Take a finite float64 vector as ``flat``, with no copy: it is frozen
+        and each parameter becomes a read-only view into it."""
         layout = _flat_layout(self.arch)
+        size = layout[-1][1]
+        if flat.dtype != np.float64 or flat.shape != (size,):
+            raise ShapeError(f"expected {size} float64 values, got {flat.dtype} {flat.shape}")
+        flat.setflags(write=False)
         views = [dc._tensor(flat[start:stop].reshape(shape)) for start, stop, shape in layout]
-        n_rep = len(self.rep_params)
-        self.rep_params, self.cls_params, self._flat = views[:n_rep], views[n_rep:], flat
+        self.rep_params, self.cls_params, self._flat = views[:-2], views[-2:], flat
 
     def _embed(self, x: np.ndarray, inputs: Optional[list]) -> np.ndarray:
         """The representation layers on plain arrays. Given a list ``inputs``,
@@ -253,14 +254,23 @@ def build_backbone(arch: Arch, params: Sequence[Tensor]) -> Backbone:
     return _KINDS[arch.kind](arch, params)
 
 
+def backbone_from_flat(arch: Arch, flat: np.ndarray) -> Backbone:
+    """A backbone over ``flat`` (see ``Backbone.adopt``): no parameter is copied."""
+    model = object.__new__(_KINDS[arch.kind])
+    model.arch = arch
+    model.adopt(flat)
+    return model
+
+
 def init_backbone(arch: Arch, rng: np.random.Generator) -> Backbone:
-    """Uniform init in +-1/sqrt(fan_in), drawn in fixed parameter order."""
-    rep_shapes, cls_shapes, fans = _param_shapes(arch)
-    params = []
-    for shape, fan in zip(rep_shapes + cls_shapes, fans):
+    """Uniform init in +-1/sqrt(fan_in), drawn in fixed parameter order and
+    laid end to end as the backbone's vector."""
+    shapes, fans = _param_shapes(arch)
+    draws = []
+    for shape, fan in zip(shapes, fans):
         bound = 1.0 / np.sqrt(fan)
-        params.append(Tensor(rng.uniform(-bound, bound, size=shape)))
-    return build_backbone(arch, params)
+        draws.append(rng.uniform(-bound, bound, size=shape).ravel())
+    return backbone_from_flat(arch, np.concatenate(draws))
 
 
 def flatten_params(params: Sequence[Tensor]) -> np.ndarray:
@@ -270,40 +280,25 @@ def flatten_params(params: Sequence[Tensor]) -> np.ndarray:
     return np.concatenate([p.data.reshape(-1) for p in params])
 
 
-def unflatten_params(flat: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[Tensor]:
-    flat = np.asarray(flat, dtype=np.float64)
-    sizes = [int(np.prod(s, dtype=np.int64)) for s in shapes]
-    if flat.ndim != 1 or flat.size != sum(sizes):
-        raise ShapeError(f"flat vector of {flat.size} does not match shapes {list(shapes)}")
-    out, at = [], 0
-    for shape, size in zip(shapes, sizes):
-        out.append(Tensor(flat[at : at + size].reshape(shape)))
-        at += size
-    return out
+def _manifest_shapes(arch: Arch) -> list[list[int]]:
+    return [list(shape) for *_, shape in _flat_layout(arch)]
 
 
 @dataclass(frozen=True)
 class ModelSnapshot:
-    """Frozen copy of a backbone's parameters at a given round."""
+    """A backbone's frozen parameter vector at a given round."""
 
     arch: Arch
-    shapes: tuple[tuple[int, ...], ...]
     flat: np.ndarray
     round_idx: int
 
     def build(self) -> Backbone:
-        return build_backbone(self.arch, unflatten_params(self.flat, self.shapes))
+        return backbone_from_flat(self.arch, self.flat)
 
     def to_bytes(self) -> bytes:
         header = {
-            "kind": self.arch.kind,
-            "input_dim": self.arch.input_dim,
-            "embedding_dim": self.arch.embedding_dim,
-            "num_classes": self.arch.num_classes,
-            "hidden": self.arch.hidden,
-            "image_shape": list(self.arch.image_shape) if self.arch.image_shape else None,
-            "channels": list(self.arch.channels),
-            "shapes": [list(s) for s in self.shapes],
+            **asdict(self.arch),
+            "shapes": _manifest_shapes(self.arch),
             "round": self.round_idx,
             "count": int(self.flat.size),
         }
@@ -318,23 +313,19 @@ class ModelSnapshot:
         flat = np.frombuffer(blob[nl + 1 :], dtype="<f8").astype(np.float64)
         if flat.size != head["count"]:
             raise ValueError(f"snapshot payload has {flat.size} values, manifest says {head['count']}")
-        arch = Arch(
-            kind=head["kind"],
-            input_dim=head["input_dim"],
-            embedding_dim=head["embedding_dim"],
-            num_classes=head["num_classes"],
-            hidden=head["hidden"],
-            image_shape=tuple(head["image_shape"]) if head["image_shape"] else None,
-            channels=tuple(head["channels"]),
-        )
-        shapes = tuple(tuple(s) for s in head["shapes"])
-        return cls(arch=arch, shapes=shapes, flat=flat, round_idx=head["round"])
+        _check_finite(flat, "snapshot payload")
+        arch = Arch(**{  # JSON lists back to the tuples Arch holds
+            f.name: tuple(head[f.name]) if isinstance(head[f.name], list) else head[f.name]
+            for f in fields(Arch)
+        })
+        if head["shapes"] != _manifest_shapes(arch):
+            raise ValueError(f"snapshot manifest shapes {head['shapes']} do not match its {arch}")
+        return cls(arch=arch, flat=flat, round_idx=head["round"])
 
 
 def snapshot(backbone: Backbone, round_idx: int) -> ModelSnapshot:
     """The backbone's parameters at ``round_idx``; shares its frozen vector."""
-    shapes = tuple(p.shape for p in backbone.params)
-    return ModelSnapshot(arch=backbone.arch, shapes=shapes, flat=backbone.flat, round_idx=round_idx)
+    return ModelSnapshot(arch=backbone.arch, flat=backbone.flat, round_idx=round_idx)
 
 
 def sgd_step(backbone: Backbone, grads: Mapping[Tensor, np.ndarray], lr: float) -> Backbone:
@@ -353,5 +344,5 @@ def sgd_step(backbone: Backbone, grads: Mapping[Tensor, np.ndarray], lr: float) 
     step = np.concatenate(gs, dtype=np.float64)  # the one temporary: the new vector
     np.subtract(backbone.flat, np.multiply(step, lr, out=step), out=step)
     _check_finite(step, "sgd_step")
-    backbone._adopt(step)
+    backbone.adopt(step)
     return backbone

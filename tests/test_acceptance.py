@@ -279,10 +279,8 @@ def test_criterion_04_frozen_hand_values():
     )
 
     # model averaging at sizes 1:3 over parameters 0 and 4 lands on 3
-    out = fed.aggregate_models(
-        {0: (Tensor(np.array([0.0])),), 1: (Tensor(np.array([4.0])),)}, {0: 1, 1: 3}
-    )
-    assert out[0].data[0] == pytest.approx(3.0, abs=1e-12)
+    out = fed.aggregate_models({0: np.array([0.0]), 1: np.array([4.0])}, {0: 1, 1: 3})
+    assert out[0] == pytest.approx(3.0, abs=1e-12)
 
     # prototype merging: equal halves of a class with unit prototypes give
     # 1 under sample-share weighting, 1/2 under the literal prefactor

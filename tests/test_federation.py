@@ -93,22 +93,22 @@ def test_select_clients_validation():
 
 
 def _one_param_client(value):
-    return (dc.Tensor(np.array([value])),)
+    return np.array([value])
 
 
 def test_aggregate_models_weighted_hand_value():
-    params = {0: _one_param_client(0.0), 1: _one_param_client(4.0)}
-    out = fed.aggregate_models(params, {0: 1, 1: 3})
-    assert out[0].data[0] == pytest.approx(3.0)
+    flats = {0: _one_param_client(0.0), 1: _one_param_client(4.0)}
+    out = fed.aggregate_models(flats, {0: 1, 1: 3})
+    assert out[0] == pytest.approx(3.0)
 
 
 def test_aggregate_models_order_invariant_bitwise():
-    params = {0: _one_param_client(0.1), 1: _one_param_client(0.7), 2: _one_param_client(0.3)}
+    flats = {0: _one_param_client(0.1), 1: _one_param_client(0.7), 2: _one_param_client(0.3)}
     sizes = {0: 2, 1: 5, 2: 3}
-    a = fed.aggregate_models(params, sizes)
-    flipped = dict(reversed(list(params.items())))
+    a = fed.aggregate_models(flats, sizes)
+    flipped = dict(reversed(list(flats.items())))
     b = fed.aggregate_models(flipped, sizes)
-    assert np.array_equal(a[0].data, b[0].data)
+    assert np.array_equal(a, b)
 
 
 def test_aggregate_models_validation():
@@ -116,6 +116,14 @@ def test_aggregate_models_validation():
         fed.aggregate_models({}, {})
     with pytest.raises(ValueError):
         fed.aggregate_models({0: _one_param_client(1.0)}, {1: 3})
+    with pytest.raises(ValueError, match="client 1 sent"):
+        fed.aggregate_models({0: np.zeros(3), 1: np.zeros(2)}, {0: 1, 1: 1})
+
+
+def test_aggregate_models_rejects_a_non_finite_vector():
+    flats = {0: np.array([1.0, 2.0]), 1: np.array([np.nan, 0.0])}
+    with pytest.raises(dc.NonFiniteError, match="^aggregate_models produced"):
+        fed.aggregate_models(flats, {0: 1, 1: 1})
 
 
 def _proto_set(vecs_by_class, counts):
@@ -166,6 +174,25 @@ def test_prototype_set_validation():
 # ------------------------------------------------------------ round flow
 
 
+def test_models_travel_as_the_server_vector():
+    ds, cfg, server, clients = small_world(method="fedprox")
+    flat = server.model.flat
+    for st in clients.values():
+        assert st.model.flat is flat  # views into the server's vector, no copy
+        assert all(np.shares_memory(p.data, flat) for p in st.model.params)
+    st = clients[0]
+    res = fed.client_update(st, ds, flat, server.protos, cfg, round_idx=1, run_seed=0)
+    assert res.flat is st.model.flat and res.protos is None
+    assert res.flat.shape == flat.shape and not np.array_equal(res.flat, flat)
+
+
+def test_fedproto_uploads_no_model():
+    ds, cfg, server, clients = small_world(method="fedproto")
+    res = fed.client_update(clients[0], ds, None, server.protos, cfg, round_idx=1, run_seed=0)
+    assert res.flat is None
+    assert all(block.shape == (1, ARCH.embedding_dim) for block in res.protos.protos.values())
+
+
 def test_first_round_trains_on_ce_only():
     ds, cfg, server, clients = small_world()
     server, (rec,) = drive(ds, cfg, server, clients, 1)
@@ -193,7 +220,7 @@ def test_first_participation_after_round_one_is_ce_only():
     ds, cfg, server, clients = small_world()
     st = clients[0]
     res = fed.client_update(
-        st, ds, tuple(server.model.params), server.protos, cfg, round_idx=2, run_seed=0
+        st, ds, server.model.flat, server.protos, cfg, round_idx=2, run_seed=0
     )
     # never participated before: no teacher, so no auxiliary terms
     assert res.distill == 0.0 and res.align == 0.0 and res.proto == 0.0
@@ -204,12 +231,12 @@ def test_round_two_with_empty_prototype_table_warns():
     ds, cfg, server, clients = small_world()
     st = clients[1]
     res1 = fed.client_update(
-        st, ds, tuple(server.model.params), server.protos, cfg, round_idx=1, run_seed=0
+        st, ds, server.model.flat, server.protos, cfg, round_idx=1, run_seed=0
     )
     assert st.teacher is not None
     with pytest.warns(PrototypeCoverageWarning):
         fed.client_update(
-            st, ds, tuple(server.model.params), GlobalPrototypes(ARCH.embedding_dim),
+            st, ds, server.model.flat, GlobalPrototypes(ARCH.embedding_dim),
             cfg, round_idx=2, run_seed=0,
         )
 
@@ -328,7 +355,7 @@ def test_per_batch_prototypes_cluster_the_last_batch(monkeypatch):
     monkeypatch.setattr(st.model, "forward", recording_forward)
     monkeypatch.setattr(fed.losses, "cross_entropy", recording_ce)
     res = fed.client_update(
-        st, ds, tuple(server.model.params), server.protos, cfg, round_idx=1, run_seed=0
+        st, ds, server.model.flat, server.protos, cfg, round_idx=1, run_seed=0
     )
     # no forward pass over the trained shard: the last batch's pre-step
     # embeddings are the prototype input
@@ -356,7 +383,7 @@ def test_client_update_clusters_once_per_class(monkeypatch, per_batch):
     monkeypatch.setattr(fed.clustering, "chac", counting)
     st = clients[0]
     fed.client_update(
-        st, ds, tuple(server.model.params), server.protos, cfg, round_idx=1, run_seed=0
+        st, ds, server.model.flat, server.protos, cfg, round_idx=1, run_seed=0
     )
     assert 0 < len(calls) <= int(np.count_nonzero(st.shard.histogram))
 

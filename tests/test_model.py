@@ -14,12 +14,12 @@ from protofed.model import (
     LinearBackbone,
     MLPBackbone,
     ModelSnapshot,
+    backbone_from_flat,
     build_backbone,
     flatten_params,
     init_backbone,
     sgd_step,
     snapshot,
-    unflatten_params,
 )
 
 MLP2x4x3 = Arch(kind="mlp", input_dim=2, embedding_dim=4, num_classes=3, hidden=4)
@@ -62,7 +62,7 @@ def test_infer_checks_input_and_outputs():
     with pytest.raises(ShapeError):
         model.infer(np.zeros((3, 5)))
     w1, *rest = model.params
-    model.load([Tensor(np.full(w1.shape, 1e300)), *rest])
+    model = build_backbone(model.arch, [Tensor(np.full(w1.shape, 1e300)), *rest])
     with pytest.raises(NonFiniteError, match="^infer embeddings produced"):
         model.infer(np.full((2, 2), 1e300))
 
@@ -109,7 +109,7 @@ def test_training_forward_records_two_ops(arch, block_entries):
 def test_cnn_overflow_names_conv2d():
     model = init_backbone(CNN1x7x6, np.random.default_rng(19))
     k1, *rest = model.params
-    model.load([Tensor(np.full(k1.shape, 1e300)), *rest])
+    model = build_backbone(CNN1x7x6, [Tensor(np.full(k1.shape, 1e300)), *rest])
     with Tape() as tape:
         model.watch(tape)
         with pytest.raises(NonFiniteError, match="^conv2d produced"):
@@ -148,7 +148,7 @@ def test_forward_shapes_and_purity():
 
 def test_zero_weight_mlp_gives_flat_logits():
     b = small_mlp()
-    b.load([Tensor(np.zeros(p.shape)) for p in b.params])
+    b.adopt(np.zeros(b.flat.size))
     _, logits = b.forward(Tensor([[1.0, -2.0], [0.5, 0.5]]))
     assert np.all(logits.data == 0.0)
 
@@ -156,10 +156,7 @@ def test_zero_weight_mlp_gives_flat_logits():
 def test_linear_identity_embeds_inputs():
     arch = Arch(kind="linear", input_dim=3, embedding_dim=3, num_classes=2)
     b = init_backbone(arch, np.random.default_rng(0))
-    b.load(
-        [Tensor(np.eye(3)), Tensor(np.zeros(3))]
-        + [Tensor(p.data) for p in b.cls_params]
-    )
+    b = build_backbone(arch, [Tensor(np.eye(3)), Tensor(np.zeros(3)), *b.cls_params])
     x = np.random.default_rng(1).uniform(-2, 2, size=(4, 3))
     emb, _ = b.forward(Tensor(x))
     np.testing.assert_array_equal(emb.data, x)
@@ -280,14 +277,19 @@ def test_stepping_one_backbone_leaves_its_siblings_unchanged():
     assert [p.data.tobytes() for p in a.params] == stepped
 
 
-def test_flatten_unflatten_round_trip_bitwise():
+def test_flatten_then_from_flat_round_trip_bitwise():
     b = small_mlp(12)
     flat = flatten_params(b.params)
-    back = unflatten_params(flat, [p.shape for p in b.params])
-    for p, q in zip(b.params, back):
+    back = backbone_from_flat(MLP2x4x3, flat)
+    assert back.flat is flat and not flat.flags.writeable
+    for p, q in zip(b.params, back.params):
         assert p.data.tobytes() == q.data.tobytes()
-    with pytest.raises(ShapeError):
-        unflatten_params(flat[:-1], [p.shape for p in b.params])
+        assert np.shares_memory(q.data, flat)
+    for bad in (flat[:-1], flat.astype(np.float32), flat.reshape(1, -1)):
+        with pytest.raises(ShapeError):
+            back.adopt(bad)
+        with pytest.raises(ShapeError):
+            backbone_from_flat(MLP2x4x3, bad)
 
 
 def test_snapshot_round_trip_and_teacher_equality():
@@ -302,6 +304,7 @@ def test_snapshot_round_trip_and_teacher_equality():
     sgd_step(b, {p: np.ones(p.shape) for p in b.params}, lr=0.1)
     _, z3 = snap.build().forward(x)
     assert z3.data.tobytes() == z2.data.tobytes()
+    assert snap.build().flat is snap.flat  # built over the snapshot's vector, no copy
 
 
 def test_snapshot_bytes_round_trip():
@@ -320,10 +323,27 @@ def test_snapshot_bytes_round_trip():
     loaded = ModelSnapshot.from_bytes(blob)
     assert loaded.round_idx == 7
     assert loaded.arch == arch
-    assert loaded.shapes == snap.shapes
     assert loaded.flat.tobytes() == snap.flat.tobytes()
+    assert loaded.to_bytes() == blob
+    head = json.loads(blob[: blob.index(b"\n")])
+    assert head["shapes"] == [list(p.shape) for p in b.params]
     with pytest.raises(ValueError):
         ModelSnapshot.from_bytes(blob[: len(blob) - 8])
+    nan = blob[: len(blob) - 8] + np.array([np.nan], dtype="<f8").tobytes()
+    with pytest.raises(NonFiniteError, match="^snapshot payload produced"):
+        ModelSnapshot.from_bytes(nan)
+
+
+def test_snapshot_manifest_shapes_must_match_its_arch():
+    b = small_mlp(20)
+    blob = snapshot(b, round_idx=2).to_bytes()
+    nl = blob.index(b"\n")
+    head = json.loads(blob[:nl])
+    assert head["shapes"][0] == [2, 4]
+    head["shapes"][0] = [4, 2]  # same size and count: only the shapes are wrong
+    tampered = json.dumps(head, sort_keys=True).encode() + blob[nl:]
+    with pytest.raises(ValueError, match="manifest shapes"):
+        ModelSnapshot.from_bytes(tampered)
 
 
 def test_arch_validation():
