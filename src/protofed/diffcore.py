@@ -1,13 +1,14 @@
 """Dense float64 tensors with a per-pass reverse-mode gradient tape.
 
-Deliberately small: the op set serves the classifier, the federation
-regularizers and the op-chain test references. Every op output, a fused
-loss kernel's and a backbone's representation too, is made by ``_op``: it is
-wrapped read-only and checked for NaN/Inf, so numeric poisoning surfaces at
-the op boundary, and its gradient is recorded only while a ``Tape`` is
-active on the current thread. A tape lives for one forward pass and is
-confined to the worker that opened it; tensors themselves carry no tape
-state and may be shared read-only across workers.
+Deliberately small: training records layers, the fused loss kernels and
+the few ops they build on (sq_dists, weighted_sum, detach); the elementwise
+and reduction ops serve the op-chain test references. Every op output, a
+fused loss kernel's and a backbone's representation too, is made by
+``_op``: it is wrapped read-only and checked for NaN/Inf, so numeric
+poisoning surfaces at the op boundary, and its gradient is recorded only
+while a ``Tape`` is active on the current thread. A tape lives for one
+forward pass and is confined to the worker that opened it; tensors
+themselves carry no tape state and may be shared read-only across workers.
 """
 from __future__ import annotations
 

@@ -332,21 +332,16 @@ def client_update(
                     else:
                         loss = ce
                     if method == "fedproto":
-                        groups = losses.ClassGroups(emb, yb)
-                        covered, weights, targets = groups.covered(global_protos)
-                        if covered:
-                            centers = dc.matmul(weights.T, emb)
-                            reg = dc.tmean(dc.square(dc.sub(centers, targets)))
-                            loss = dc.add(loss, dc.mul(reg, cfg.fedproto_weight))
+                        reg = losses.fedproto_loss(losses.ClassGroups(emb, yb), global_protos)
+                        if reg is not None:
+                            loss = dc.weighted_sum((ce, reg), (1.0, cfg.fedproto_weight))
                             sums["proto"] += reg.item()
-                    if method == "fedprox" and cfg.prox_rho > 0.0:
-                        quad = None
-                        for p, a in zip(state.model.params, anchor):
-                            term = dc.tsum(dc.square(dc.sub(p, a)))
-                            quad = term if quad is None else dc.add(quad, term)
-                        loss = dc.add(loss, dc.mul(quad, cfg.prox_rho / 2.0))
                     sums["ce"] += ce.item()
                     grads = dc.backward(tape, loss)
+                if method == "fedprox" and cfg.prox_rho > 0.0:
+                    # The proximal term (rho / 2) ||p - anchor||^2 adds only its gradient.
+                    for p, a in zip(state.model.params, anchor):
+                        grads[p] = grads[p] + cfg.prox_rho * (p.data - a.data)
                 if cfg.per_batch_protos and method in _MULTI_PROTO:
                     proto_input = (emb.data, yb)
                 sgd_step(state.model, grads, cfg.learning_rate)

@@ -5,7 +5,8 @@ entropy, a self-distillation term against the client's own previous
 model, an alignment term that measures how far the received global
 prototypes sit from remembered embeddings, and an attract/repel term
 that pulls current embeddings toward their class prototype while pushing
-the batch away from every prototype at once.
+the batch away from every prototype at once. The fedproto baseline adds
+its own regularizer, class means against prototypes.
 
 Gradient routing is part of each kernel's contract: distillation
 teachers, alignment embeddings, and attraction prototypes are constants
@@ -40,6 +41,7 @@ __all__ = [
     "attract_loss",
     "repel_loss",
     "attract_repel_loss",
+    "fedproto_loss",
     "local_loss",
 ]
 
@@ -173,12 +175,11 @@ def distill_loss(teacher_logits: Tensor, student_logits: Tensor, temperature: fl
     return dc._op(kl_sum * c, "distill_loss", (student_logits,), bwd)
 
 
-class ClassGroups(Mapping[int, Tensor]):
+class ClassGroups:
     """One batch's embeddings grouped by label, without splitting them.
 
-    Reads as ``{label: rows with that label}``. The prototype kernels take
-    the whole matrix and the label vector instead, so grouping a batch
-    costs no tape ops.
+    The prototype kernels take the whole matrix and the label vector, so
+    grouping a batch costs no tape ops.
     """
 
     def __init__(self, embeddings: Tensor, labels) -> None:
@@ -198,18 +199,6 @@ class ClassGroups(Mapping[int, Tensor]):
         if twin.embeddings.ndim != 2 or twin.embeddings.shape[0] != len(self.labels):
             raise ShapeError(f"need {len(self.labels)} embedding rows, got {twin.embeddings.shape}")
         return twin
-
-    def __getitem__(self, label: int) -> Tensor:
-        rows = np.flatnonzero(self.labels == int(label))
-        if rows.size == 0:
-            raise KeyError(label)
-        return dc.take_rows(self.embeddings, rows)
-
-    def __iter__(self):
-        return iter(self._classes)
-
-    def __len__(self) -> int:
-        return len(self._classes)
 
     def mean_weights(self, classes: Sequence[int]) -> np.ndarray:
         """Constant (n, len(classes)) matrix for class means: row i holds
@@ -380,6 +369,21 @@ def attract_repel_loss(attract: Tensor, repel: Tensor, balance: float) -> Tensor
     if not 0.0 < balance <= 1.0:
         raise ValueError("balance must sit in (0, 1]")
     return dc.weighted_sum((attract, repel), (float(balance), 1.0 - float(balance)))
+
+
+def fedproto_loss(groups: ClassGroups, protos: GlobalPrototypes) -> Optional[Tensor]:
+    """FedProto's regularizer: the mean squared gap, over covered classes and
+    dimensions, between each class's batch-mean embedding and its global
+    prototype. None when no batch class has a prototype."""
+    classes, weights, targets = groups.covered(protos)
+    if not classes:
+        return None
+    emb = groups.embeddings
+    if emb.shape[1] != protos.embedding_dim:
+        raise ShapeError(f"embeddings are {emb.shape[1]}-wide, prototypes {protos.embedding_dim}")
+    gap = weights.T @ emb.data - targets.data
+    return dc._op(np.mean(gap * gap), "fedproto_loss", (emb,),
+                  lambda g: (weights @ ((2.0 * (g / gap.size)) * gap),))
 
 
 def local_loss(

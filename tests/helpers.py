@@ -1,6 +1,7 @@
 """Shared test oracles: central finite differences against the gradient tape,
 a naive Ward clustering to check chac against, and op-chain references for
-the fused loss kernels and the fused representation op."""
+the fused loss kernels, the fedproto and fedprox regularizers and the fused
+representation op."""
 from __future__ import annotations
 
 from typing import Callable, Sequence
@@ -155,6 +156,26 @@ def local_loss_reference(ce, distill, align, attract_repel, weights) -> Tensor:
     )
     out = dc.add(out, dc.mul(as_tensor(align), weights.align_weight))
     return dc.add(out, dc.mul(as_tensor(attract_repel), weights.proto_weight))
+
+
+def fedproto_reference(groups, protos):
+    """fedproto's regularizer as the chain fedproto_loss replaced: class means
+    by one matmul, then their mean squared gap to the prototypes. None when
+    no batch class has a prototype."""
+    covered, weights, targets = groups.covered(protos)
+    if not covered:
+        return None
+    return dc.tmean(dc.square(dc.sub(dc.matmul(weights.T, groups.embeddings), targets)))
+
+
+def prox_reference(params, anchor, rho: float) -> Tensor:
+    """fedprox's proximal term (rho / 2) * sum ||p - a||^2 as a taped chain;
+    client_update adds only its gradient, rho * (p - a), after backward."""
+    quad = None
+    for p, a in zip(params, anchor):
+        term = dc.tsum(dc.square(dc.sub(p, a)))
+        quad = term if quad is None else dc.add(quad, term)
+    return dc.mul(quad, rho / 2.0)
 
 
 def embed_reference(model, x) -> tuple[Tensor, Tensor]:

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ import pytest
 import protofed.chac as clustering
 import protofed.diffcore as dc
 import protofed.federation as fed
+from helpers import prox_reference
 from protofed.data import ClientShard, partition_dirichlet, synth_blobs
-from protofed.losses import GlobalPrototypes, LossWeights, PrototypeCoverageWarning
-from protofed.model import Arch, build_backbone, flatten_params
+from protofed.harness import rounds_csv
+from protofed.losses import GlobalPrototypes, LossWeights, PrototypeCoverageWarning, cross_entropy
+from protofed.model import Arch, backbone_from_flat, build_backbone, flatten_params, sgd_step
 
 
 ARCH = Arch(kind="mlp", input_dim=2, embedding_dim=4, num_classes=3, hidden=8)
@@ -278,6 +281,56 @@ def test_fedprox_positive_rho_changes_trajectory():
     assert not np.array_equal(
         flatten_params(server_a.model.params), flatten_params(server_p.model.params)
     )
+
+
+@pytest.mark.parametrize("rho", [0.01, 5.0])
+def test_fedprox_gradient_matches_the_proximal_op_chain_bitwise(rho, monkeypatch):
+    # client_update adds the proximal gradient after backward, with no tape
+    # op. Replaying its batches with the penalty as a taped op chain gives
+    # every gradient bit for bit: the first batch, where the parameters are
+    # the anchor itself, and every later one.
+    seen = []
+
+    def recording_step(model, grads, lr):
+        seen.append([grads[p].tobytes() for p in model.params])
+        return sgd_step(model, grads, lr)
+
+    monkeypatch.setattr(fed, "sgd_step", recording_step)
+    for seed in range(25):
+        ds, cfg, server, clients = small_world(method="fedprox", seed=seed, prox_rho=rho)
+        st, run_seed = clients[seed % 3], 40 + seed
+        seen.clear()
+        res = fed.client_update(st, ds, server.model.flat, server.protos, cfg, 1, run_seed)
+        model = backbone_from_flat(ARCH, server.model.flat)
+        anchor, train, want = model.params, st.shard.train, []
+        rng = np.random.default_rng(
+            np.random.SeedSequence([run_seed, fed._SHUFFLE_STREAM, 1, st.client_id])
+        )
+        for _ in range(cfg.epochs):
+            order = train[rng.permutation(train.size)]
+            for start in range(0, train.size, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                with dc.Tape() as tape:
+                    model.watch(tape)
+                    _, logits = model.forward(dc.Tensor(ds.features.data[idx]))
+                    ce = cross_entropy(logits, ds.labels[idx])
+                    grads = dc.backward(tape, dc.add(ce, prox_reference(model.params, anchor, rho)))
+                want.append([grads[p].tobytes() for p in model.params])
+                sgd_step(model, grads, cfg.learning_rate)
+        assert len(seen) > 1 and seen == want, seed
+        assert res.flat.tobytes() == model.flat.tobytes()
+
+
+# Committed 3-round logs of both baselines (tests/data): a change to either
+# regularizer that moves one bit of its trajectory fails here.
+@pytest.mark.parametrize(
+    "method, over", [("fedprox", {"prox_rho": 5.0}), ("fedproto", {"fedproto_weight": 3.0})]
+)
+def test_baseline_round_log_matches_golden(method, over):
+    ds, cfg, server, clients = small_world(method=method, **over)
+    _, records = drive(ds, cfg, server, clients, 3)
+    golden = Path(__file__).parent / "data" / f"{method}_rounds.csv"
+    assert rounds_csv(records) == golden.read_text()
 
 
 def test_fedproto_keeps_personal_models_and_server_fixed():

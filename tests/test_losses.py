@@ -10,6 +10,7 @@ from helpers import (
     check_grads,
     cross_entropy_reference,
     distill_reference,
+    fedproto_reference,
     local_loss_reference,
     repel_reference,
 )
@@ -25,6 +26,7 @@ from protofed.losses import (
     attract_repel_loss,
     cross_entropy,
     distill_loss,
+    fedproto_loss,
     local_loss,
     repel_loss,
 )
@@ -204,13 +206,9 @@ def test_prototype_kernels_match_per_class_loops():
     )
 
 
-def test_class_groups_reads_as_a_mapping():
+def test_class_groups_mean_weights_and_shape_check():
     emb = Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     groups = ClassGroups(emb, [2, 0, 2])
-    assert list(groups) == [0, 2] and len(groups) == 2
-    np.testing.assert_array_equal(groups[2].data, [[1.0, 2.0], [5.0, 6.0]])
-    with pytest.raises(KeyError):
-        groups[1]
     np.testing.assert_array_equal(groups.mean_weights([2]), [[0.5], [0.0], [0.5]])
     with pytest.raises(ShapeError):
         ClassGroups(emb, [0, 1])
@@ -250,7 +248,7 @@ def test_with_embeddings_shares_the_grouping():
     groups = ClassGroups(t_emb, labels)
     align_loss(groups, table)
     twin = groups.with_embeddings(emb)
-    assert twin.embeddings is emb and list(twin) == [0, 1, 2]
+    assert twin.embeddings is emb and np.array_equal(twin.labels, labels)
     shared, own = twin.covered(table), ClassGroups(emb, labels).covered(table)
     assert all(a is b for a, b in zip(shared, groups.covered(table)))
     assert shared[0] == own[0] == [0, 1]
@@ -582,6 +580,65 @@ def test_fused_training_loss_matches_op_chain_bitwise(seed):
     )
     got = _value_and_grads(lambda: build(fused), model.params)
     assert got == _value_and_grads(lambda: build(reference), model.params)
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_fedproto_kernel_matches_op_chain_bitwise(seed):
+    # client_update's fedproto batch loss through an MLP: the kernel's value,
+    # the mixed loss and every parameter gradient equal the op chain's. Some
+    # batch classes lack a prototype; every fifth seed covers none of them.
+    from protofed.model import Arch, init_backbone
+
+    rng = np.random.default_rng(300 + seed)
+    n, C, q = (int(v) for v in rng.integers((1, 2, 1), (12, 6, 6)))
+    arch = Arch(kind="mlp", input_dim=3, embedding_dim=q, num_classes=C, hidden=5)
+    model = init_backbone(arch, rng)
+    x = rng.uniform(-1, 1, size=(n, 3))
+    labels = rng.integers(0, C, size=n)
+    held = set(labels.tolist())
+    keep = [c for c in range(C) if (rng.random() < 0.6 if seed % 5 else c not in held)]
+    table = protos_from({c: rng.uniform(-1, 1, q) for c in keep}, q)
+    weight = float(rng.uniform(0.0, 4.0))
+    regs = []
+
+    def build(kernel, mix):
+        emb, logits = model.forward(Tensor(x))
+        ce = cross_entropy(logits, labels)
+        regs.append(kernel(ClassGroups(emb, labels), table))
+        return ce if regs[-1] is None else mix(ce, regs[-1])
+
+    got = _value_and_grads(
+        lambda: build(fedproto_loss, lambda ce, r: dc.weighted_sum((ce, r), (1.0, weight))),
+        model.params,
+    )
+    want = _value_and_grads(
+        lambda: build(fedproto_reference, lambda ce, r: dc.add(ce, dc.mul(r, weight))),
+        model.params,
+    )
+    assert got == want
+    assert (regs[0] is None) == (regs[1] is None) == (seed % 5 == 0 or not held & set(keep))
+    if regs[0] is not None:
+        assert _bits(regs[0].data) == _bits(regs[1].data)
+
+
+def test_fedproto_kernel_matches_finite_differences():
+    rng = np.random.default_rng(31)
+    labels = np.array([0, 2, 0, 1, 2, 2, 3])
+    table = protos_from({c: rng.uniform(-1, 1, 4) for c in (0, 2, 3)}, 4)
+    check_grads(
+        lambda leaves: fedproto_loss(ClassGroups(leaves[0], labels), table),
+        [rng.uniform(-2, 2, (7, 4))],
+    )
+
+
+def test_fedproto_kernel_hand_value_and_coverage():
+    emb = Tensor([[1.0, 2.0], [3.0, 6.0], [5.0, 0.0]])
+    # class 0's mean (2, 4) sits (1, 2) off its prototype; class 1 has none
+    table = protos_from({0: np.array([1.0, 2.0]), 2: np.zeros(2)}, 2)
+    assert fedproto_loss(ClassGroups(emb, [0, 0, 1]), table).item() == 2.5
+    assert fedproto_loss(ClassGroups(emb, [1, 1, 1]), table) is None
+    with pytest.raises(ShapeError):
+        fedproto_loss(ClassGroups(emb, [0, 0, 1]), protos_from({0: np.zeros(3)}, 3))
 
 
 def test_shape_errors():
