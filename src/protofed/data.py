@@ -153,8 +153,8 @@ def synth_blobs(
     """
     if classes < 2 or per_class < 1 or dim < 1:
         raise ValueError("need classes >= 2, per_class >= 1, dim >= 1")
-    if spread < 0:
-        raise ValueError("spread must be nonnegative")
+    if not 0 <= spread < np.inf:
+        raise ValueError(f"spread must be finite and nonnegative, got {spread!r}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), _BLOB_STREAM]))
     centers = rng.standard_normal((classes, dim))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
@@ -287,8 +287,8 @@ def partition_dirichlet(
     """
     if clients < 1:
         raise ValueError("need at least one client")
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
     if not 0 <= test_fraction < 1:
         raise ValueError("test_fraction must be in [0, 1)")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), _PARTITION_STREAM]))

@@ -20,7 +20,7 @@ from . import chac as clustering
 from . import diffcore as dc
 from . import losses
 from .data import ClientShard, Dataset, PartitionPlan
-from .losses import GlobalPrototypes, LossWeights
+from .losses import GlobalPrototypes, LossWeights, _check_finite_floats
 from .metrics import RoundRecord, accuracy, macro_f1, rmse_mae
 from .model import Arch, Backbone, ModelSnapshot, backbone_from_flat, init_backbone, sgd_step, snapshot
 
@@ -74,6 +74,7 @@ class FedConfig:
     weights: LossWeights = field(default_factory=LossWeights)
 
     def __post_init__(self):
+        _check_finite_floats(self)
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if self.rounds < 1:

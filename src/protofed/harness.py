@@ -119,6 +119,10 @@ class ExperimentConfig:
             raise ValueError("a cnn model needs image data: [dataset] kind = idx")
         if self.hubs < 1:
             raise ValueError("hubs must be >= 1")
+        seeds = {"dataset": self.data_seed, "partition": self.partition_seed, "run": self.seed}
+        for section, seed in seeds.items():
+            if seed < 0:
+                raise ValueError(f"[{section}] seed must be >= 0, got {seed}")
         self.fed_config()  # checks the [federation] and [loss] values
 
     def _values_for(self, target) -> dict:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -50,6 +50,14 @@ class PrototypeCoverageWarning(UserWarning):
     """No class in the batch had a matching global prototype."""
 
 
+def _check_finite_floats(config) -> None:
+    """Reject a NaN or infinite float field of a config dataclass by name.
+    NaN fails every comparison, so a check such as ``x < 0`` lets it pass."""
+    for f in fields(config):
+        if f.type == "float" and not np.isfinite(getattr(config, f.name)):
+            raise ValueError(f"{f.name} must be finite, got {getattr(config, f.name)!r}")
+
+
 @dataclass(frozen=True)
 class LossWeights:
     """Mixing knobs for the combined local loss.
@@ -68,6 +76,7 @@ class LossWeights:
     temperature: float = 0.1
 
     def __post_init__(self):
+        _check_finite_floats(self)
         if not 0.0 <= self.ce_weight <= 1.0:
             raise ValueError("ce_weight must sit in [0, 1]")
         if self.align_weight < 0 or self.proto_weight < 0:

@@ -2,15 +2,17 @@
 
 A backbone is two parameter groups: representation layers that map a flat
 feature batch to embeddings, and a classifier that maps embeddings to
-logits. Forward passes are pure and run one layer list on plain arrays:
-``forward`` records it as one taped op, then the classifier's ``affine``;
-``infer`` computes the same values off the tape. Training mutates parameters
-only through ``sgd_step``, one step on a frozen vector of all parameters.
-That vector is what travels: ``adopt`` takes one in place of the parameters
-and ``backbone_from_flat`` builds a backbone over one, each without a copy.
-Snapshots share it (teachers, checkpoints) and serialize to a little-endian
-buffer with a JSON shape manifest up front; only this module knows the
-layout.
+logits. One ``Backbone`` class serves every kind: ``_layers`` lists each
+kind's layers with their weight shapes once, and the parameter layout, init
+and forward all read that table. Forward passes are pure and run the layers
+on plain arrays: ``forward`` records them as one taped op, then the
+classifier's ``affine``; ``infer`` computes the same values off the tape.
+Training mutates parameters only through ``sgd_step``, one step on a frozen
+vector of all parameters. That vector is what travels: ``adopt`` takes one
+in place of the parameters and ``backbone_from_flat`` builds a backbone over
+one, each without a copy. Snapshots share it (teachers, checkpoints) and
+serialize to a little-endian buffer with a JSON shape manifest up front;
+only this module knows the layout.
 """
 from __future__ import annotations
 
@@ -27,9 +29,6 @@ from .diffcore import ShapeError, Tape, Tensor, _check_finite, as_tensor
 __all__ = [
     "Arch",
     "Backbone",
-    "MLPBackbone",
-    "LinearBackbone",
-    "ConvBackbone",
     "ModelSnapshot",
     "init_backbone",
     "build_backbone",
@@ -39,12 +38,14 @@ __all__ = [
     "sgd_step",
 ]
 
+_KINDS = ("mlp", "linear", "cnn")
+
 
 @dataclass(frozen=True)
 class Arch:
     """Structural description of a backbone; everything a rebuild needs."""
 
-    kind: str  # "mlp" | "linear" | "cnn"
+    kind: str  # one of _KINDS
     input_dim: int
     embedding_dim: int
     num_classes: int
@@ -71,44 +72,38 @@ class Arch:
                 raise ValueError("cnn needs at least 5x5 images for two 3x3 convs")
 
 
-def _param_shapes(arch: Arch) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Shapes of all params, representation first, classifier last, plus
-    per-param fan-in."""
+@cache
+def _layers(arch: Arch) -> tuple[tuple, ...]:
+    """The representation layers in order. ("affine", (d_in, d_out)) and
+    ("conv2d", (co, ci, kh, kw)) take a weight of that shape and its bias;
+    ("relu",) is elementwise; ("image",) and ("flat",) reshape the batch to
+    images and back."""
+    hid, emb = arch.hidden, arch.embedding_dim
+    if arch.kind == "linear":  # one affine layer; embeddings can reproduce inputs
+        return (("affine", (arch.input_dim, emb)),)
     if arch.kind == "mlp":
-        shapes = [
-            (arch.input_dim, arch.hidden),
-            (arch.hidden,),
-            (arch.hidden, arch.embedding_dim),
-            (arch.embedding_dim,),
-        ]
-        fans = [arch.input_dim, arch.input_dim, arch.hidden, arch.hidden]
-    elif arch.kind == "linear":
-        shapes = [(arch.input_dim, arch.embedding_dim), (arch.embedding_dim,)]
-        fans = [arch.input_dim, arch.input_dim]
-    else:  # cnn
-        cin, h, w = arch.image_shape
-        c1, c2 = arch.channels
-        flat = c2 * (h - 4) * (w - 4)  # two valid 3x3 convs
-        shapes = [
-            (c1, cin, 3, 3),
-            (c1,),
-            (c2, c1, 3, 3),
-            (c2,),
-            (flat, arch.hidden),
-            (arch.hidden,),
-            (arch.hidden, arch.embedding_dim),
-            (arch.embedding_dim,),
-        ]
-        fans = [cin * 9, cin * 9, c1 * 9, c1 * 9, flat, flat, arch.hidden, arch.hidden]
-    shapes += [(arch.embedding_dim, arch.num_classes), (arch.num_classes,)]
-    fans += [arch.embedding_dim, arch.embedding_dim]
-    return shapes, fans
+        return (("affine", (arch.input_dim, hid)), ("relu",), ("affine", (hid, emb)), ("relu",))
+    (cin, h, w), (c1, c2) = arch.image_shape, arch.channels  # two valid 3x3 convs
+    return (("image",), ("conv2d", (c1, cin, 3, 3)), ("relu",), ("conv2d", (c2, c1, 3, 3)),
+            ("relu",), ("flat",), ("affine", (c2 * (h - 4) * (w - 4), hid)), ("relu",),
+            ("affine", (hid, emb)), ("relu",))
+
+
+def _param_shapes(arch: Arch) -> list[tuple[tuple[int, ...], int]]:
+    """(shape, fan-in) of every parameter, representation first, classifier
+    last: each layer's weight, then its bias. Affine (d_in, d_out) has bias
+    (d_out,) and fan d_in; conv2d (co, ci, kh, kw) has bias (co,), fan ci*kh*kw."""
+    weighted, out = [layer for layer in _layers(arch) if len(layer) == 2], []
+    for op, w in weighted + [("affine", (arch.embedding_dim, arch.num_classes))]:
+        bias, fan = ((w[1],), w[0]) if op == "affine" else ((w[0],), w[1] * w[2] * w[3])
+        out += [(w, fan), (bias, fan)]
+    return out
 
 
 @cache
 def _flat_layout(arch: Arch) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """(start, stop, shape) of each parameter in a backbone's flat vector."""
-    shapes, _ = _param_shapes(arch)
+    shapes = [shape for shape, _ in _param_shapes(arch)]
     ends = np.cumsum([int(np.prod(s)) for s in shapes]).tolist()
     return tuple((end - int(np.prod(s)), end, s) for s, end in zip(shapes, ends))
 
@@ -118,9 +113,8 @@ _PARAM_LAYERS = {"affine": (dc._affine, dc._affine_grads), "conv2d": (dc._conv2d
 
 
 class Backbone:
-    """Parameter container plus a pure forward pass. ``layers`` lists the
-    representation layers: "affine" and "conv2d" take the next two parameters;
-    "image" and "flat" reshape the batch to images and back."""
+    """Parameter container plus a pure forward pass over the representation
+    layers its ``Arch`` lists (see ``_layers``), then a linear classifier."""
 
     def __init__(self, arch: Arch, params: Sequence[Tensor]):
         """All parameters, representation first, classifier last. The tensors
@@ -172,7 +166,7 @@ class Backbone:
         if x.ndim != 2 or x.shape[1] != self.arch.input_dim:
             raise ShapeError(f"expected (n, {self.arch.input_dim}) input, got {x.shape}")
         rep, j, a = self.rep_params, 0, x
-        for op in self.layers:
+        for op, *_ in _layers(self.arch):
             if inputs is not None:
                 inputs.append(a)
             fns = _PARAM_LAYERS.get(op)
@@ -198,7 +192,7 @@ class Backbone:
 
         def bwd(g):
             grads, j = [None] * len(rep), len(rep)
-            for op, a in zip(reversed(self.layers), reversed(inputs)):
+            for (op, *_), a in zip(reversed(_layers(self.arch)), reversed(inputs)):
                 if g is None:  # nothing below this layer is tracked
                     break
                 fns = _PARAM_LAYERS.get(op)
@@ -228,35 +222,13 @@ class Backbone:
         return emb, logits
 
 
-class MLPBackbone(Backbone):
-    """input -> hidden (relu) -> embedding (relu) -> classifier."""
-
-    layers = ("affine", "relu", "affine", "relu")
-
-
-class LinearBackbone(Backbone):
-    """Single affine representation layer; embeddings can reproduce inputs."""
-
-    layers = ("affine",)
-
-
-class ConvBackbone(Backbone):
-    """Two valid 3x3 convs then two fully connected layers, relu throughout."""
-
-    layers = ("image", "conv2d", "relu", "conv2d", "relu", "flat",
-              "affine", "relu", "affine", "relu")
-
-
-_KINDS = {"mlp": MLPBackbone, "linear": LinearBackbone, "cnn": ConvBackbone}
-
-
 def build_backbone(arch: Arch, params: Sequence[Tensor]) -> Backbone:
-    return _KINDS[arch.kind](arch, params)
+    return Backbone(arch, params)
 
 
 def backbone_from_flat(arch: Arch, flat: np.ndarray) -> Backbone:
     """A backbone over ``flat`` (see ``Backbone.adopt``): no parameter is copied."""
-    model = object.__new__(_KINDS[arch.kind])
+    model = object.__new__(Backbone)
     model.arch = arch
     model.adopt(flat)
     return model
@@ -265,9 +237,8 @@ def backbone_from_flat(arch: Arch, flat: np.ndarray) -> Backbone:
 def init_backbone(arch: Arch, rng: np.random.Generator) -> Backbone:
     """Uniform init in +-1/sqrt(fan_in), drawn in fixed parameter order and
     laid end to end as the backbone's vector."""
-    shapes, fans = _param_shapes(arch)
     draws = []
-    for shape, fan in zip(shapes, fans):
+    for shape, fan in _param_shapes(arch):
         bound = 1.0 / np.sqrt(fan)
         draws.append(rng.uniform(-bound, bound, size=shape).ravel())
     return backbone_from_flat(arch, np.concatenate(draws))
@@ -310,17 +281,24 @@ class ModelSnapshot:
         if nl < 0:
             raise ValueError("snapshot blob has no manifest line")
         head = json.loads(blob[:nl].decode())
+        try:  # a missing key or a value of the wrong type is a bad file too
+            arch = Arch(**{  # JSON lists back to the tuples Arch holds
+                f.name: tuple(head[f.name]) if isinstance(head[f.name], list) else head[f.name]
+                for f in fields(Arch)
+            })
+            shapes, count, round_idx = head["shapes"], head["count"], head["round"]
+            want = _manifest_shapes(arch)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed snapshot manifest: {exc!r}") from exc
+        if type(round_idx) is not int or round_idx < 0:
+            raise ValueError(f"snapshot round {round_idx!r} is not a round index")
         flat = np.frombuffer(blob[nl + 1 :], dtype="<f8").astype(np.float64)
-        if flat.size != head["count"]:
-            raise ValueError(f"snapshot payload has {flat.size} values, manifest says {head['count']}")
+        if flat.size != count:
+            raise ValueError(f"snapshot payload has {flat.size} values, manifest says {count!r}")
         _check_finite(flat, "snapshot payload")
-        arch = Arch(**{  # JSON lists back to the tuples Arch holds
-            f.name: tuple(head[f.name]) if isinstance(head[f.name], list) else head[f.name]
-            for f in fields(Arch)
-        })
-        if head["shapes"] != _manifest_shapes(arch):
-            raise ValueError(f"snapshot manifest shapes {head['shapes']} do not match its {arch}")
-        return cls(arch=arch, flat=flat, round_idx=head["round"])
+        if shapes != want:
+            raise ValueError(f"snapshot manifest shapes {shapes} do not match its {arch}")
+        return cls(arch=arch, flat=flat, round_idx=round_idx)
 
 
 def snapshot(backbone: Backbone, round_idx: int) -> ModelSnapshot:

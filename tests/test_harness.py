@@ -115,6 +115,27 @@ def test_config_validation():
     # federation-level checks run when the config is built
     with pytest.raises(ValueError):
         ExperimentConfig(method="fedsgd").fed_config()
+    for section, field in (("dataset", "data_seed"), ("partition", "partition_seed"), ("run", "seed")):
+        with pytest.raises(ValueError, match=rf"^\[{section}\] seed must be >= 0"):
+            ExperimentConfig(**{field: -1})
+
+
+# Every float of LossWeights and FedConfig, by INI section and key. NaN
+# fails every comparison, so no range check alone catches it.
+TRAINING_FLOATS = [
+    (section, f.name)
+    for section, target in (("loss", LossWeights), ("federation", FedConfig))
+    for f in dataclasses.fields(target)
+    if f.type == "float"
+]
+
+
+@pytest.mark.parametrize("section, key", TRAINING_FLOATS)
+def test_non_finite_training_float_fails_when_read(section, key):
+    assert len(TRAINING_FLOATS) == 10
+    for value in ("nan", "inf", "-inf"):
+        with pytest.raises(ValueError, match=f"^{key} must be finite, got {value}"):
+            ExperimentConfig.from_ini_text(f"[{section}]\n{key} = {value}\n")
 
 
 # The INI surface: (section, key) -> (field, a non-default value). Values of
@@ -246,25 +267,48 @@ def test_bad_setup_fails_when_read(tmp_path, bad, match):
     assert not out.exists()
 
 
+ALL_COMMANDS = ["run", "partition-audit", "compare-clusterers"]
+
+
 @pytest.mark.parametrize(
     "bad, commands",
     [
-        ("[dataset]\nclasses = 1\n", ["run", "partition-audit", "compare-clusterers"]),
-        ("[partition]\nalpha = 0\n", ["run", "partition-audit", "compare-clusterers"]),
+        ("[dataset]\nclasses = 1\n", ALL_COMMANDS),
+        ("[partition]\nalpha = 0\n", ALL_COMMANDS),
         ("[model]\nhidden = 0\n", ["run", "compare-clusterers"]),
+        ("[dataset]\nspread = nan\n", ALL_COMMANDS),
+        ("[dataset]\nspread = inf\n", ALL_COMMANDS),
+        ("[partition]\nalpha = inf\n", ALL_COMMANDS),
+        ("[run]\nseed = -1\n", ALL_COMMANDS),
+        ("[dataset]\nseed = -1\n", ALL_COMMANDS),
+        ("[partition]\nseed = -1\n", ALL_COMMANDS),
     ],
 )
-def test_bad_data_or_model_value_writes_nothing(tmp_path, bad, commands):
-    # These values are checked where the data, the partition and the model
-    # are built; the run directory is made only after all three are.
+def test_bad_data_or_model_value_writes_nothing(tmp_path, capsys, bad, commands):
+    # These values are checked where the config is read or where the data,
+    # the partition and the model are built; the run directory is made only
+    # after all of that. The error names the key.
     out = tmp_path / "run"
     ini = tmp_path / "bad.ini"
-    ini.write_text(bad + f"[run]\nout = {out}\n")
+    ini.write_text(bad)
+    key = bad.split("\n")[1].split(" = ")[0]
     from protofed.cli import main
 
     for command in commands:
-        assert main([command, "--config", str(ini)]) == 2
+        assert main([command, "--config", str(ini), "--out", str(out)]) == 2
         assert not out.exists()
+        assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, names", [(["--seed", "-1"], "[run] seed"), (["--alpha", "inf"], "alpha")])
+def test_bad_flag_writes_nothing(tmp_path, capsys, flag, names):
+    # A flag overrides the config and is checked as the file's values are.
+    from protofed.cli import main
+
+    out = tmp_path / "run"
+    assert main(["run", *flag, "--rounds", "1", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert names in capsys.readouterr().err
 
 
 def test_override_skips_none():

@@ -10,9 +10,6 @@ from protofed.diffcore import NonFiniteError, ShapeError, Tape, Tensor, backward
 from protofed.losses import cross_entropy
 from protofed.model import (
     Arch,
-    ConvBackbone,
-    LinearBackbone,
-    MLPBackbone,
     ModelSnapshot,
     backbone_from_flat,
     build_backbone,
@@ -176,6 +173,20 @@ def test_golden_mlp_forward():
     np.testing.assert_allclose(emb.data, golden["embeddings"], rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["linear", "cnn"])
+def test_golden_init_and_forward(kind):
+    # Parameter shapes, init vector and forward outputs, bit for bit; JSON
+    # floats round-trip exactly.
+    golden = json.loads((Path(__file__).parent / "data" / f"{kind}_golden.json").read_text())
+    arch = Arch(**{k: tuple(v) if isinstance(v, list) else v for k, v in golden["arch"].items()})
+    b = init_backbone(arch, np.random.default_rng(golden["seed"]))
+    assert [list(p.shape) for p in b.params] == golden["shapes"]
+    assert b.flat.tolist() == golden["init"]
+    emb, logits = b.forward(Tensor(golden["batch"]))
+    assert emb.data.tolist() == golden["embeddings"]
+    assert logits.data.tolist() == golden["logits"]
+
+
 def test_cnn_forward_and_grads():
     arch = Arch(
         kind="cnn",
@@ -187,7 +198,7 @@ def test_cnn_forward_and_grads():
         channels=(2, 3),
     )
     b = init_backbone(arch, np.random.default_rng(5))
-    assert isinstance(b, ConvBackbone)
+    assert b.arch.kind == "cnn"
     x = np.random.default_rng(6).uniform(-1, 1, size=(2, 72))
     emb, logits = b.forward(Tensor(x))
     assert emb.shape == (2, 3) and logits.shape == (2, 2)
@@ -344,6 +355,21 @@ def test_snapshot_manifest_shapes_must_match_its_arch():
     tampered = json.dumps(head, sort_keys=True).encode() + blob[nl:]
     with pytest.raises(ValueError, match="manifest shapes"):
         ModelSnapshot.from_bytes(tampered)
+
+
+def test_malformed_snapshot_manifest_is_a_value_error():
+    blob = snapshot(small_mlp(21), round_idx=2).to_bytes()
+    nl = blob.index(b"\n")
+    head = json.loads(blob[:nl])
+    assert ModelSnapshot.from_bytes(blob).round_idx == 2
+    bad = [{k: v for k, v in head.items() if k != key} for key in head]  # each key missing
+    bad += [[head], "manifest", 3]  # not an object
+    bad += [{**head, "round": r} for r in ("x", 2.0, True, -1, None)]
+    bad += [{**head, "input_dim": "2"}, {**head, "kind": "cnn", "image_shape": 5}]
+    assert len(bad) == len(head) + 10
+    for manifest in bad:
+        with pytest.raises(ValueError):
+            ModelSnapshot.from_bytes(json.dumps(manifest).encode() + blob[nl:])
 
 
 def test_arch_validation():
