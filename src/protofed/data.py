@@ -16,8 +16,6 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .diffcore import Tensor, _wrap
-
 __all__ = [
     "Dataset",
     "ClientShard",
@@ -47,14 +45,14 @@ class PartitionError(RuntimeError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix plus integer labels.
+    """Read-only float64 feature matrix plus integer labels.
 
     ``sample_domains`` is only set on concatenated two-domain datasets and
     holds one tag per sample; plain datasets carry a single optional
     ``domain_tag`` instead.
     """
 
-    features: Tensor
+    features: np.ndarray
     labels: np.ndarray
     num_classes: int
     name: str
@@ -63,10 +61,16 @@ class Dataset:
     image_shape: Optional[tuple[int, int, int]] = None
 
     def __post_init__(self):
+        features = np.asarray(self.features, dtype=np.float64).view()  # keeps the caller's flags
+        features.setflags(write=False)
         labels = np.asarray(self.labels, dtype=np.int64)
+        object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
-        if self.features.ndim != 2:
-            raise ValueError(f"features must be (n, d), got {self.features.shape}")
+        if features.ndim != 2:
+            raise ValueError(f"features must be (n, d), got {features.shape}")
+        # A finite sum clears the array in one reduction; only the scan may raise.
+        if not np.isfinite(np.add.reduce(features, None)) and not np.isfinite(features).all():
+            raise ValueError("features hold a non-finite value")
         if labels.shape != (self.features.shape[0],):
             raise ValueError("labels length does not match feature rows")
         if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
@@ -90,7 +94,7 @@ class Dataset:
             [a.domain_tag or "a"] * len(a) + [b.domain_tag or "b"] * len(b)
         )
         return Dataset(
-            features=Tensor(np.vstack([a.features.data, b.features.data])),
+            features=np.vstack([a.features, b.features]),
             labels=np.concatenate([a.labels, b.labels]),
             num_classes=a.num_classes,
             name=f"{a.name}+{b.name}",
@@ -129,7 +133,7 @@ def load_idx(images_path, labels_path) -> Dataset:
     pixels = np.frombuffer(img_blob, dtype=np.uint8, offset=16).reshape(n, rows * cols)
     labels = np.frombuffer(lab_blob, dtype=np.uint8, offset=8).astype(np.int64)
     return Dataset(
-        features=_wrap(pixels / 255.0, "load_idx"),  # fresh buffer: no defensive copy
+        features=pixels / 255.0,
         labels=labels,
         num_classes=10,
         name=f"idx:{n}x{rows}x{cols}",
@@ -165,7 +169,7 @@ def synth_blobs(
         feats[block] = centers[c] + spread * rng.standard_normal((per_class, dim))
         labels[block] = c
     return Dataset(
-        features=Tensor(feats),
+        features=feats,
         labels=labels,
         num_classes=classes,
         name=name or f"blobs:{classes}x{per_class}d{dim}",

@@ -22,7 +22,7 @@ from . import losses
 from .data import ClientShard, Dataset, PartitionPlan
 from .losses import GlobalPrototypes, LossWeights, _check_finite_floats
 from .metrics import RoundRecord, accuracy, macro_f1, rmse_mae
-from .model import Arch, Backbone, ModelSnapshot, backbone_from_flat, init_backbone, sgd_step, snapshot
+from .model import Arch, Backbone, backbone_from_flat, init_backbone, sgd_step
 
 __all__ = [
     "FederationError",
@@ -131,7 +131,7 @@ class ClientState:
     client_id: int
     shard: ClientShard
     model: Backbone
-    teacher: Optional[ModelSnapshot] = None
+    teacher: Optional[tuple[np.ndarray, np.ndarray]] = None  # (embeddings, logits) of shard.train
 
 
 @dataclass
@@ -264,12 +264,12 @@ def client_update(
     For the shared-model methods the local model adopts the received
     parameter vector before training, and the result carries the trained
     one. After round 1 the multi-prototype methods add the distillation and
-    attract/repel terms and log the alignment diagnostic, all referenced
-    against the model this client trained in its previous participation (a
-    client joining late starts with plain cross entropy once). fedproto
-    never adopts the global model and regularizes class means toward global
-    prototypes. A failing batch raises ``FederationError`` naming its epoch
-    and batch index.
+    attract/repel terms and log the alignment diagnostic against
+    ``state.teacher``, the outputs of the model this client trained in its
+    previous participation (a client joining late starts with plain cross
+    entropy once). fedproto never adopts the global model and regularizes
+    class means toward global prototypes. A failing batch raises
+    ``FederationError`` naming its epoch and batch index.
     """
     if round_idx < 1:
         raise ValueError("round index must be >= 1")
@@ -280,15 +280,14 @@ def client_update(
         if global_flat is None:
             raise ValueError("shared-model methods need the global parameters")
         state.model.adopt(global_flat)
-        anchor = state.model.params
+    prox = (cfg.prox_rho, global_flat) if method == "fedprox" and cfg.prox_rho > 0.0 else None
 
-    feats = dataset.features.data
+    feats = dataset.features
     labels_all = dataset.labels
     train_idx = state.shard.train
     n = int(train_idx.shape[0])
 
     aux = method in _MULTI_PROTO and round_idx != 1 and state.teacher is not None
-    teacher_model = state.teacher.build() if aux else None
     own_classes = [int(c) for c in np.flatnonzero(state.shard.histogram > 0)]
 
     rng = np.random.default_rng(
@@ -302,16 +301,17 @@ def client_update(
     proto_input: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     for epoch in range(cfg.epochs):
-        order = train_idx[rng.permutation(n)]
+        perm = rng.permutation(n)
         for batch, start in enumerate(range(0, n, cfg.batch_size)):
             try:
-                idx = order[start : start + cfg.batch_size]
+                pos = perm[start : start + cfg.batch_size]  # rows of the shard, and of the teacher
+                idx = train_idx[pos]
                 xb = dc._wrap(feats[idx], "batch")  # fresh gather: no second copy
                 yb = labels_all[idx]
                 if aux:
-                    t_emb, t_logits = teacher_model.infer(xb.data)  # constants: off the tape
-                    # A diagnostic, so off the tape too: its embeddings are detached
-                    # and the prototypes are plain arrays, leaving no gradient path.
+                    t_emb, t_logits = state.teacher[0][pos], state.teacher[1][pos]
+                    # A diagnostic, so off the tape: the teacher's embeddings and
+                    # the prototypes are plain arrays, leaving no gradient path.
                     # The attract term regroups the student's embeddings by it.
                     groups = losses.ClassGroups(t_emb, yb)
                     al = losses.align_loss(groups, global_protos)
@@ -339,25 +339,22 @@ def client_update(
                             sums["proto"] += reg.item()
                     sums["ce"] += ce.item()
                     grads = dc.backward(tape, loss)
-                if method == "fedprox" and cfg.prox_rho > 0.0:
-                    # The proximal term (rho / 2) ||p - anchor||^2 adds only its gradient.
-                    for p, a in zip(state.model.params, anchor):
-                        grads[p] = grads[p] + cfg.prox_rho * (p.data - a.data)
                 if cfg.per_batch_protos and method in _MULTI_PROTO:
                     proto_input = (emb.data, yb)
-                sgd_step(state.model, grads, cfg.learning_rate)
+                sgd_step(state.model, grads, cfg.learning_rate, prox)
             except Exception as exc:
                 raise FederationError(f"epoch {epoch} batch {batch}: {exc}") from exc
             batches_seen += 1
 
     proto_set: Optional[PrototypeSet] = None
     if uses_protos:
+        # One pass over the trained shard: the prototypes' input and the teacher.
+        emb_train, logits_train = _forward_chunks(state.model, feats[train_idx], 512)
+        if method in _MULTI_PROTO:
+            state.teacher = (emb_train, logits_train)
         if proto_input is None:
-            emb_train, _ = _forward_chunks(state.model, feats[train_idx], 512)
             proto_input = (emb_train, labels_all[train_idx])
         proto_set = _class_prototypes(*proto_input, cfg, (run_seed, round_idx, state.client_id))
-        if method in _MULTI_PROTO:
-            state.teacher = snapshot(state.model, round_idx)
 
     scale = 1.0 / batches_seen if batches_seen else 0.0
     return ClientRoundResult(
@@ -529,7 +526,7 @@ def run_round(
     for model, te in parts:
         if te.size == 0:
             continue
-        _, logits = _forward_chunks(model, dataset.features.data[te], 1024)
+        _, logits = _forward_chunks(model, dataset.features[te], 1024)
         preds.append(np.argmax(logits, axis=1))
         ys.append(dataset.labels[te])
         accs.append(accuracy(preds[-1], ys[-1]))

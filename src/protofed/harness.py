@@ -197,10 +197,9 @@ def build_dataset(cfg: ExperimentConfig):
 
 
 def _build_arch(cfg: ExperimentConfig, dataset: Dataset) -> Arch:
-    input_dim = dataset.features.shape[1]
     return Arch(
         kind=cfg.model_kind,
-        input_dim=input_dim,
+        input_dim=dataset.input_dim,
         embedding_dim=cfg.embedding_dim,
         num_classes=dataset.num_classes,
         hidden=cfg.hidden,

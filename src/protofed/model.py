@@ -10,8 +10,8 @@ classifier's ``affine``; ``infer`` computes the same values off the tape.
 Training mutates parameters only through ``sgd_step``, one step on a frozen
 vector of all parameters. That vector is what travels: ``adopt`` takes one
 in place of the parameters and ``backbone_from_flat`` builds a backbone over
-one, each without a copy. Snapshots share it (teachers, checkpoints) and
-serialize to a little-endian buffer with a JSON shape manifest up front;
+one, each without a copy. A snapshot, written as a checkpoint, shares it and
+serializes to a little-endian buffer with a JSON shape manifest up front;
 only this module knows the layout.
 """
 from __future__ import annotations
@@ -41,6 +41,14 @@ __all__ = [
 _KINDS = ("mlp", "linear", "cnn")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)  # bool is an int
+
+
+def _positive_ints(t, n: int) -> bool:
+    return isinstance(t, tuple) and len(t) == n and all(_is_int(v) and v >= 1 for v in t)
+
+
 @dataclass(frozen=True)
 class Arch:
     """Structural description of a backbone; everything a rebuild needs."""
@@ -56,6 +64,12 @@ class Arch:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown backbone kind {self.kind!r}")
+        if not all(map(_is_int, (self.input_dim, self.embedding_dim, self.num_classes, self.hidden))):
+            raise ValueError("input_dim, embedding_dim, num_classes and hidden must be ints")
+        if not _positive_ints(self.channels, 2):
+            raise ValueError(f"channels must be 2 positive ints, got {self.channels!r}")
+        if self.image_shape is not None and not _positive_ints(self.image_shape, 3):
+            raise ValueError(f"image_shape must be None or 3 positive ints, got {self.image_shape!r}")
         if self.input_dim < 1 or self.embedding_dim < 1 or self.num_classes < 2:
             raise ValueError("input_dim, embedding_dim >= 1 and num_classes >= 2 required")
         if self.kind == "mlp" and self.hidden < 1:
@@ -213,7 +227,7 @@ class Backbone:
 
     def infer(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``forward``'s values on plain arrays, off the tape: for a model
-        whose outputs are constants (teachers, prototypes, evaluation)."""
+        whose outputs are constants (shard outputs, evaluation)."""
         emb = self._embed(np.asarray(x, dtype=np.float64), None)
         w, b = self.cls_params
         logits = dc._affine(emb, w.data, b.data)
@@ -263,9 +277,6 @@ class ModelSnapshot:
     flat: np.ndarray
     round_idx: int
 
-    def build(self) -> Backbone:
-        return backbone_from_flat(self.arch, self.flat)
-
     def to_bytes(self) -> bytes:
         header = {
             **asdict(self.arch),
@@ -292,6 +303,8 @@ class ModelSnapshot:
             raise ValueError(f"malformed snapshot manifest: {exc!r}") from exc
         if type(round_idx) is not int or round_idx < 0:
             raise ValueError(f"snapshot round {round_idx!r} is not a round index")
+        if type(count) is not int:
+            raise ValueError(f"snapshot count {count!r} is not an int")
         flat = np.frombuffer(blob[nl + 1 :], dtype="<f8").astype(np.float64)
         if flat.size != count:
             raise ValueError(f"snapshot payload has {flat.size} values, manifest says {count!r}")
@@ -306,9 +319,11 @@ def snapshot(backbone: Backbone, round_idx: int) -> ModelSnapshot:
     return ModelSnapshot(arch=backbone.arch, flat=backbone.flat, round_idx=round_idx)
 
 
-def sgd_step(backbone: Backbone, grads: Mapping[Tensor, np.ndarray], lr: float) -> Backbone:
+def sgd_step(backbone: Backbone, grads: Mapping[Tensor, np.ndarray], lr: float,
+             prox: Optional[tuple[float, np.ndarray]] = None) -> Backbone:
     """In-place gradient step: p <- p - lr * g for every parameter, as one
-    expression over the parameters and their gradients laid end to end."""
+    expression over the parameters and their gradients laid end to end. With
+    ``prox = (rho, anchor)``, g gains the proximal gradient rho * (flat - anchor)."""
     if not lr > 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
     gs = []
@@ -320,6 +335,8 @@ def sgd_step(backbone: Backbone, grads: Mapping[Tensor, np.ndarray], lr: float) 
             raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
         gs.append(g.ravel())
     step = np.concatenate(gs, dtype=np.float64)  # the one temporary: the new vector
+    if prox is not None:
+        step += prox[0] * (backbone.flat - prox[1])
     np.subtract(backbone.flat, np.multiply(step, lr, out=step), out=step)
     _check_finite(step, "sgd_step")
     backbone.adopt(step)

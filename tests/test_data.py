@@ -27,7 +27,7 @@ def write_idx_pair(tmp_path, images: np.ndarray, labels: np.ndarray):
 
 def linear_probe_accuracy(ds: Dataset) -> float:
     """Least-squares one-hot probe; independent of any model code."""
-    x = np.hstack([ds.features.data, np.ones((len(ds), 1))])
+    x = np.hstack([ds.features, np.ones((len(ds), 1))])
     y = np.eye(ds.num_classes)[ds.labels]
     w, *_ = np.linalg.lstsq(x, y, rcond=None)
     pred = np.argmax(x @ w, axis=1)
@@ -49,8 +49,8 @@ def test_idx_round_trip(tmp_path):
     assert ds.image_shape == (1, 4, 3)
     assert ds.num_classes == 10
     np.testing.assert_array_equal(ds.labels, labels.astype(np.int64))
-    np.testing.assert_allclose(ds.features.data, images.reshape(7, 12) / 255.0)
-    assert ds.features.data.min() >= 0.0 and ds.features.data.max() <= 1.0
+    np.testing.assert_allclose(ds.features, images.reshape(7, 12) / 255.0)
+    assert ds.features.min() >= 0.0 and ds.features.max() <= 1.0
 
 
 def test_idx_empty_file_is_structured_error(tmp_path):
@@ -96,24 +96,35 @@ def test_idx_truncated_payload(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def test_dataset_features_are_a_checked_read_only_view():
+    feats = np.arange(6.0).reshape(3, 2)
+    ds = Dataset(features=feats, labels=[0, 1, 0], num_classes=2, name="t")
+    assert ds.features.dtype == np.float64 and not ds.features.flags.writeable
+    assert np.shares_memory(ds.features, feats) and feats.flags.writeable  # no copy
+    assert not synth_blobs(classes=2, per_class=2, dim=2, spread=0.1, seed=0).features.flags.writeable
+    for bad in (np.array([[0.0, np.nan]] * 3), np.array([[np.inf, 0.0]] * 3), np.zeros(3)):
+        with pytest.raises(ValueError):
+            Dataset(features=bad, labels=[0, 1, 0], num_classes=2, name="t")
+
+
 def test_blobs_deterministic_and_balanced():
     a = synth_blobs(classes=3, per_class=50, dim=2, spread=0.1, seed=5)
     b = synth_blobs(classes=3, per_class=50, dim=2, spread=0.1, seed=5)
-    assert a.features.data.tobytes() == b.features.data.tobytes()
+    assert a.features.tobytes() == b.features.tobytes()
     np.testing.assert_array_equal(a.labels, b.labels)
     assert len(a) == 150
     np.testing.assert_array_equal(np.bincount(a.labels), [50, 50, 50])
     c = synth_blobs(classes=3, per_class=50, dim=2, spread=0.1, seed=6)
-    assert a.features.data.tobytes() != c.features.data.tobytes()
+    assert a.features.tobytes() != c.features.tobytes()
 
 
 def test_blobs_zero_spread_collapses_to_centers():
     ds = synth_blobs(classes=2, per_class=4, dim=3, spread=0.0, seed=1)
     for c in range(2):
-        pts = ds.features.data[ds.labels == c]
+        pts = ds.features[ds.labels == c]
         assert np.all(pts == pts[0])
     # centers sit on the unit sphere
-    np.testing.assert_allclose(np.linalg.norm(ds.features.data, axis=1), 1.0, atol=1e-12)
+    np.testing.assert_allclose(np.linalg.norm(ds.features, axis=1), 1.0, atol=1e-12)
 
 
 def test_blobs_linear_probe_separability():

@@ -207,7 +207,40 @@ def test_first_round_trains_on_ce_only():
     # every class produced prototypes in round 1
     assert server.protos.classes() == [0, 1, 2]
     for st in clients.values():
-        assert st.teacher is not None and st.teacher.round_idx == 1
+        emb, logits = st.teacher
+        assert emb.shape == (st.shard.train.size, ARCH.embedding_dim)
+        assert logits.shape == (st.shard.train.size, ARCH.num_classes)
+
+
+@pytest.mark.parametrize("method", ["mp-fedkd", "mp-fedkd-kmeans"])
+def test_teacher_is_the_trained_models_shard_outputs(method):
+    ds, cfg, server, clients = small_world(method=method)
+    st = clients[0]
+    fed.client_update(st, ds, server.model.flat, server.protos, cfg, round_idx=1, run_seed=0)
+    want = fed._forward_chunks(st.model, ds.features[st.shard.train], 512)
+    assert [a.tobytes() for a in st.teacher] == [a.tobytes() for a in want]
+    n = st.shard.train.size
+    assert [a.shape for a in st.teacher] == [(n, ARCH.embedding_dim), (n, ARCH.num_classes)]
+
+
+def test_teacher_round_runs_the_model_over_the_shard_once(monkeypatch):
+    # the teacher's rows are looked up per batch, so the epochs add no pass
+    rows_per_call = {}
+    for epochs in (1, 3):
+        ds, cfg, server, clients = small_world(epochs=epochs)
+        server, _ = drive(ds, cfg, server, clients, 1)
+        calls, infer = [], fed.Backbone.infer
+
+        def counting(model, x):
+            calls.append(len(x))
+            return infer(model, x)
+
+        with monkeypatch.context() as m:
+            m.setattr(fed.Backbone, "infer", counting)
+            res = fed.client_update(clients[0], ds, server.model.flat, server.protos, cfg, 2, 0)
+        assert res.distill > 0.0
+        rows_per_call[epochs] = calls
+    assert rows_per_call[1] == rows_per_call[3] == [clients[0].shard.train.size]
 
 
 def test_second_round_engages_auxiliary_terms():
@@ -285,15 +318,16 @@ def test_fedprox_positive_rho_changes_trajectory():
 
 @pytest.mark.parametrize("rho", [0.01, 5.0])
 def test_fedprox_gradient_matches_the_proximal_op_chain_bitwise(rho, monkeypatch):
-    # client_update adds the proximal gradient after backward, with no tape
-    # op. Replaying its batches with the penalty as a taped op chain gives
-    # every gradient bit for bit: the first batch, where the parameters are
-    # the anchor itself, and every later one.
+    # client_update adds the proximal gradient in sgd_step, with no tape op.
+    # Replaying its batches with the penalty as a taped op chain gives every
+    # step's parameters bit for bit: after the first batch, where the
+    # parameters are the anchor itself, and after every later one.
     seen = []
 
-    def recording_step(model, grads, lr):
-        seen.append([grads[p].tobytes() for p in model.params])
-        return sgd_step(model, grads, lr)
+    def recording_step(model, grads, lr, prox):
+        sgd_step(model, grads, lr, prox)
+        seen.append(model.flat.tobytes())
+        return model
 
     monkeypatch.setattr(fed, "sgd_step", recording_step)
     for seed in range(25):
@@ -312,11 +346,11 @@ def test_fedprox_gradient_matches_the_proximal_op_chain_bitwise(rho, monkeypatch
                 idx = order[start : start + cfg.batch_size]
                 with dc.Tape() as tape:
                     model.watch(tape)
-                    _, logits = model.forward(dc.Tensor(ds.features.data[idx]))
+                    _, logits = model.forward(dc.Tensor(ds.features[idx]))
                     ce = cross_entropy(logits, ds.labels[idx])
                     grads = dc.backward(tape, dc.add(ce, prox_reference(model.params, anchor, rho)))
-                want.append([grads[p].tobytes() for p in model.params])
                 sgd_step(model, grads, cfg.learning_rate)
+                want.append(model.flat.tobytes())
         assert len(seen) > 1 and seen == want, seed
         assert res.flat.tobytes() == model.flat.tobytes()
 
@@ -410,8 +444,8 @@ def test_per_batch_prototypes_cluster_the_last_batch(monkeypatch):
     res = fed.client_update(
         st, ds, server.model.flat, server.protos, cfg, round_idx=1, run_seed=0
     )
-    # no forward pass over the trained shard: the last batch's pre-step
-    # embeddings are the prototype input
+    # the pass over the trained shard (off the tape) makes the teacher; the
+    # last batch's pre-step embeddings are the prototype input
     batches = cfg.epochs * len(range(0, st.shard.train.size, cfg.batch_size))
     assert len(embs) == len(labels) == batches
     emb, y = embs[-1], labels[-1]
@@ -421,6 +455,8 @@ def test_per_batch_prototypes_cluster_the_last_batch(monkeypatch):
         assert res.protos.counts[c] == int(np.sum(y == c))
         want = clustering.centroids(clustering.chac(emb[y == c], cfg.clusters_per_class))
         assert np.array_equal(np.stack(res.protos.protos[c]), want)
+    t_emb, t_logits = st.teacher  # covers the whole shard, not the last batch
+    assert t_emb.shape[0] == t_logits.shape[0] == st.shard.train.size
 
 
 @pytest.mark.parametrize("per_batch", [False, True])
@@ -513,7 +549,7 @@ def test_round_metrics_by_hand(method):
     for cid in (0, 1):  # fedproto: the personal models; fedavg: the server model
         model = clients[cid].model if method == "fedproto" else server.model
         te = clients[cid].shard.test
-        _, logits = model.forward(dc.Tensor(ds.features.data[te]))
+        _, logits = model.forward(dc.Tensor(ds.features[te]))
         preds.append(np.argmax(logits.data, axis=1))
         ys.append(ds.labels[te])
     per_client = np.mean([np.mean(p == y) for p, y in zip(preds, ys)])

@@ -325,7 +325,7 @@ def test_two_domain_blobs():
     assert isinstance(pair, tuple) and len(pair) == 2
     a, b = pair
     assert a.domain_tag == "a" and b.domain_tag == "b"
-    assert not np.array_equal(a.features.data, b.features.data)
+    assert not np.array_equal(a.features, b.features)
 
 
 # ------------------------------------------------------------ artifacts

@@ -306,16 +306,15 @@ def test_flatten_then_from_flat_round_trip_bitwise():
 def test_snapshot_round_trip_and_teacher_equality():
     b = small_mlp(13)
     snap = snapshot(b, round_idx=4)
-    teacher = snap.build()
+    teacher = backbone_from_flat(snap.arch, snap.flat)
     x = Tensor(np.random.default_rng(14).uniform(-1, 1, size=(3, 2)))
     _, z1 = b.forward(x)
     _, z2 = teacher.forward(x)
     assert z1.data.tobytes() == z2.data.tobytes()
     # later training must not leak into the snapshot
     sgd_step(b, {p: np.ones(p.shape) for p in b.params}, lr=0.1)
-    _, z3 = snap.build().forward(x)
+    _, z3 = backbone_from_flat(snap.arch, snap.flat).forward(x)
     assert z3.data.tobytes() == z2.data.tobytes()
-    assert snap.build().flat is snap.flat  # built over the snapshot's vector, no copy
 
 
 def test_snapshot_bytes_round_trip():
@@ -366,7 +365,9 @@ def test_malformed_snapshot_manifest_is_a_value_error():
     bad += [[head], "manifest", 3]  # not an object
     bad += [{**head, "round": r} for r in ("x", 2.0, True, -1, None)]
     bad += [{**head, "input_dim": "2"}, {**head, "kind": "cnn", "image_shape": 5}]
-    assert len(bad) == len(head) + 10
+    # values of the wrong type that the shape check cannot see
+    bad += [{**head, "input_dim": 2.0}, {**head, "channels": 5}, {**head, "count": head["count"] * 1.0}]
+    assert len(bad) == len(head) + 13
     for manifest in bad:
         with pytest.raises(ValueError):
             ModelSnapshot.from_bytes(json.dumps(manifest).encode() + blob[nl:])
@@ -380,3 +381,8 @@ def test_arch_validation():
     with pytest.raises(ValueError):
         Arch(kind="cnn", input_dim=9, embedding_dim=2, num_classes=2, hidden=2,
              image_shape=(1, 3, 3))
+    mlp = dict(kind="mlp", input_dim=2, embedding_dim=2, num_classes=2, hidden=2)
+    for over in ({"input_dim": 2.0}, {"hidden": True}, {"channels": (4,)}, {"channels": (4, 0)},
+                 {"image_shape": (1, 2.0, 1)}, {"image_shape": [1, 1, 2]}):
+        with pytest.raises(ValueError):
+            Arch(**{**mlp, **over})
