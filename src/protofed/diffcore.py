@@ -46,7 +46,6 @@ __all__ = [
     "log_softmax_t",
     "gather_labels",
     "take_rows",
-    "concat_rows",
     "sq_dists",
     "detach",
 ]
@@ -571,26 +570,6 @@ def take_rows(x, indices) -> Tensor:
         return (gx,)
 
     return _op(x.data[idx], "take_rows", (x,), bwd)
-
-
-def concat_rows(parts: Sequence) -> Tensor:
-    """Stack vectors (one row each) and matrices into one matrix.
-
-    Parts must share a width; each part receives its own slice of the
-    gradient.
-    """
-    parts = tuple(as_tensor(p) for p in parts)
-    if not parts or any(p.ndim not in (1, 2) for p in parts):
-        raise ShapeError("concat_rows needs one or more vectors or matrices")
-    blocks = [p.data.reshape(1, -1) if p.ndim == 1 else p.data for p in parts]
-    if len({b.shape[1] for b in blocks}) != 1:
-        raise ShapeError(f"concat_rows parts differ in width: {[p.shape for p in parts]}")
-    stops = np.cumsum([b.shape[0] for b in blocks])[:-1]
-
-    def bwd(g):
-        return tuple(gp.reshape(p.shape) for gp, p in zip(np.split(g, stops), parts))
-
-    return _op(np.concatenate(blocks, axis=0), "concat_rows", parts, bwd)
 
 
 def sq_dists(x, p) -> Tensor:

@@ -308,22 +308,20 @@ def client_update(
                 idx = train_idx[pos]
                 xb = dc._wrap(feats[idx], "batch")  # fresh gather: no second copy
                 yb = labels_all[idx]
+                if aux or method == "fedproto":
+                    groups = losses.ClassGroups(yb, global_protos)
                 if aux:
                     t_emb, t_logits = state.teacher[0][pos], state.teacher[1][pos]
                     # A diagnostic, so off the tape: the teacher's embeddings and
                     # the prototypes are plain arrays, leaving no gradient path.
-                    # The attract term regroups the student's embeddings by it.
-                    groups = losses.ClassGroups(t_emb, yb)
-                    al = losses.align_loss(groups, global_protos)
+                    al = losses.align_loss(t_emb, groups)
                 with dc.Tape() as tape:
                     state.model.watch(tape)
                     emb, logits = state.model.forward(xb)
                     ce = losses.cross_entropy(logits, yb)
                     if aux:
                         dist = losses.distill_loss(t_logits, logits, w.temperature)
-                        att = losses.attract_loss(
-                            groups.with_embeddings(emb), global_protos, w.scale
-                        )
+                        att = losses.attract_loss(emb, groups, w.scale)
                         rep = losses.repel_loss(emb, global_protos, w.scale, classes=own_classes)
                         pair = losses.attract_repel_loss(att, rep, w.balance)
                         loss = losses.local_loss(ce, dist, al, pair, w, round_idx)
@@ -333,7 +331,7 @@ def client_update(
                     else:
                         loss = ce
                     if method == "fedproto":
-                        reg = losses.fedproto_loss(losses.ClassGroups(emb, yb), global_protos)
+                        reg = losses.fedproto_loss(emb, groups)
                         if reg is not None:
                             loss = dc.weighted_sum((ce, reg), (1.0, cfg.fedproto_weight))
                             sums["proto"] += reg.item()
@@ -405,7 +403,7 @@ def aggregate_prototypes(
     """
     if mode not in ("normalized", "literal"):
         raise ValueError(f"unknown prototype aggregation {mode!r}")
-    table = GlobalPrototypes(embedding_dim)
+    vectors: dict[int, np.ndarray] = {}
     all_classes = sorted({c for ps in sets_by_client.values() if ps for c in ps.protos})
     for c in all_classes:
         members = sorted(cid for cid, ps in sets_by_client.items() if ps and c in ps.protos)
@@ -425,8 +423,8 @@ def aggregate_prototypes(
                 vec += weight * summed / stack.shape[0]
             else:
                 vec += weight * summed / (len(members) * stack.shape[0])
-        table.set(c, vec)
-    return table
+        vectors[c] = vec
+    return GlobalPrototypes.of(embedding_dim, vectors)
 
 
 def init_federation(
@@ -436,7 +434,7 @@ def init_federation(
     rng = np.random.default_rng(np.random.SeedSequence([seed, _INIT_STREAM]))
     global_model = init_backbone(arch, rng)
     server = ServerState(
-        model=global_model, protos=GlobalPrototypes(arch.embedding_dim), seed=seed
+        model=global_model, protos=GlobalPrototypes.of(arch.embedding_dim, {}), seed=seed
     )
     clients = {}
     for shard in plan.shards:
@@ -470,7 +468,7 @@ def run_round(
     if topology is not None:
         down = global_flat.size if shares_model else 0
         if uses_protos:
-            down += sum(v.size for v in global_protos.as_arrays().values())
+            down += global_protos.matrix.size
         for cid in selected:
             topology.record_down(cid, 8 * down)
 
@@ -511,10 +509,11 @@ def run_round(
             server.protos.embedding_dim,
             proto_mode,
         )
-        merged = server.protos.copy()
-        for c in fresh.classes():
-            merged.set(c, fresh.get(c))
-        server.protos = merged
+        # A class no selected client holds keeps its stale prototype.
+        server.protos = GlobalPrototypes.of(fresh.embedding_dim, {
+            **dict(zip(server.protos.labels, server.protos.matrix.data)),
+            **dict(zip(fresh.labels, fresh.matrix.data)),
+        })
 
     # fedproto scores each client's personal model on its own test split,
     # the other methods the server model on the pooled split. Accuracy is

@@ -226,8 +226,8 @@ def _write_checkpoint(out: Path, server, round_idx: int) -> None:
     blob = snapshot(server.model, round_idx).to_bytes()
     (ck / f"round_{round_idx:03d}.model").write_bytes(blob)
     table = {
-        str(c): [float(v) for v in np.asarray(vec, dtype=np.float64)]
-        for c, vec in server.protos.as_arrays().items()
+        str(c): [float(v) for v in vec]
+        for c, vec in zip(server.protos.labels, server.protos.matrix.data)
     }
     (ck / f"round_{round_idx:03d}.protos.json").write_text(
         json.dumps(table, sort_keys=True)

@@ -8,10 +8,16 @@ that pulls current embeddings toward their class prototype while pushing
 the batch away from every prototype at once. The fedproto baseline adds
 its own regularizer, class means against prototypes.
 
+The global prototypes are one (C, q) matrix, ``GlobalPrototypes``, built
+once per round. A batch's ``ClassGroups`` indexes it once for the batch's
+classes that have a prototype; the alignment, attract and fedproto
+kernels take an embedding matrix with those groups, and the repel kernel
+indexes the table itself.
+
 Gradient routing is part of each kernel's contract: distillation
 teachers, alignment embeddings, and attraction prototypes are constants
 (detached inside the kernel), so gradients only ever reach the intended
-side no matter what the caller watched.
+side no matter what the caller watched, the table's matrix included.
 
 Each kernel computes its value in numpy and records one taped op (the
 prototype terms two: ``sq_dists``, then their reduction). A hand-written
@@ -23,7 +29,7 @@ from __future__ import annotations
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -89,52 +95,47 @@ class LossWeights:
             raise ValueError("temperature must be positive")
 
 
-ProtoVector = Union[Tensor, np.ndarray]
-
-
 class GlobalPrototypes:
-    """Per-class prototype vectors of one embedding width.
+    """The global prototype table: one (C, q) matrix whose row k is the
+    prototype of class ``labels[k]``, labels ascending.
 
-    Values may be plain arrays (the federation case) or live tensors
-    (so the alignment kernel can be differentiated against them).
+    The matrix is a constant (the federation case) or a Tensor a test may
+    watch, so the alignment and repel kernels can be differentiated
+    against the prototypes.
     """
 
-    def __init__(self, embedding_dim: int):
+    def __init__(self, labels: Sequence[int], matrix) -> None:
+        self.labels = [int(c) for c in labels]
+        self.matrix = as_tensor(matrix)
+        if self.matrix.ndim != 2 or self.matrix.shape[0] != len(self.labels):
+            raise ShapeError(f"need one prototype row per label, got {self.matrix.shape}")
+        if self.matrix.shape[1] < 1:
+            raise ValueError("embedding_dim must be >= 1")
+        if any(a >= b for a, b in zip(self.labels, self.labels[1:])):
+            raise ValueError(f"labels must ascend without repeats, got {self.labels}")
+        self.embedding_dim = self.matrix.shape[1]
+        self._row = {c: k for k, c in enumerate(self.labels)}
+
+    @classmethod
+    def of(cls, embedding_dim: int, vectors: Mapping[int, np.ndarray]) -> "GlobalPrototypes":
+        """The table of ``{class: vector}``, stacked once."""
         if embedding_dim < 1:
             raise ValueError("embedding_dim must be >= 1")
-        self.embedding_dim = embedding_dim
-        self._table: dict[int, ProtoVector] = {}
-
-    def set(self, label: int, vector: ProtoVector) -> None:
-        if tuple(vector.shape) != (self.embedding_dim,):
-            raise ShapeError(
-                f"prototype for class {label} has shape {tuple(vector.shape)}, "
-                f"expected ({self.embedding_dim},)"
-            )
-        self._table[int(label)] = vector
-
-    def get(self, label: int) -> Optional[ProtoVector]:
-        return self._table.get(int(label))
+        labels = sorted(int(c) for c in vectors)
+        for c in labels:
+            if np.shape(vectors[c]) != (embedding_dim,):
+                raise ShapeError(
+                    f"prototype for class {c} has shape {np.shape(vectors[c])}, "
+                    f"expected ({embedding_dim},)"
+                )
+        return cls(labels, np.array([vectors[c] for c in labels]).reshape(-1, embedding_dim))
 
     def has(self, label: int) -> bool:
-        return int(label) in self._table
+        return int(label) in self._row
 
-    def classes(self) -> list[int]:
-        return sorted(self._table)
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def copy(self) -> "GlobalPrototypes":
-        fresh = GlobalPrototypes(self.embedding_dim)
-        fresh._table = dict(self._table)
-        return fresh
-
-    def as_arrays(self) -> dict[int, np.ndarray]:
-        return {
-            c: (v.data if isinstance(v, Tensor) else np.asarray(v, dtype=np.float64))
-            for c, v in self._table.items()
-        }
+    def rows(self, classes: Sequence[int]) -> Tensor:
+        """The listed classes' prototypes, one row each, as one ``take_rows``."""
+        return dc.take_rows(self.matrix, [self._row[c] for c in classes])
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -185,59 +186,35 @@ def distill_loss(teacher_logits: Tensor, student_logits: Tensor, temperature: fl
 
 
 class ClassGroups:
-    """One batch's embeddings grouped by label, without splitting them.
+    """One batch's labels against the global table: the batch classes that
+    have a prototype (ascending), the constant (n, len(classes)) weights that
+    turn per-row values into class means (row i holds 1 / (rows labelled
+    ``classes[k]``) in column k when it carries that label, zeros elsewhere)
+    and those classes' prototype rows.
 
-    The prototype kernels take the whole matrix and the label vector, so
-    grouping a batch costs no tape ops.
+    The prototype kernels take a whole embedding matrix with its groups, so
+    grouping a batch splits nothing, and one grouping serves the teacher's
+    and the student's embeddings of the same rows.
     """
 
-    def __init__(self, embeddings: Tensor, labels) -> None:
-        self.embeddings = as_tensor(embeddings)
-        if self.embeddings.ndim != 2:
-            raise ShapeError(f"embeddings must be a matrix, got {self.embeddings.shape}")
+    def __init__(self, labels, protos: GlobalPrototypes) -> None:
         self.labels = np.asarray(labels, dtype=np.int64)
-        if self.labels.shape != (self.embeddings.shape[0],):
-            raise ShapeError(f"need one label per embedding row, got {self.labels.shape}")
-        self._classes = [int(c) for c in np.unique(self.labels)]
-        self._covered: list = []  # the prototypes covered() saw, then its result
+        if self.labels.ndim != 1:
+            raise ShapeError(f"labels must be a vector, got {self.labels.shape}")
+        self.classes = [int(c) for c in np.unique(self.labels) if protos.has(c)]
+        onehot = self.labels[:, None] == np.asarray(self.classes, dtype=np.int64)[None, :]
+        self.weights = onehot / onehot.sum(axis=0)
+        self.rows = protos.rows(self.classes)
 
-    def with_embeddings(self, embeddings) -> "ClassGroups":
-        """The same grouping of other embeddings of these rows, sharing ``covered``."""
-        twin = ClassGroups.__new__(ClassGroups)
-        twin.__dict__.update(vars(self), embeddings=as_tensor(embeddings))
-        if twin.embeddings.ndim != 2 or twin.embeddings.shape[0] != len(self.labels):
-            raise ShapeError(f"need {len(self.labels)} embedding rows, got {twin.embeddings.shape}")
-        return twin
-
-    def mean_weights(self, classes: Sequence[int]) -> np.ndarray:
-        """Constant (n, len(classes)) matrix for class means: row i holds
-        1 / (rows labelled ``classes[k]``) in column k when row i carries that
-        label, zeros elsewhere. Every listed class must be present."""
-        onehot = self.labels[:, None] == np.asarray(classes)[None, :]
-        return onehot / onehot.sum(axis=0)
-
-    def covered(self, protos: GlobalPrototypes) -> tuple[list[int], np.ndarray, Tensor]:
-        """The classes here with a prototype, their ``mean_weights`` and their
-        prototypes as constant rows; recomputed only when those prototypes change."""
-        vectors = [protos.get(c) for c in self._classes]
-        if not self._covered or any(a is not b for a, b in zip(vectors, self._covered[0])):
-            classes = [c for c, v in zip(self._classes, vectors) if v is not None]
-            rows = _proto_matrix(protos, classes, live=False)
-            self._covered[:] = [vectors, classes, self.mean_weights(classes), rows]
-        return tuple(self._covered[1:])
-
-
-def _join_blocks(embeddings_by_class: Mapping[int, Tensor], width: int) -> ClassGroups:
-    """Nonempty per-class blocks of a plain mapping as one ClassGroups."""
-    blocks, labels = [], []
-    for label in sorted(embeddings_by_class):
-        block = as_tensor(embeddings_by_class[label])
-        if block.ndim == 2 and block.shape[0] > 0:
-            blocks.append(block)
-            labels += [int(label)] * block.shape[0]
-    if not blocks:
-        return ClassGroups(np.zeros((0, width)), labels)
-    return ClassGroups(blocks[0] if len(blocks) == 1 else dc.concat_rows(blocks), labels)
+    def _check(self, embeddings) -> Tensor:
+        emb = as_tensor(embeddings)
+        if emb.ndim != 2 or emb.shape[0] != len(self.labels):
+            raise ShapeError(f"need {len(self.labels)} embedding rows, got {emb.shape}")
+        if emb.shape[1] != self.rows.shape[1]:
+            raise ShapeError(
+                f"embeddings are {emb.shape[1]}-wide, prototypes are {self.rows.shape[1]}-wide"
+            )
+        return emb
 
 
 def _weighted_total(dists: Tensor, weights: np.ndarray, name: str) -> Tensor:
@@ -245,55 +222,34 @@ def _weighted_total(dists: Tensor, weights: np.ndarray, name: str) -> Tensor:
     return dc._op(np.sum(dists.data * weights), name, (dists,), lambda g: (g * weights,))
 
 
-def _proto_matrix(protos: GlobalPrototypes, classes: list[int], live: bool) -> Tensor:
-    """The listed classes' prototypes as rows. With ``live``, prototypes held
-    as tensors keep their gradient; otherwise the matrix is a constant."""
-    vectors = [protos.get(c) for c in classes]
-    if live and any(isinstance(v, Tensor) for v in vectors):
-        return dc.concat_rows(vectors)
-    return Tensor([v.data if isinstance(v, Tensor) else v for v in vectors])
-
-
 def _class_mean_distances(
-    embeddings_by_class: Mapping[int, Tensor],
-    protos: GlobalPrototypes,
-    caller: str,
-    grad_to_embeddings: bool,
-) -> Optional[tuple[Tensor, np.ndarray]]:
-    """Squared distances of the embeddings to the covered classes' prototypes,
-    and the constant weights that turn them into per-class means.
+    embeddings: Tensor, groups: ClassGroups, caller: str, grad_to_embeddings: bool
+) -> Optional[Tensor]:
+    """Squared distances of the embeddings to the prototypes of
+    ``groups.classes``, the batch classes that have one.
 
-    A class is covered when it has embeddings and a prototype. With
-    ``ClassGroups.mean_weights`` as weights, ``sum(dists * weights)`` adds up
-    each covered class's mean squared distance to its own prototype; rows of
-    uncovered classes weigh nothing. Gradients reach the embeddings or the
-    prototypes, never both. Returns None, with a
-    ``PrototypeCoverageWarning``, when no class is covered.
+    With ``groups.weights``, ``sum(dists * weights)`` adds up each such
+    class's mean squared distance to its own prototype; rows of other
+    classes weigh nothing. Gradients reach the embeddings or the prototypes,
+    never both. Returns None, with a ``PrototypeCoverageWarning``, when no
+    batch class has a prototype.
     """
-    groups = embeddings_by_class
-    if not isinstance(groups, ClassGroups):
-        groups = _join_blocks(groups, protos.embedding_dim)
-    emb = groups.embeddings
-    if emb.shape[1] != protos.embedding_dim:
-        raise ShapeError(
-            f"embeddings are {emb.shape[1]}-wide, prototypes are {protos.embedding_dim}-wide"
-        )
-    classes, weights, rows = groups.covered(protos)
-    if not classes:
+    emb, rows = groups._check(embeddings), groups.rows
+    if not groups.classes:
         warnings.warn(
             f"{caller}: no batch class has a global prototype; returning 0",
             PrototypeCoverageWarning,
             stacklevel=3,
         )
         return None
-    if not grad_to_embeddings:
+    if grad_to_embeddings:
+        rows = dc.detach(rows)
+    else:
         emb = dc.detach(emb)
-        if any(isinstance(protos.get(c), Tensor) for c in classes):
-            rows = _proto_matrix(protos, classes, live=True)
-    return dc.sq_dists(emb, rows), weights
+    return dc.sq_dists(emb, rows)
 
 
-def align_loss(embeddings_by_class: Mapping[int, Tensor], protos: GlobalPrototypes) -> Tensor:
+def align_loss(embeddings: Tensor, groups: ClassGroups) -> Tensor:
     """How far the received prototypes drifted from remembered embeddings.
 
     Per class: squared distance (mean over dimensions) between each
@@ -301,16 +257,13 @@ def align_loss(embeddings_by_class: Mapping[int, Tensor], protos: GlobalPrototyp
     class; classes are then averaged uniformly. Embeddings are detached;
     gradients reach only the prototype side.
     """
-    found = _class_mean_distances(embeddings_by_class, protos, "align_loss", False)
-    if found is None:
+    dists = _class_mean_distances(embeddings, groups, "align_loss", False)
+    if dists is None:
         return as_tensor(0.0)
-    dists, weights = found
-    return _weighted_total(dists, weights / dists.shape[1], "align_loss")
+    return _weighted_total(dists, groups.weights / dists.shape[1], "align_loss")
 
 
-def attract_loss(
-    embeddings_by_class: Mapping[int, Tensor], protos: GlobalPrototypes, scale: float
-) -> Tensor:
+def attract_loss(embeddings: Tensor, groups: ClassGroups, scale: float) -> Tensor:
     """Pull within-class embeddings toward their global prototype.
 
     Sum over classes of the class-mean squared distance, scaled; the
@@ -318,11 +271,10 @@ def attract_loss(
     """
     if not scale > 0:
         raise ValueError("scale must be positive")
-    found = _class_mean_distances(embeddings_by_class, protos, "attract_loss", True)
-    if found is None:
+    dists = _class_mean_distances(embeddings, groups, "attract_loss", True)
+    if dists is None:
         return as_tensor(0.0)
-    dists, weights = found
-    return _weighted_total(dists, weights * float(scale), "attract_loss")
+    return _weighted_total(dists, groups.weights * float(scale), "attract_loss")
 
 
 def repel_loss(
@@ -348,7 +300,7 @@ def repel_loss(
             f"embeddings are {embeddings.shape[1]}-wide, prototypes are "
             f"{protos.embedding_dim}-wide"
         )
-    wanted = protos.classes() if classes is None else sorted(set(int(c) for c in classes))
+    wanted = protos.labels if classes is None else sorted(set(int(c) for c in classes))
     wanted = [c for c in wanted if protos.has(c)]
     if not wanted:
         warnings.warn(
@@ -358,7 +310,7 @@ def repel_loss(
         )
         return as_tensor(0.0)
     # Only the requested columns exist, so no excluded class is exponentiated.
-    dists = dc.sq_dists(embeddings, _proto_matrix(protos, wanted, live=True))
+    dists = dc.sq_dists(embeddings, protos.rows(wanted))
     n = dists.shape[0]
     scores = np.mean(dists.data, axis=0) * -float(scale)
     shift = float(scores.max())  # constant: gradient-neutral shift
@@ -380,17 +332,15 @@ def attract_repel_loss(attract: Tensor, repel: Tensor, balance: float) -> Tensor
     return dc.weighted_sum((attract, repel), (float(balance), 1.0 - float(balance)))
 
 
-def fedproto_loss(groups: ClassGroups, protos: GlobalPrototypes) -> Optional[Tensor]:
-    """FedProto's regularizer: the mean squared gap, over covered classes and
-    dimensions, between each class's batch-mean embedding and its global
+def fedproto_loss(embeddings: Tensor, groups: ClassGroups) -> Optional[Tensor]:
+    """FedProto's regularizer: the mean squared gap, over the batch classes
+    with a prototype and the dimensions, between each class's batch-mean embedding and its global
     prototype. None when no batch class has a prototype."""
-    classes, weights, targets = groups.covered(protos)
-    if not classes:
+    emb = groups._check(embeddings)
+    if not groups.classes:
         return None
-    emb = groups.embeddings
-    if emb.shape[1] != protos.embedding_dim:
-        raise ShapeError(f"embeddings are {emb.shape[1]}-wide, prototypes {protos.embedding_dim}")
-    gap = weights.T @ emb.data - targets.data
+    weights = groups.weights
+    gap = weights.T @ emb.data - groups.rows.data
     return dc._op(np.mean(gap * gap), "fedproto_loss", (emb,),
                   lambda g: (weights @ ((2.0 * (g / gap.size)) * gap),))
 

@@ -66,7 +66,7 @@ def macro_f1(preds, labels, num_classes: int) -> float:
     p, y = _paired(preds, labels)
     if num_classes < 1:
         raise ValueError("num_classes must be >= 1")
-    if (p.max() >= num_classes) or (y.max() >= num_classes):
+    if min(p.min(), y.min()) < 0 or max(p.max(), y.max()) >= num_classes:
         raise ValueError("class index outside [0, num_classes)")
     scores = []
     for c in range(num_classes):

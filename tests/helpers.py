@@ -11,7 +11,7 @@ import numpy as np
 from protofed import diffcore as dc
 from protofed.chac import Cluster, ClusteringResult, _as_points, _pair_cost, _singletons
 from protofed.diffcore import Tape, Tensor, as_tensor, backward
-from protofed.losses import _class_mean_distances, _proto_matrix
+from protofed.losses import _class_mean_distances
 
 FD_STEP = 1e-5
 FD_RTOL = 1e-4
@@ -125,19 +125,19 @@ def distill_reference(teacher_logits, student_logits, temperature: float) -> Ten
     return dc.mul(kl_sum, temperature * temperature / n)
 
 
-def align_reference(embeddings_by_class, protos) -> Tensor:
-    dists, weights = _class_mean_distances(embeddings_by_class, protos, "align", False)
-    return dc.tsum(dc.mul(dists, Tensor(weights / dists.shape[1])))
+def align_reference(embeddings, groups) -> Tensor:
+    dists = _class_mean_distances(embeddings, groups, "align", False)
+    return dc.tsum(dc.mul(dists, Tensor(groups.weights / dists.shape[1])))
 
 
-def attract_reference(embeddings_by_class, protos, scale: float) -> Tensor:
-    dists, weights = _class_mean_distances(embeddings_by_class, protos, "attract", True)
-    return dc.tsum(dc.mul(dists, Tensor(weights * float(scale))))
+def attract_reference(embeddings, groups, scale: float) -> Tensor:
+    dists = _class_mean_distances(embeddings, groups, "attract", True)
+    return dc.tsum(dc.mul(dists, Tensor(groups.weights * float(scale))))
 
 
 def repel_reference(embeddings, protos, scale: float, classes) -> Tensor:
     wanted = [c for c in sorted(set(int(c) for c in classes)) if protos.has(c)]
-    dists = dc.sq_dists(embeddings, _proto_matrix(protos, wanted, live=True))
+    dists = dc.sq_dists(embeddings, protos.rows(wanted))
     scores = dc.mul(dc.mean_rows(dists), -float(scale))
     shift = float(scores.data.max())
     total = dc.tsum(dc.exp(dc.sub(scores, shift)))
@@ -158,14 +158,14 @@ def local_loss_reference(ce, distill, align, attract_repel, weights) -> Tensor:
     return dc.add(out, dc.mul(as_tensor(attract_repel), weights.proto_weight))
 
 
-def fedproto_reference(groups, protos):
+def fedproto_reference(embeddings, groups):
     """fedproto's regularizer as the chain fedproto_loss replaced: class means
     by one matmul, then their mean squared gap to the prototypes. None when
     no batch class has a prototype."""
-    covered, weights, targets = groups.covered(protos)
-    if not covered:
+    if not groups.classes:
         return None
-    return dc.tmean(dc.square(dc.sub(dc.matmul(weights.T, groups.embeddings), targets)))
+    means = dc.matmul(groups.weights.T, embeddings)
+    return dc.tmean(dc.square(dc.sub(means, dc.detach(groups.rows))))
 
 
 def prox_reference(params, anchor, rho: float) -> Tensor:

@@ -26,6 +26,7 @@ from protofed.diffcore import Tensor
 from protofed.federation import FedConfig, init_federation, run_round
 from protofed.harness import ExperimentConfig, run_experiment
 from protofed.losses import (
+    ClassGroups,
     GlobalPrototypes,
     LossWeights,
     align_loss,
@@ -42,10 +43,7 @@ E = math.e
 
 
 def _protos(arrays: dict, dim: int) -> GlobalPrototypes:
-    table = GlobalPrototypes(dim)
-    for c, v in arrays.items():
-        table.set(c, np.asarray(v, dtype=np.float64))
-    return table
+    return GlobalPrototypes.of(dim, arrays)
 
 
 # -------------------------------------------------------------------------
@@ -112,7 +110,6 @@ def test_criterion_02_cluster_count_guard_exhaustive():
 
 def test_criterion_03_loss_gradients_match_finite_differences():
     from protofed.model import build_backbone, init_backbone
-    from protofed import diffcore as dc
 
     t0 = time.perf_counter()
     rng = np.random.default_rng(1234)
@@ -136,18 +133,14 @@ def test_criterion_03_loss_gradients_match_finite_differences():
 
     for _ in range(20):
         q = int(rng.integers(1, 5))
-        groups = {
-            0: rng.uniform(-2, 2, (int(rng.integers(1, 5)), q)),
-            1: rng.uniform(-2, 2, (int(rng.integers(1, 5)), q)),
-        }
+        blocks = [rng.uniform(-2, 2, (int(rng.integers(1, 5)), q)) for _ in range(2)]
+        emb = Tensor(np.concatenate(blocks))
+        labels = np.repeat([0, 1], [len(b) for b in blocks])
 
-        def build_align(ls, groups=groups, q=q):
-            table = GlobalPrototypes(q)
-            table.set(0, ls[0])
-            table.set(1, ls[1])
-            return align_loss({c: Tensor(g) for c, g in groups.items()}, table)
+        def build_align(ls, emb=emb, labels=labels):
+            return align_loss(emb, ClassGroups(labels, GlobalPrototypes([0, 1], ls[0])))
 
-        check_grads(build_align, [rng.uniform(-2, 2, q), rng.uniform(-2, 2, q)])
+        check_grads(build_align, [np.stack([rng.uniform(-2, 2, q), rng.uniform(-2, 2, q)])])
 
     for _ in range(20):
         q = int(rng.integers(1, 5))
@@ -155,11 +148,10 @@ def test_criterion_03_loss_gradients_match_finite_differences():
         scale = float(rng.uniform(0.2, 2.0))
         e0 = rng.uniform(-2, 2, (int(rng.integers(1, 5)), q))
         e1 = rng.uniform(-2, 2, (int(rng.integers(1, 5)), q))
+        groups = ClassGroups(np.repeat([0, 1], [len(e0), len(e1)]), table)
         check_grads(
-            lambda ls, table=table, scale=scale: attract_loss(
-                {0: ls[0], 1: ls[1]}, table, scale
-            ),
-            [e0, e1],
+            lambda ls, groups=groups, scale=scale: attract_loss(ls[0], groups, scale),
+            [np.concatenate([e0, e1])],
         )
 
     for _ in range(20):
@@ -167,13 +159,10 @@ def test_criterion_03_loss_gradients_match_finite_differences():
         scale = float(rng.uniform(0.2, 2.0))
         emb = rng.uniform(-2, 2, (int(rng.integers(2, 6)), q))
 
-        def build_repel(ls, q=q, scale=scale):
-            table = GlobalPrototypes(q)
-            table.set(0, ls[1])
-            table.set(1, ls[2])
-            return repel_loss(ls[0], table, scale)
+        def build_repel(ls, scale=scale):
+            return repel_loss(ls[0], GlobalPrototypes([0, 1], ls[1]), scale)
 
-        check_grads(build_repel, [emb, rng.uniform(-2, 2, q), rng.uniform(-2, 2, q)])
+        check_grads(build_repel, [emb, np.stack([rng.uniform(-2, 2, q), rng.uniform(-2, 2, q)])])
 
     # composite: the entire post-first-round client objective through an MLP
     for i in range(20):
@@ -202,15 +191,13 @@ def test_criterion_03_loss_gradients_match_finite_differences():
             emb, logits = m.forward(x)
             ce = cross_entropy(logits, labels)
             dist = distill_loss(teacher_logits, logits, w.temperature)
-            present = [c for c in range(arch.num_classes) if np.any(labels == c)]
-            cur = {c: dc.take_rows(emb, np.flatnonzero(labels == c)) for c in present}
-            prev = {c: Tensor(prev_emb[labels == c]) for c in present}
+            groups = ClassGroups(labels, table)
             pair = attract_repel_loss(
-                attract_loss(cur, table, w.scale),
+                attract_loss(emb, groups, w.scale),
                 repel_loss(emb, table, w.scale),
                 w.balance,
             )
-            return local_loss(ce, dist, align_loss(prev, table), pair, w, round_idx=2)
+            return local_loss(ce, dist, align_loss(prev_emb, groups), pair, w, round_idx=2)
 
         check_grads(build_full, [p.data for p in base.params])
 
@@ -248,15 +235,15 @@ def test_criterion_04_frozen_hand_values():
 
     # alignment: unit offset in every coordinate scores 1; classes average
     assert align_loss(
-        {0: Tensor([[1.0, 1.0]])}, _protos({0: np.zeros(2)}, 2)
+        Tensor([[1.0, 1.0]]), ClassGroups([0], _protos({0: np.zeros(2)}, 2))
     ).item() == pytest.approx(1.0, abs=1e-12)
-    two = _protos({0: np.zeros(2), 1: np.zeros(2)}, 2)
-    groups = {0: Tensor([[1.0, 1.0]]), 1: Tensor([[np.sqrt(3.0), np.sqrt(3.0)]])}
-    assert align_loss(groups, two).item() == pytest.approx(2.0, abs=1e-12)
+    two = ClassGroups([0, 1], _protos({0: np.zeros(2), 1: np.zeros(2)}, 2))
+    emb = Tensor([[1.0, 1.0], [np.sqrt(3.0), np.sqrt(3.0)]])
+    assert align_loss(emb, two).item() == pytest.approx(2.0, abs=1e-12)
 
     # attract at scale 1/2 on a squared distance of 4
     assert attract_loss(
-        {0: Tensor([[2.0]])}, _protos({0: np.zeros(1)}, 1), scale=0.5
+        Tensor([[2.0]]), ClassGroups([0], _protos({0: np.zeros(1)}, 1)), scale=0.5
     ).item() == pytest.approx(2.0, abs=1e-12)
 
     # repel: on top of the single prototype the logsumexp collapses to 0;
@@ -288,8 +275,8 @@ def test_criterion_04_frozen_hand_values():
         0: fed.PrototypeSet({0: [np.array([1.0])]}, {0: 5}),
         1: fed.PrototypeSet({0: [np.array([1.0])]}, {0: 5}),
     }
-    assert fed.aggregate_prototypes(sets, 1, "normalized").get(0)[0] == pytest.approx(1.0)
-    assert fed.aggregate_prototypes(sets, 1, "literal").get(0)[0] == pytest.approx(0.5)
+    assert fed.aggregate_prototypes(sets, 1, "normalized").matrix.data[0, 0] == pytest.approx(1.0)
+    assert fed.aggregate_prototypes(sets, 1, "literal").matrix.data[0, 0] == pytest.approx(0.5)
 
 
 # -------------------------------------------------------------------------

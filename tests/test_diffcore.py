@@ -163,11 +163,6 @@ def test_sq_dists_keeps_precision_near_a_prototype():
     assert dc.sq_dists(Tensor(x), Tensor(p)).item() == gap * gap / 2.0
 
 
-def test_concat_rows_values():
-    out = dc.concat_rows([Tensor([1.0, 2.0]), Tensor([[3.0, 4.0], [5.0, 6.0]])])
-    np.testing.assert_array_equal(out.data, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-
-
 # ---------------------------------------------------------------------------
 # Gradients vs central finite differences
 # ---------------------------------------------------------------------------
@@ -254,13 +249,6 @@ def test_grad_sq_dists_both_operands():
         x, p = rand(rng, n, q), rand(rng, c, q)
         weights = Tensor(rng.uniform(0.1, 1.0, size=(n, c)))
         check_grads(lambda ls: dc.tsum(dc.mul(dc.sq_dists(ls[0], ls[1]), weights)), [x, p])
-
-
-def test_grad_concat_rows_splits_back():
-    rng = RNG(21)
-    v, m = rand(rng, 3), rand(rng, 2, 3)
-    weights = Tensor(rand(rng, 3, 3))
-    check_grads(lambda ls: dc.tsum(dc.mul(dc.concat_rows(ls), weights)), [v, m])
 
 
 def test_grad_conv2d():
@@ -517,15 +505,11 @@ def test_check_finite_accepts_finite_arrays_whose_sum_overflows():
     _check_finite(np.zeros((0, 4)), "add")
 
 
-def test_sq_dists_and_concat_rows_shape_errors():
+def test_sq_dists_shape_errors():
     with pytest.raises(ShapeError):
         dc.sq_dists(Tensor([[1.0, 2.0]]), Tensor([[1.0, 2.0, 3.0]]))
     with pytest.raises(ShapeError):
         dc.sq_dists(Tensor([1.0, 2.0]), Tensor([[1.0, 2.0]]))
-    with pytest.raises(ShapeError):
-        dc.concat_rows([Tensor([1.0, 2.0]), Tensor([1.0])])
-    with pytest.raises(ShapeError):
-        dc.concat_rows([])
 
 
 def test_softmax_rejects_bad_temperature():

@@ -143,8 +143,8 @@ def test_aggregate_prototypes_normalized_vs_literal_hand_values():
     }
     normalized = fed.aggregate_prototypes(sets, 1, "normalized")
     literal = fed.aggregate_prototypes(sets, 1, "literal")
-    assert normalized.get(0)[0] == pytest.approx(1.0)
-    assert literal.get(0)[0] == pytest.approx(0.5)
+    assert normalized.rows([0]).data[0, 0] == pytest.approx(1.0)
+    assert literal.rows([0]).data[0, 0] == pytest.approx(0.5)
 
 
 def test_aggregate_prototypes_count_weighting():
@@ -153,16 +153,16 @@ def test_aggregate_prototypes_count_weighting():
         1: _proto_set({0: [[4.0]]}, {0: 3}),
     }
     table = fed.aggregate_prototypes(sets, 1, "normalized")
-    assert table.get(0)[0] == pytest.approx(3.0)
+    assert table.rows([0]).data[0, 0] == pytest.approx(3.0)
 
 
 def test_aggregate_prototypes_multiple_vectors_average():
     sets = {0: _proto_set({2: [[0.0], [2.0]]}, {2: 6})}
     table = fed.aggregate_prototypes(sets, 1, "normalized")
-    assert table.get(2)[0] == pytest.approx(1.0)
+    assert table.rows([2]).data[0, 0] == pytest.approx(1.0)
     # single member: literal prefactor 1/(1*2) gives the same mean
     literal = fed.aggregate_prototypes(sets, 1, "literal")
-    assert literal.get(2)[0] == pytest.approx(1.0)
+    assert literal.rows([2]).data[0, 0] == pytest.approx(1.0)
 
 
 def test_prototype_set_validation():
@@ -205,7 +205,7 @@ def test_first_round_trains_on_ce_only():
     assert rec.align == 0.0
     assert rec.proto == 0.0
     # every class produced prototypes in round 1
-    assert server.protos.classes() == [0, 1, 2]
+    assert server.protos.labels == [0, 1, 2]
     for st in clients.values():
         emb, logits = st.teacher
         assert emb.shape == (st.shard.train.size, ARCH.embedding_dim)
@@ -272,7 +272,7 @@ def test_round_two_with_empty_prototype_table_warns():
     assert st.teacher is not None
     with pytest.warns(PrototypeCoverageWarning):
         fed.client_update(
-            st, ds, server.model.flat, GlobalPrototypes(ARCH.embedding_dim),
+            st, ds, server.model.flat, GlobalPrototypes.of(ARCH.embedding_dim, {}),
             cfg, round_idx=2, run_seed=0,
         )
 
@@ -284,13 +284,13 @@ def test_epochs_zero_roundtrip():
     assert rec.ce == 0.0 and rec.distill == 0.0
     # aggregate of identical untouched models stays put
     np.testing.assert_allclose(flatten_params(server.model.params), before, rtol=0, atol=1e-15)
-    assert server.protos.classes() == [0, 1, 2]
+    assert server.protos.labels == [0, 1, 2]
 
 
 def test_fedavg_keeps_prototype_table_empty():
     ds, cfg, server, clients = small_world(method="fedavg")
     server, records = drive(ds, cfg, server, clients, 2)
-    assert len(server.protos) == 0
+    assert server.protos.labels == []
     assert all(r.distill == 0.0 and r.proto == 0.0 for r in records)
 
 
@@ -355,10 +355,17 @@ def test_fedprox_gradient_matches_the_proximal_op_chain_bitwise(rho, monkeypatch
         assert res.flat.tobytes() == model.flat.tobytes()
 
 
-# Committed 3-round logs of both baselines (tests/data): a change to either
-# regularizer that moves one bit of its trajectory fails here.
+# Committed 3-round logs of both baselines and both multi-prototype methods
+# (tests/data): a change to a regularizer, a loss kernel or the prototype
+# table that moves one bit of a trajectory fails here.
 @pytest.mark.parametrize(
-    "method, over", [("fedprox", {"prox_rho": 5.0}), ("fedproto", {"fedproto_weight": 3.0})]
+    "method, over",
+    [
+        ("fedprox", {"prox_rho": 5.0}),
+        ("fedproto", {"fedproto_weight": 3.0}),
+        ("mp-fedkd", {}),
+        ("mp-fedkd-kmeans", {}),
+    ],
 )
 def test_baseline_round_log_matches_golden(method, over):
     ds, cfg, server, clients = small_world(method=method, **over)
@@ -372,7 +379,7 @@ def test_fedproto_keeps_personal_models_and_server_fixed():
     before = flatten_params(server.model.params).copy()
     server, records = drive(ds, cfg, server, clients, 2)
     assert np.array_equal(flatten_params(server.model.params), before)
-    assert server.protos.classes() == [0, 1, 2]
+    assert server.protos.labels == [0, 1, 2]
     flats = {cid: flatten_params(st.model.params) for cid, st in clients.items()}
     assert not np.array_equal(flats[0], flats[1])
     assert all(np.isfinite(r.acc) for r in records)
@@ -389,16 +396,14 @@ def test_worker_parallelism_reproduces_sequential_run():
     )
     for a, b in zip(recs1, recs4):
         assert dataclasses.replace(a, wall_time=0.0) == dataclasses.replace(b, wall_time=0.0)
-    for c in server1.protos.classes():
-        a = np.asarray(server1.protos.get(c), dtype=float)
-        b = np.asarray(server4.protos.get(c), dtype=float)
-        assert np.array_equal(a, b)
+    assert server1.protos.labels == server4.protos.labels
+    assert np.array_equal(server1.protos.matrix.data, server4.protos.matrix.data)
 
 
 def test_stale_class_prototypes_survive_absence():
     ds, cfg, server, clients = small_world()
     server, _ = drive(ds, cfg, server, clients, 1)
-    kept = np.array(server.protos.get(2), dtype=float, copy=True)
+    kept = server.protos.rows([2]).data
     # only clients without any fresh evidence for some class would retain it;
     # simulate by making class 2's holders sit the round out
     hist2 = np.array([st.shard.histogram[2] for st in clients.values()])
@@ -413,14 +418,14 @@ def test_stale_class_prototypes_survive_absence():
         shard = ClientShard(client_id=0, train=train, test=test, histogram=[6, 6, 0])
         lean = {0: fed.ClientState(0, shard, build_backbone(ARCH, list(server.model.params)))}
     server, _ = fed.run_round(server, lean, ds, cfg)
-    assert np.array_equal(np.array(server.protos.get(2), dtype=float), kept)
-    assert server.protos.classes() == [0, 1, 2]
+    assert np.array_equal(server.protos.rows([2]).data, kept)
+    assert server.protos.labels == [0, 1, 2]
 
 
 def test_per_batch_prototype_mode_completes():
     ds, cfg, server, clients = small_world(per_batch_protos=True)
     server, records = drive(ds, cfg, server, clients, 2)
-    assert server.protos.classes() == [0, 1, 2]
+    assert server.protos.labels == [0, 1, 2]
     assert records[1].distill > 0.0
 
 
@@ -482,7 +487,7 @@ def test_kmeans_variant_runs_and_differs_from_chac():
     _, cfg_k, server_k, clients_k = small_world(method="mp-fedkd-kmeans", seed=21)
     server_h, _ = drive(ds, cfg_h, server_h, clients_h, 1)
     server_k, _ = drive(ds, cfg_k, server_k, clients_k, 1)
-    assert server_k.protos.classes() == [0, 1, 2]
+    assert server_k.protos.labels == [0, 1, 2]
     # same training up to prototype extraction, so models agree and tables
     # generally do not
     assert np.array_equal(

@@ -35,10 +35,7 @@ E = math.e
 
 
 def protos_from(arrays: dict[int, np.ndarray], dim: int) -> GlobalPrototypes:
-    table = GlobalPrototypes(dim)
-    for c, v in arrays.items():
-        table.set(c, v if isinstance(v, Tensor) else np.asarray(v, dtype=np.float64))
-    return table
+    return GlobalPrototypes.of(dim, arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -96,35 +93,35 @@ def test_distill_extreme_logits_stay_finite():
 
 def test_align_hand_values():
     protos = protos_from({0: np.zeros(2)}, 2)
-    loss = align_loss({0: Tensor([[1.0, 1.0]])}, protos)
+    loss = align_loss(Tensor([[1.0, 1.0]]), ClassGroups([0], protos))
     assert loss.item() == 1.0
     # two classes with per-class mean squared distances 1 and 3: average 2
     protos2 = protos_from({0: np.zeros(2), 1: np.zeros(2)}, 2)
-    groups = {
-        0: Tensor([[1.0, 1.0]]),                    # meanSq 1
-        1: Tensor([[np.sqrt(3.0), np.sqrt(3.0)]]),  # meanSq 3
-    }
-    assert abs(align_loss(groups, protos2).item() - 2.0) < 1e-12
+    emb = Tensor([
+        [1.0, 1.0],                    # class 0, meanSq 1
+        [np.sqrt(3.0), np.sqrt(3.0)],  # class 1, meanSq 3
+    ])
+    assert abs(align_loss(emb, ClassGroups([0, 1], protos2)).item() - 2.0) < 1e-12
 
 
 def test_align_skips_uncovered_classes():
     protos = protos_from({0: np.zeros(1)}, 1)
-    loss = align_loss({0: Tensor([[2.0]]), 5: Tensor([[9.0]])}, protos)
+    loss = align_loss(Tensor([[2.0], [9.0]]), ClassGroups([0, 5], protos))
     assert loss.item() == 4.0  # class 5 has no prototype and is ignored
 
 
 def test_align_warns_when_nothing_overlaps():
     protos = protos_from({7: np.zeros(1)}, 1)
     with pytest.warns(PrototypeCoverageWarning):
-        loss = align_loss({0: Tensor([[1.0]])}, protos)
+        loss = align_loss(Tensor([[1.0]]), ClassGroups([0], protos))
     assert loss.item() == 0.0
 
 
 def test_attract_hand_value_and_linearity():
     protos = protos_from({0: np.zeros(1)}, 1)
-    groups = {0: Tensor([[2.0]])}
-    assert attract_loss(groups, protos, scale=0.5).item() == 2.0
-    assert attract_loss(groups, protos, scale=1.0).item() == 4.0
+    groups = ClassGroups([0], protos)
+    assert attract_loss(Tensor([[2.0]]), groups, scale=0.5).item() == 2.0
+    assert attract_loss(Tensor([[2.0]]), groups, scale=1.0).item() == 4.0
 
 
 def test_repel_zero_distance_hand_value():
@@ -183,22 +180,24 @@ def test_repel_never_exponentiates_an_excluded_class():
 def test_prototype_kernels_match_per_class_loops():
     rng = np.random.default_rng(10)
     q, scale = 3, 0.7
-    table = protos_from({c: rng.uniform(-2, 2, q) for c in (0, 1, 3)}, q)
-    groups = {c: rng.uniform(-2, 2, (int(rng.integers(1, 5)), q)) for c in (0, 1, 2)}
+    vectors = {c: rng.uniform(-2, 2, q) for c in (0, 1, 3)}
+    table = protos_from(vectors, q)
+    blocks = {c: rng.uniform(-2, 2, (int(rng.integers(1, 5)), q)) for c in (0, 1, 2)}
     per_class = {
-        c: np.mean((g - table.get(c)) ** 2) for c, g in groups.items() if table.has(c)
+        c: np.mean((g - vectors[c]) ** 2) for c, g in blocks.items() if table.has(c)
     }
-    tensors = {c: Tensor(g) for c, g in groups.items()}
+    stacked = Tensor(np.concatenate(list(blocks.values())))
+    groups = ClassGroups(np.repeat(list(blocks), [len(g) for g in blocks.values()]), table)
     np.testing.assert_allclose(
-        align_loss(tensors, table).item(), np.mean(list(per_class.values())), rtol=1e-13
+        align_loss(stacked, groups).item(), np.mean(list(per_class.values())), rtol=1e-13
     )
     np.testing.assert_allclose(
-        attract_loss(tensors, table, scale).item(),
+        attract_loss(stacked, groups, scale).item(),
         scale * sum(per_class.values()),
         rtol=1e-13,
     )
     emb = rng.uniform(-2, 2, (5, q))
-    scores = [-scale * np.mean((emb - table.get(c)) ** 2) for c in (1, 3)]
+    scores = [-scale * np.mean((emb - vectors[c]) ** 2) for c in (1, 3)]
     np.testing.assert_allclose(
         repel_loss(Tensor(emb), table, scale, classes=[1, 2, 3]).item(),
         np.log(np.sum(np.exp(scores))),
@@ -208,58 +207,62 @@ def test_prototype_kernels_match_per_class_loops():
 
 def test_class_groups_mean_weights_and_shape_check():
     emb = Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    groups = ClassGroups(emb, [2, 0, 2])
-    np.testing.assert_array_equal(groups.mean_weights([2]), [[0.5], [0.0], [0.5]])
+    table = protos_from({2: np.zeros(2), 4: np.ones(2)}, 2)
+    groups = ClassGroups([2, 0, 2], table)
+    assert groups.classes == [2]
+    np.testing.assert_array_equal(groups.weights, [[0.5], [0.0], [0.5]])
+    np.testing.assert_array_equal(groups.rows.data, [[0.0, 0.0]])
     with pytest.raises(ShapeError):
-        ClassGroups(emb, [0, 1])
+        align_loss(emb, ClassGroups([0, 2], table))
+    with pytest.raises(ShapeError):
+        ClassGroups([[0, 2]], table)
 
 
 def test_class_groups_match_per_class_blocks_with_gradients():
     rng = np.random.default_rng(11)
     labels = np.array([1, 0, 1, 2, 1, 0])
     emb = Tensor(rng.uniform(-2, 2, (6, 3)))
-    live = [Tensor(rng.uniform(-2, 2, 3)) for _ in range(2)]
-    table = protos_from({0: live[0], 1: live[1]}, 3)
+    table = GlobalPrototypes([0, 1], Tensor(rng.uniform(-2, 2, (2, 3))))
+    # class 2 has no prototype; attract adds up the class terms, align averages them
+    blocks = [np.flatnonzero(labels == c) for c in (0, 1)]
 
-    def run(kernel, grouped):
+    def run(kernel, mix, grouped):
         with Tape() as tape:
-            tape.watch(emb, *live)
+            tape.watch(emb, table.matrix)
             if grouped:
-                groups = ClassGroups(emb, labels)
+                loss = kernel(emb, ClassGroups(labels, table))
             else:
-                groups = {c: dc.take_rows(emb, np.flatnonzero(labels == c)) for c in (0, 1, 2)}
-            loss = kernel(groups)
+                parts = [
+                    kernel(dc.take_rows(emb, rows), ClassGroups(labels[rows], table))
+                    for rows in blocks
+                ]
+                loss = dc.mul(dc.add(*parts), mix)
         grads = backward(tape, loss)
-        return loss.item(), [grads[t] for t in (emb, *live)]
+        return loss.item(), [grads[t] for t in (emb, table.matrix)]
 
-    for kernel in (lambda g: attract_loss(g, table, 0.5), lambda g: align_loss(g, table)):
-        (v1, g1), (v2, g2) = run(kernel, True), run(kernel, False)
+    for kernel, mix in ((lambda e, g: attract_loss(e, g, 0.5), 1.0), (align_loss, 0.5)):
+        (v1, g1), (v2, g2) = run(kernel, mix, True), run(kernel, mix, False)
         np.testing.assert_allclose(v1, v2, rtol=1e-13)
         for a, b in zip(g1, g2):
             np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-15)
 
 
-def test_with_embeddings_shares_the_grouping():
-    # The client's alignment diagnostic and attract term group one batch once.
+def test_one_grouping_serves_align_and_attract():
+    # The client groups a batch once: the alignment diagnostic reads the
+    # teacher's embeddings of its rows, the attract term the student's.
     rng = np.random.default_rng(12)
     labels = np.array([1, 0, 1, 2, 1, 0])
     t_emb, emb = rng.uniform(-2, 2, (6, 3)), Tensor(rng.uniform(-2, 2, (6, 3)))
     table = protos_from({0: rng.uniform(-2, 2, 3), 1: rng.uniform(-2, 2, 3)}, 3)
-    groups = ClassGroups(t_emb, labels)
-    align_loss(groups, table)
-    twin = groups.with_embeddings(emb)
-    assert twin.embeddings is emb and np.array_equal(twin.labels, labels)
-    shared, own = twin.covered(table), ClassGroups(emb, labels).covered(table)
-    assert all(a is b for a, b in zip(shared, groups.covered(table)))
-    assert shared[0] == own[0] == [0, 1]
-    assert shared[1].tobytes() == own[1].tobytes()
-    assert shared[2].data.tobytes() == own[2].data.tobytes()
-    got = attract_loss(twin, table, 0.5).data.tobytes()
-    assert got == attract_loss(ClassGroups(emb, labels), table, 0.5).data.tobytes()
-    table.set(2, rng.uniform(-2, 2, 3))  # a changed table is covered afresh
-    assert twin.covered(table)[0] == [0, 1, 2]
+    groups = ClassGroups(labels, table)
+    assert groups.classes == [0, 1]
+    al = align_loss(t_emb, groups)
+    assert al.data.tobytes() == align_loss(t_emb, ClassGroups(labels, table)).data.tobytes()
+    got = _value_and_grads(lambda: attract_loss(emb, groups, 0.5), [emb])
+    fresh = ClassGroups(labels, table)
+    assert got == _value_and_grads(lambda: attract_loss(emb, fresh, 0.5), [emb])
     with pytest.raises(ShapeError):
-        groups.with_embeddings(Tensor(np.zeros((5, 3))))
+        attract_loss(Tensor(np.zeros((5, 3))), groups, 0.5)
 
 
 def test_attract_repel_mix_hand_value():
@@ -310,17 +313,21 @@ def test_loss_weights_validation():
 
 
 def test_prototype_table_contract():
-    table = GlobalPrototypes(3)
-    table.set(2, np.ones(3))
-    assert table.has(2) and not table.has(0)
-    assert table.classes() == [2]
-    np.testing.assert_array_equal(table.get(2), np.ones(3))
+    table = GlobalPrototypes.of(3, {2: np.ones(3), 0: np.zeros(3)})
+    assert table.has(2) and not table.has(1)
+    assert table.labels == [0, 2] and table.embedding_dim == 3
+    np.testing.assert_array_equal(table.matrix.data, [np.zeros(3), np.ones(3)])
+    np.testing.assert_array_equal(table.rows([2, 0]).data, [np.ones(3), np.zeros(3)])
     with pytest.raises(ShapeError):
-        table.set(1, np.ones(4))
-    clone = table.copy()
-    clone.set(0, np.zeros(3))
-    assert not table.has(0)
-    assert clone.as_arrays().keys() == {0, 2}
+        GlobalPrototypes.of(3, {1: np.ones(4)})
+    with pytest.raises(ValueError):
+        GlobalPrototypes.of(0, {})
+    empty = GlobalPrototypes.of(3, {})
+    assert empty.labels == [] and empty.matrix.shape == (0, 3)
+    with pytest.raises(ShapeError):
+        GlobalPrototypes([0], np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        GlobalPrototypes([2, 0], np.zeros((2, 3)))  # labels must ascend
 
 
 # ---------------------------------------------------------------------------
@@ -343,29 +350,25 @@ def test_distill_gradients_flow_to_student_only():
 def test_align_gradients_flow_to_protos_only():
     rng = np.random.default_rng(3)
     emb = Tensor(rng.uniform(-2, 2, size=(4, 3)))
-    proto = Tensor(rng.uniform(-2, 2, size=3))
-    table = GlobalPrototypes(3)
-    table.set(0, proto)
+    table = GlobalPrototypes([0], Tensor(rng.uniform(-2, 2, size=(1, 3))))
     with Tape() as tape:
-        tape.watch(emb, proto)
-        loss = align_loss({0: emb}, table)
+        tape.watch(emb, table.matrix)
+        loss = align_loss(emb, ClassGroups([0] * 4, table))
     grads = backward(tape, loss)
     assert np.all(grads[emb] == 0.0)
-    assert np.any(grads[proto] != 0.0)
+    assert np.any(grads[table.matrix] != 0.0)
 
 
 def test_attract_gradients_flow_to_embeddings_only():
     rng = np.random.default_rng(4)
     emb = Tensor(rng.uniform(-2, 2, size=(4, 3)))
-    proto = Tensor(rng.uniform(-2, 2, size=3))
-    table = GlobalPrototypes(3)
-    table.set(0, proto)
+    table = GlobalPrototypes([0], Tensor(rng.uniform(-2, 2, size=(1, 3))))
     with Tape() as tape:
-        tape.watch(emb, proto)
-        loss = attract_loss({0: emb}, table, scale=0.5)
+        tape.watch(emb, table.matrix)
+        loss = attract_loss(emb, ClassGroups([0] * 4, table), scale=0.5)
     grads = backward(tape, loss)
     assert np.any(grads[emb] != 0.0)
-    assert np.all(grads[proto] == 0.0)
+    assert np.all(grads[table.matrix] == 0.0)
 
 
 def test_distill_matches_finite_differences():
@@ -380,15 +383,13 @@ def test_distill_matches_finite_differences():
 
 def test_align_matches_finite_differences_wrt_protos():
     rng = np.random.default_rng(6)
-    groups_data = {0: rng.uniform(-2, 2, size=(3, 4)), 2: rng.uniform(-2, 2, size=(2, 4))}
+    emb = Tensor(np.concatenate([rng.uniform(-2, 2, (3, 4)), rng.uniform(-2, 2, (2, 4))]))
+    labels = [0, 0, 0, 2, 2]
 
     def build(ls):
-        table = GlobalPrototypes(4)
-        table.set(0, ls[0])
-        table.set(2, ls[1])
-        return align_loss({c: Tensor(v) for c, v in groups_data.items()}, table)
+        return align_loss(emb, ClassGroups(labels, GlobalPrototypes([0, 2], ls[0])))
 
-    check_grads(build, [rng.uniform(-2, 2, size=4), rng.uniform(-2, 2, size=4)])
+    check_grads(build, [rng.uniform(-2, 2, size=(2, 4))])
 
 
 def test_attract_matches_finite_differences_wrt_embeddings():
@@ -396,9 +397,8 @@ def test_attract_matches_finite_differences_wrt_embeddings():
     table = protos_from({0: rng.uniform(-2, 2, 3), 1: rng.uniform(-2, 2, 3)}, 3)
     e0 = rng.uniform(-2, 2, size=(3, 3))
     e1 = rng.uniform(-2, 2, size=(2, 3))
-    check_grads(
-        lambda ls: attract_loss({0: ls[0], 1: ls[1]}, table, scale=0.5), [e0, e1]
-    )
+    groups = ClassGroups([0, 0, 0, 1, 1], table)
+    check_grads(lambda ls: attract_loss(ls[0], groups, scale=0.5), [np.concatenate([e0, e1])])
 
 
 def test_repel_matches_finite_differences_wrt_both_sides():
@@ -408,12 +408,9 @@ def test_repel_matches_finite_differences_wrt_both_sides():
     p1 = rng.uniform(-2, 2, size=3)
 
     def build(ls):
-        table = GlobalPrototypes(3)
-        table.set(0, ls[1])
-        table.set(1, ls[2])
-        return repel_loss(ls[0], table, scale=0.5)
+        return repel_loss(ls[0], GlobalPrototypes([0, 1], ls[1]), scale=0.5)
 
-    check_grads(build, [emb, p0, p1])
+    check_grads(build, [emb, np.stack([p0, p1])])
 
 
 def test_combined_loss_matches_finite_differences_through_model():
@@ -435,17 +432,10 @@ def test_combined_loss_matches_finite_differences_through_model():
         emb, logits = m.forward(x)
         ce = cross_entropy(logits, labels)
         distill = distill_loss(teacher_logits, logits, w.temperature)
-        groups = {
-            c: dc.take_rows(emb, np.flatnonzero(labels == c))
-            for c in range(3)
-            if np.any(labels == c)
-        }
-        prev_groups = {
-            c: Tensor(prev_emb[labels == c]) for c in range(3) if np.any(labels == c)
-        }
-        align = align_loss(prev_groups, table)
+        groups = ClassGroups(labels, table)
+        align = align_loss(prev_emb, groups)
         pair = attract_repel_loss(
-            attract_loss(groups, table, w.scale),
+            attract_loss(emb, groups, w.scale),
             repel_loss(emb, table, w.scale),
             w.balance,
         )
@@ -481,13 +471,12 @@ def test_fused_kernels_match_op_chain_references_bitwise(seed):
     teacher = Tensor(rng.uniform(-3, 3, (n, C)))
     tau = float(rng.uniform(0.05, 3.0))
     emb = Tensor(rng.uniform(-2, 2, (n, q)))
-    groups = ClassGroups(emb, labels)
-    # prototypes for some classes, always one the batch holds; once as plain
-    # arrays and once as tracked tensors
+    # prototypes for some classes, always one the batch holds; once as a
+    # constant matrix and once as a tracked one, grouped under the tape
     arrays = {c: rng.uniform(-2, 2, q) for c in range(C) if c == labels[0] or rng.random() < 0.7}
     plain = protos_from(arrays, q)
-    tensors = [Tensor(v) for v in arrays.values()]
-    live = protos_from(dict(zip(arrays, tensors)), q)
+    groups = ClassGroups(labels, plain)
+    live = GlobalPrototypes(plain.labels, Tensor(plain.matrix.data))
     scale = float(rng.uniform(0.1, 2.0))
     own = sorted(set(labels.tolist()) | {int(rng.integers(0, C))})
     terms = [Tensor(v) for v in rng.uniform(-2, 2, 4)]
@@ -509,14 +498,19 @@ def test_fused_kernels_match_op_chain_references_bitwise(seed):
             [teacher, logits],
         ),
         "attract": (
-            lambda: attract_loss(groups, plain, scale),
-            lambda: attract_reference(groups, plain, scale),
+            lambda: attract_loss(emb, groups, scale),
+            lambda: attract_reference(emb, groups, scale),
             [emb],
         ),
+        "attract, tracked prototypes": (
+            lambda: attract_loss(emb, ClassGroups(labels, live), scale),
+            lambda: attract_reference(emb, ClassGroups(labels, live), scale),
+            [emb, live.matrix],
+        ),
         "align": (
-            lambda: align_loss(groups, live),
-            lambda: align_reference(groups, live),
-            [emb, *tensors],
+            lambda: align_loss(emb, ClassGroups(labels, live)),
+            lambda: align_reference(emb, ClassGroups(labels, live)),
+            [emb, live.matrix],
         ),
         "repel": (
             lambda: repel_loss(emb, plain, scale, classes=own),
@@ -526,7 +520,7 @@ def test_fused_kernels_match_op_chain_references_bitwise(seed):
         "repel, tracked prototypes": (
             lambda: repel_loss(emb, live, scale, classes=own),
             lambda: repel_reference(emb, live, scale, own),
-            [emb, *tensors],
+            [emb, live.matrix],
         ),
         "attract_repel": (
             lambda: attract_repel_loss(terms[0], terms[1], w.balance),
@@ -564,9 +558,10 @@ def test_fused_training_loss_matches_op_chain_bitwise(seed):
         ce_k, distill_k, align_k, attract_k, repel_k, pair_k, local_k = kernels
         emb, logits = model.forward(Tensor(x))
         ce = ce_k(logits, labels)
-        al = align_k(ClassGroups(t_emb, labels), table)
+        groups = ClassGroups(labels, table)
+        al = align_k(t_emb, groups)
         dist = distill_k(t_logits, logits, w.temperature)
-        att = attract_k(ClassGroups(emb, labels), table, w.scale)
+        att = attract_k(emb, groups, w.scale)
         rep = repel_k(emb, table, w.scale, [0, 1, 2])
         return local_k(ce, dist, al, pair_k(att, rep, w.balance), w)
 
@@ -604,7 +599,7 @@ def test_fedproto_kernel_matches_op_chain_bitwise(seed):
     def build(kernel, mix):
         emb, logits = model.forward(Tensor(x))
         ce = cross_entropy(logits, labels)
-        regs.append(kernel(ClassGroups(emb, labels), table))
+        regs.append(kernel(emb, ClassGroups(labels, table)))
         return ce if regs[-1] is None else mix(ce, regs[-1])
 
     got = _value_and_grads(
@@ -626,7 +621,7 @@ def test_fedproto_kernel_matches_finite_differences():
     labels = np.array([0, 2, 0, 1, 2, 2, 3])
     table = protos_from({c: rng.uniform(-1, 1, 4) for c in (0, 2, 3)}, 4)
     check_grads(
-        lambda leaves: fedproto_loss(ClassGroups(leaves[0], labels), table),
+        lambda leaves: fedproto_loss(leaves[0], ClassGroups(labels, table)),
         [rng.uniform(-2, 2, (7, 4))],
     )
 
@@ -635,10 +630,10 @@ def test_fedproto_kernel_hand_value_and_coverage():
     emb = Tensor([[1.0, 2.0], [3.0, 6.0], [5.0, 0.0]])
     # class 0's mean (2, 4) sits (1, 2) off its prototype; class 1 has none
     table = protos_from({0: np.array([1.0, 2.0]), 2: np.zeros(2)}, 2)
-    assert fedproto_loss(ClassGroups(emb, [0, 0, 1]), table).item() == 2.5
-    assert fedproto_loss(ClassGroups(emb, [1, 1, 1]), table) is None
+    assert fedproto_loss(emb, ClassGroups([0, 0, 1], table)).item() == 2.5
+    assert fedproto_loss(emb, ClassGroups([1, 1, 1], table)) is None
     with pytest.raises(ShapeError):
-        fedproto_loss(ClassGroups(emb, [0, 0, 1]), protos_from({0: np.zeros(3)}, 3))
+        fedproto_loss(emb, ClassGroups([0, 0, 1], protos_from({0: np.zeros(3)}, 3)))
 
 
 def test_shape_errors():
@@ -648,11 +643,11 @@ def test_shape_errors():
         distill_loss(Tensor([[1.0, 0.0]]), Tensor([[1.0, 0.0, 2.0]]), 1.0)
     table = protos_from({0: np.zeros(2)}, 2)
     with pytest.raises(ShapeError):
-        align_loss({0: Tensor([[1.0, 2.0, 3.0]])}, table)
+        align_loss(Tensor([[1.0, 2.0, 3.0]]), ClassGroups([0], table))
     with pytest.raises(ShapeError):
         repel_loss(Tensor([[1.0, 2.0, 3.0]]), table, 1.0)
     with pytest.raises(ValueError):
-        attract_loss({0: Tensor([[1.0, 0.0]])}, table, scale=0.0)
+        attract_loss(Tensor([[1.0, 0.0]]), ClassGroups([0], table), scale=0.0)
     with pytest.raises(ShapeError):
         attract_repel_loss(Tensor([1.0, 2.0]), Tensor(0.0), 0.5)
     with pytest.raises(ShapeError):

@@ -55,6 +55,10 @@ def test_metric_input_validation():
     with pytest.raises(ValueError):
         macro_f1([0, 5], [0, 1], num_classes=2)
     with pytest.raises(ValueError):
+        macro_f1([-1, 0, 1], [-1, 0, 1], num_classes=2)
+    with pytest.raises(ValueError):
+        macro_f1([0, 1], [0, -1], num_classes=2)
+    with pytest.raises(ValueError):
         macro_f1([0], [0], num_classes=0)
     with pytest.raises(ValueError):
         average_accuracy([])
