@@ -38,7 +38,6 @@ __all__ = [
     "chac",
     "centroids",
     "kmeans",
-    "merge_log_csv",
 ]
 
 
@@ -314,11 +313,3 @@ def kmeans(points, requested: int, seed: int, max_iters: int = 100) -> Clusterin
         if mem.size:
             clusters.append(Cluster(tuple(int(i) for i in mem), pts[mem].mean(axis=0)))
     return ClusteringResult(tuple(clusters), (), requested)
-
-
-def merge_log_csv(result: ClusteringResult) -> str:
-    """Dendrogram audit: one line per merge."""
-    lines = ["step,cluster_a,cluster_b,delta_ssq"]
-    for step, (a, b, c) in enumerate(result.merges):
-        lines.append(f"{step},{a},{b},{c!r}")
-    return "\n".join(lines) + "\n"

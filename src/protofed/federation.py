@@ -5,7 +5,9 @@ as its flat parameter vector; clients train locally, extract each class's
 prototypes from their embeddings as one (K, q) block, and send both back.
 The server averages the vectors by training-set size and merges prototype
 tables, keeping stale classes until fresh evidence arrives. Personal-model
-training (fedproto) skips the model exchange entirely.
+training (fedproto) skips the model exchange entirely. Each round's record
+carries its traffic: the payload bytes every selected client received and
+those each sent back, at 8 bytes per float, framing not counted.
 """
 from __future__ import annotations
 
@@ -30,7 +32,6 @@ __all__ = [
     "PrototypeSet",
     "ClientState",
     "ServerState",
-    "Topology",
     "select_clients",
     "client_update",
     "aggregate_models",
@@ -119,12 +120,6 @@ class PrototypeSet:
         if len({block.shape[1] for block in self.protos.values()}) > 1:
             raise ValueError("prototype vectors have mixed widths")
 
-    def classes(self) -> list[int]:
-        return sorted(self.protos)
-
-    def vector_floats(self) -> int:
-        return sum(block.size for block in self.protos.values())
-
 
 @dataclass
 class ClientState:
@@ -140,49 +135,6 @@ class ServerState:
     protos: GlobalPrototypes
     seed: int = 0
     round_idx: int = 0  # rounds completed so far
-
-
-class Topology:
-    """Clients hang off intermediate relay hubs; traffic is tallied per hub.
-
-    Accounting covers payload floats only (8 bytes each), not framing.
-    """
-
-    def __init__(self, num_hubs: int, assignment: Mapping[int, int]):
-        if num_hubs < 1:
-            raise ValueError("need at least one hub")
-        for cid, hub in assignment.items():
-            if not 0 <= hub < num_hubs:
-                raise ValueError(f"client {cid} assigned to unknown hub {hub}")
-        self.num_hubs = num_hubs
-        self.assignment = dict(assignment)
-        self.bytes_down = [0] * num_hubs
-        self.bytes_up = [0] * num_hubs
-
-    @classmethod
-    def round_robin(cls, client_ids: Sequence[int], num_hubs: int) -> "Topology":
-        ids = sorted(int(i) for i in client_ids)
-        return cls(num_hubs, {cid: pos % num_hubs for pos, cid in enumerate(ids)})
-
-    def _hub_of(self, client_id: int) -> int:
-        try:
-            return self.assignment[client_id]
-        except KeyError:
-            raise ValueError(f"client {client_id} is not attached to any hub") from None
-
-    def record_down(self, client_id: int, nbytes: int) -> None:
-        self.bytes_down[self._hub_of(client_id)] += int(nbytes)
-
-    def record_up(self, client_id: int, nbytes: int) -> None:
-        self.bytes_up[self._hub_of(client_id)] += int(nbytes)
-
-    @property
-    def total_down(self) -> int:
-        return sum(self.bytes_down)
-
-    @property
-    def total_up(self) -> int:
-        return sum(self.bytes_up)
 
 
 @dataclass
@@ -450,7 +402,6 @@ def run_round(
     clients: Mapping[int, ClientState],
     dataset: Dataset,
     cfg: FedConfig,
-    topology: Optional[Topology] = None,
 ) -> tuple[ServerState, RoundRecord]:
     """Advance the federation by one round and evaluate the result.
 
@@ -465,12 +416,9 @@ def run_round(
     global_flat = server.model.flat if shares_model else None
     global_protos = server.protos
 
-    if topology is not None:
-        down = global_flat.size if shares_model else 0
-        if uses_protos:
-            down += global_protos.matrix.size
-        for cid in selected:
-            topology.record_down(cid, 8 * down)
+    down = global_flat.size if shares_model else 0
+    if uses_protos:
+        down += global_protos.matrix.size
 
     def work(cid: int) -> ClientRoundResult:
         try:
@@ -490,13 +438,12 @@ def run_round(
             for cid, fut in futures.items():
                 results[cid] = fut.result()
 
-    if topology is not None:
-        for cid in selected:
-            res = results[cid]
-            up = res.flat.size if shares_model else 0
-            if uses_protos:
-                up += res.protos.vector_floats()
-            topology.record_up(cid, 8 * up)
+    bytes_up = []
+    for cid in selected:
+        up = results[cid].flat.size if shares_model else 0
+        if uses_protos:
+            up += sum(block.size for block in results[cid].protos.protos.values())
+        bytes_up.append(8 * up)
 
     if shares_model:
         sizes = {cid: results[cid].train_size for cid in selected}
@@ -549,6 +496,8 @@ def run_round(
         mae=mae,
         macro_f1=f1,
         wall_time=time.perf_counter() - t_start,
+        bytes_down=8 * down,
+        bytes_up=tuple(bytes_up),
     )
     server.round_idx = round_idx
     return server, record

@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .data import Dataset, load_idx, partition_dirichlet, synth_blobs
-from .federation import FedConfig, Topology, init_federation, run_round
+from .federation import FedConfig, init_federation, run_round
 from .losses import LossWeights
 from .metrics import RoundRecord, average_accuracy
 from .model import _KINDS, Arch, snapshot
@@ -97,7 +97,7 @@ class ExperimentConfig:
     fedproto_weight: float = _ini("federation", FedConfig.fedproto_weight)
     workers: int = _ini("federation", FedConfig.workers)
     per_batch_protos: bool = _ini("federation", FedConfig.per_batch_protos)
-    hubs: int = _ini("federation", 1)
+    hubs: int = _ini("federation", 1)  # bookkeeping only: books traffic per relay hub
     seed: int = _ini("run", 0)
     out: str = _ini("run", "runs/exp")
     checkpoints: bool = _ini("run", False)
@@ -254,16 +254,25 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, list[RoundRecord]]:
     """Full pipeline: data, partition, training rounds, artifacts on disk."""
     t_start = time.perf_counter()
     dataset, plan = _partition(cfg)
+    if not any(s.test.size for s in plan.shards):
+        raise ValueError(
+            f"[partition] test_fraction = {cfg.test_fraction} leaves no test rows to score"
+        )
     arch = _build_arch(cfg, dataset)
     out = _write_partition(cfg, plan)
     fedcfg = cfg.fed_config()
     server, clients = init_federation(arch, plan, cfg.seed)
-    topology = Topology.round_robin(list(clients), cfg.hubs)
+    # Clients hang off relay hubs round robin; traffic is booked per hub.
+    hub_of = {cid: pos % cfg.hubs for pos, cid in enumerate(sorted(clients))}
+    down, up = [0] * cfg.hubs, [0] * cfg.hubs
 
     records: list[RoundRecord] = []
     for _ in range(fedcfg.rounds):
-        server, rec = run_round(server, clients, dataset, fedcfg, topology)
+        server, rec = run_round(server, clients, dataset, fedcfg)
         records.append(rec)
+        for cid, nbytes in zip(rec.selected, rec.bytes_up):
+            down[hub_of[cid]] += rec.bytes_down
+            up[hub_of[cid]] += nbytes
         if cfg.checkpoints:
             _write_checkpoint(out, server, rec.round_idx)
 
@@ -282,10 +291,10 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, list[RoundRecord]]:
         "wall_time_seconds": time.perf_counter() - t_start,
         "round_wall_times": [r.wall_time for r in records],
         "traffic": {
-            "down_bytes_per_hub": list(topology.bytes_down),
-            "up_bytes_per_hub": list(topology.bytes_up),
-            "total_down_bytes": topology.total_down,
-            "total_up_bytes": topology.total_up,
+            "down_bytes_per_hub": down,
+            "up_bytes_per_hub": up,
+            "total_down_bytes": sum(down),
+            "total_up_bytes": sum(up),
         },
         "config": dataclasses.asdict(cfg),
     }

@@ -21,8 +21,10 @@ class RoundRecord:
 
     Loss components are means over the round's participants; metrics are
     computed on the global test pool (or per-client pools for personal
-    models). wall_time is bookkeeping only and is deliberately left out
-    of the deterministic CSV serialization.
+    models). wall_time and the payload bytes are bookkeeping only and are
+    deliberately left out of the deterministic CSV serialization:
+    bytes_down went to each selected client, bytes_up came back from
+    each, in ``selected`` order.
     """
 
     round_idx: int
@@ -36,6 +38,8 @@ class RoundRecord:
     mae: float
     macro_f1: float
     wall_time: float
+    bytes_down: int
+    bytes_up: tuple[int, ...]
 
 
 def _paired(preds, labels) -> tuple[np.ndarray, np.ndarray]:

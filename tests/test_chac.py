@@ -16,7 +16,6 @@ from protofed.chac import (
     chac,
     delta_ssq,
     kmeans,
-    merge_log_csv,
 )
 
 
@@ -285,15 +284,12 @@ def test_chac_input_validation():
         chac(np.zeros(3), 1)
 
 
-def test_centroids_and_merge_log_export():
+def test_centroids_and_merge_log_hand_case():
     pts = np.array([[0.0], [1.0], [10.0]])
     result = chac(pts, 2)
     cents = centroids(result)
     np.testing.assert_allclose(cents, [[0.5], [10.0]])
-    text = merge_log_csv(result)
-    lines = text.strip().split("\n")
-    assert lines[0] == "step,cluster_a,cluster_b,delta_ssq"
-    assert lines[1] == "0,0,1,0.5"
+    assert result.merges[0] == (0, 1, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import protofed.diffcore as dc
 import protofed.federation as fed
 from helpers import prox_reference
 from protofed.data import ClientShard, partition_dirichlet, synth_blobs
-from protofed.harness import rounds_csv
+from protofed.harness import ExperimentConfig, rounds_csv, run_experiment
 from protofed.losses import GlobalPrototypes, LossWeights, PrototypeCoverageWarning, cross_entropy
 from protofed.model import Arch, backbone_from_flat, build_backbone, flatten_params, sgd_step
 
@@ -29,10 +29,10 @@ def small_world(method="mp-fedkd", clients=3, seed=7, **over):
     return ds, cfg, server, clients_map
 
 
-def drive(ds, cfg, server, clients, rounds, topology=None):
+def drive(ds, cfg, server, clients, rounds):
     records = []
     for _ in range(rounds):
-        server, rec = fed.run_round(server, clients, ds, cfg, topology)
+        server, rec = fed.run_round(server, clients, ds, cfg)
         records.append(rec)
     return server, records
 
@@ -455,8 +455,8 @@ def test_per_batch_prototypes_cluster_the_last_batch(monkeypatch):
     assert len(embs) == len(labels) == batches
     emb, y = embs[-1], labels[-1]
     assert sum(res.protos.counts.values()) == y.size < st.shard.train.size
-    assert res.protos.classes() == sorted(int(c) for c in np.unique(y))
-    for c in res.protos.classes():
+    assert sorted(res.protos.protos) == sorted(int(c) for c in np.unique(y))
+    for c in res.protos.protos:
         assert res.protos.counts[c] == int(np.sum(y == c))
         want = clustering.centroids(clustering.chac(emb[y == c], cfg.clusters_per_class))
         assert np.array_equal(np.stack(res.protos.protos[c]), want)
@@ -576,48 +576,56 @@ def test_round_metrics_by_hand(method):
     assert (rec.acc, rec.rmse, rec.mae, rec.macro_f1) == pytest.approx(want, rel=1e-12)
 
 
-# -------------------------------------------------------------- topology
+# --------------------------------------------------------------- traffic
 
 
-def test_topology_round_robin_assignment():
-    topo = fed.Topology.round_robin([4, 2, 7], num_hubs=2)
-    assert topo.assignment == {2: 0, 4: 1, 7: 0}
-    with pytest.raises(ValueError):
-        topo.record_down(99, 10)
-    with pytest.raises(ValueError):
-        fed.Topology(0, {})
+def test_topology_round_robin_assignment(tmp_path):
+    # run_experiment hangs the sorted client ids off the hubs round robin:
+    # of 5 clients, 0, 2 and 4 on hub 0, 1 and 3 on hub 1. fedavg's payload
+    # is the parameter vector both ways.
+    _, _, server, _ = small_world(method="fedavg")
+    param_bytes = 8 * sum(p.size for p in server.model.params)
+    cfg = ExperimentConfig(
+        clients=5, alpha=1e6, hidden=8, embedding_dim=4, method="fedavg", rounds=3,
+        epochs=1, fraction=0.6, hubs=2, out=str(tmp_path / "run"),
+    )
+    summary, records = run_experiment(cfg)
+    picks = [cid for rec in records for cid in rec.selected]
+    want = [param_bytes * sum(1 for cid in picks if cid % 2 == hub) for hub in (0, 1)]
+    assert all(want) and sum(want) == 3 * 3 * param_bytes
+    assert summary["traffic"] == {
+        "down_bytes_per_hub": want,
+        "up_bytes_per_hub": want,
+        "total_down_bytes": sum(want),
+        "total_up_bytes": sum(want),
+    }
 
 
 def test_topology_accounting_fedavg_round():
     ds, cfg, server, clients = small_world(method="fedavg")
-    topo = fed.Topology.round_robin(list(clients), num_hubs=2)
     param_bytes = 8 * sum(p.size for p in server.model.params)
-    fed.run_round(server, clients, ds, cfg, topology=topo)
-    assert topo.total_down == 3 * param_bytes
-    assert topo.total_up == 3 * param_bytes
-    assert sum(1 for b in topo.bytes_down if b > 0) == 2
+    _, rec = fed.run_round(server, clients, ds, cfg)
+    assert rec.selected == (0, 1, 2)
+    assert rec.bytes_down == param_bytes
+    assert rec.bytes_up == (param_bytes,) * 3
 
 
 def test_topology_accounting_prototype_traffic():
     ds, cfg, server, clients = small_world()
-    topo = fed.Topology.round_robin(list(clients), num_hubs=1)
     param_bytes = 8 * sum(p.size for p in server.model.params)
-    server, _ = fed.run_round(server, clients, ds, cfg, topology=topo)
+    server, rec = fed.run_round(server, clients, ds, cfg)
     # round 1 downlink has no prototypes yet
-    assert topo.total_down == 3 * param_bytes
-    assert topo.total_up > 3 * param_bytes  # prototype vectors ride along
-    down_r1 = topo.total_down
-    fed.run_round(server, clients, ds, cfg, topology=topo)
+    assert rec.bytes_down == param_bytes
+    assert len(rec.bytes_up) == 3
+    assert all(up > param_bytes for up in rec.bytes_up)  # prototype blocks ride along
+    _, rec = fed.run_round(server, clients, ds, cfg)
     # round 2 downlink now carries the table: 3 classes x embedding_dim
-    expected_table = 8 * 3 * ARCH.embedding_dim
-    assert topo.total_down == down_r1 + 3 * (param_bytes + expected_table)
+    assert rec.bytes_down == param_bytes + 8 * 3 * ARCH.embedding_dim
 
 
 def test_fedproto_traffic_is_prototype_only():
     ds, cfg, server, clients = small_world(method="fedproto")
-    topo = fed.Topology.round_robin(list(clients), num_hubs=1)
-    server, _ = fed.run_round(server, clients, ds, cfg, topology=topo)
-    assert topo.total_down == 0  # no model and no table yet
-    assert 0 < topo.total_up == 8 * sum(
-        r * ARCH.embedding_dim for r in (3, 3, 3)
-    )  # one vector per class per client on a near-IID split
+    server, rec = fed.run_round(server, clients, ds, cfg)
+    assert rec.bytes_down == 0  # no model and no table yet
+    # one vector per class per client on a near-IID split
+    assert rec.bytes_up == (8 * 3 * ARCH.embedding_dim,) * 3

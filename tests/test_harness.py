@@ -2,6 +2,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +113,8 @@ def test_config_validation():
         ExperimentConfig(data_kind="idx")  # missing paths
     with pytest.raises(ValueError):
         ExperimentConfig(domains=3)
+    with pytest.raises(ValueError, match="hubs must be >= 1"):
+        ExperimentConfig(hubs=0)
     # federation-level checks run when the config is built
     with pytest.raises(ValueError):
         ExperimentConfig(method="fedsgd").fed_config()
@@ -282,6 +285,8 @@ ALL_COMMANDS = ["run", "partition-audit", "compare-clusterers"]
         ("[run]\nseed = -1\n", ALL_COMMANDS),
         ("[dataset]\nseed = -1\n", ALL_COMMANDS),
         ("[partition]\nseed = -1\n", ALL_COMMANDS),
+        # no test rows would leave every metric NaN; the audit still shows it
+        ("[partition]\ntest_fraction = 0\n", ["run", "compare-clusterers"]),
     ],
 )
 def test_bad_data_or_model_value_writes_nothing(tmp_path, capsys, bad, commands):
@@ -363,6 +368,46 @@ def test_run_experiment_artifacts(tmp_path):
     assert len(protos["0"]) == cfg.embedding_dim
 
 
+TRAFFIC_GOLDEN = Path(__file__).parent / "data" / "traffic_golden.json"
+TRAFFIC_METHODS = ("mp-fedkd", "mp-fedkd-kmeans", "fedavg", "fedprox", "fedproto")
+
+
+def traffic_runs(tmp_path):
+    """Run the traffic grid: 5 methods x fraction 1.0, 0.67 x hubs 1, 2, 3
+    on 3-round, 5-client blobs with checkpoints. Maps "method fraction=f
+    hubs=h" to (the summary.json traffic block, the run directory)."""
+    base = small_cfg(tmp_path, clients=5, alpha=0.5, rounds=3, epochs=1, checkpoints=True)
+    runs = {}
+    for method in TRAFFIC_METHODS:
+        for fraction in (1.0, 0.67):
+            for hubs in (1, 2, 3):
+                key = f"{method} fraction={fraction} hubs={hubs}"
+                out = tmp_path / key.replace(" ", "_")
+                run_experiment(base.override(method=method, fraction=fraction, hubs=hubs, out=str(out)))
+                runs[key] = (json.loads((out / "summary.json").read_text())["traffic"], out)
+    return runs
+
+
+def test_traffic_matches_golden_and_hubs_only_keep_books(tmp_path):
+    # The golden file holds the traffic blocks the per-hub tally wrote
+    # before traffic moved into the round record.
+    runs = traffic_runs(tmp_path)
+    assert {key: traffic for key, (traffic, _) in runs.items()} == json.loads(
+        TRAFFIC_GOLDEN.read_text()
+    )
+    # hubs only sorts the bytes into books: the training is the same
+    def outputs(out):
+        files = [out / "rounds.csv", *sorted((out / "checkpoints").iterdir())]
+        return [(f.name, f.read_bytes()) for f in files]
+
+    for method in TRAFFIC_METHODS:
+        for fraction in (1.0, 0.67):
+            first = outputs(runs[f"{method} fraction={fraction} hubs=1"][1])
+            assert len(first) == 1 + 2 * 3
+            for hubs in (2, 3):
+                assert outputs(runs[f"{method} fraction={fraction} hubs={hubs}"][1]) == first
+
+
 def test_rounds_csv_is_reproducible(tmp_path):
     cfg_a = small_cfg(tmp_path / "a")
     cfg_b = small_cfg(tmp_path / "b")
@@ -435,6 +480,13 @@ def test_cli_partition_audit(tmp_path, capsys):
     )
     assert code == 0
     assert "max class share" in capsys.readouterr().out
+    # a split with no test rows cannot be trained on, but it can be audited
+    ini = tmp_path / "no-test.ini"
+    ini.write_text("[partition]\ntest_fraction = 0\n")
+    out = tmp_path / "no-test"
+    assert main(["partition-audit", "--config", str(ini), "--out", str(out)]) == 0
+    lines = (out / "partition_audit.csv").read_text().strip().split("\n")[1:]
+    assert sum(int(line.split(",")[2]) for line in lines) == 0
 
 
 def test_cli_entry_point_subprocess(tmp_path):

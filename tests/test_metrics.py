@@ -65,6 +65,6 @@ def test_metric_input_validation():
 
 
 def test_round_record_is_frozen():
-    rec = RoundRecord(1, (0, 1), 0.1, 0.0, 0.0, 0.0, 0.9, 0.3, 0.1, 0.8, 0.01)
+    rec = RoundRecord(1, (0, 1), 0.1, 0.0, 0.0, 0.0, 0.9, 0.3, 0.1, 0.8, 0.01, 64, (64, 80))
     with pytest.raises(AttributeError):
         rec.acc = 0.5
