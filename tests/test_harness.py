@@ -20,6 +20,7 @@ from protofed.harness import (
 from protofed.losses import LossWeights
 from protofed.metrics import average_accuracy
 from protofed.model import ModelSnapshot
+from test_data import write_idx_pair
 
 
 SMALL_INI = """
@@ -366,6 +367,89 @@ def test_run_experiment_artifacts(tmp_path):
     protos = json.loads((out / "checkpoints" / "round_002.protos.json").read_text())
     assert sorted(protos) == ["0", "1", "2"]
     assert len(protos["0"]) == cfg.embedding_dim
+
+
+def idx_files(directory: Path, seed: int) -> tuple[str, str]:
+    """A tiny idx image/label pair: 20 rows per digit in shuffled order, each
+    a 4x4 image that lights the pixel of its digit over pixel noise."""
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.repeat(np.arange(10, dtype=np.uint8), 20))
+    images = rng.integers(0, 96, size=(labels.size, 16), dtype=np.uint8)
+    images[np.arange(labels.size), labels] = 255
+    directory.mkdir(parents=True)
+    paths = write_idx_pair(directory, images.reshape(-1, 4, 4), labels)
+    return str(paths[0]), str(paths[1])
+
+
+TWO_DOMAIN_PINS = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name", ["blobs", "idx"])
+def test_two_domain_run_matches_pins(tmp_path, name):
+    # The pinned files were written before a second domain became a
+    # per-sample index of one dataset: 2 rounds over 5 clients, split 3/2
+    # between the domains, with blob domains = 2 or a second idx pair.
+    if name == "blobs":
+        cfg = small_cfg(tmp_path, domains=2, clients=5)
+    else:
+        (images, labels), (images2, labels2) = (
+            idx_files(tmp_path / f"idx-{seed}", seed) for seed in (1, 2)
+        )
+        cfg = small_cfg(
+            tmp_path, data_kind="idx", images=images, labels=labels,
+            images2=images2, labels2=labels2, clients=5,
+        )
+    run_experiment(cfg)
+    for artifact in ("partition.json", "rounds.csv"):
+        pinned = TWO_DOMAIN_PINS / f"two_domain_{name}_{artifact}"
+        assert (Path(cfg.out) / artifact).read_bytes() == pinned.read_bytes(), artifact
+
+
+def test_every_data_key_changes_the_run(tmp_path):
+    # Each [dataset] and [partition] key, flipped on its own in a 2-round
+    # run, changes partition.json or rounds.csv. Blob keys flip from a blob
+    # base, path keys from an idx base, and kind swaps one base for the other.
+    (a_img, a_lab), (b_img, b_lab), (c_img, c_lab) = (
+        idx_files(tmp_path / f"idx-{seed}", seed) for seed in (1, 2, 3)
+    )
+    blobs = small_cfg(tmp_path, method="fedavg", epochs=1)
+    idx = blobs.override(data_kind="idx", images=a_img, labels=a_lab)
+    two_idx = idx.override(images2=c_img, labels2=c_lab)  # the pair flips together
+    flips = {
+        ("dataset", "kind"): (blobs, idx),
+        ("dataset", "classes"): (blobs, blobs.override(classes=4)),
+        ("dataset", "per_class"): (blobs, blobs.override(per_class=24)),
+        ("dataset", "dim"): (blobs, blobs.override(dim=3)),
+        ("dataset", "spread"): (blobs, blobs.override(spread=0.3)),
+        ("dataset", "seed"): (blobs, blobs.override(data_seed=12)),
+        ("dataset", "domains"): (blobs, blobs.override(domains=2)),
+        ("dataset", "images"): (idx, idx.override(images=b_img)),
+        ("dataset", "labels"): (idx, idx.override(labels=b_lab)),
+        ("dataset", "images2"): (idx, two_idx),
+        ("dataset", "labels2"): (idx, two_idx),
+        ("partition", "clients"): (blobs, blobs.override(clients=4)),
+        ("partition", "alpha"): (blobs, blobs.override(alpha=0.5)),
+        ("partition", "test_fraction"): (blobs, blobs.override(test_fraction=0.3)),
+        ("partition", "seed"): (blobs, blobs.override(partition_seed=6)),
+    }
+    data_keys = {
+        (f.metadata["section"], f.metadata.get("key", f.name))
+        for f in dataclasses.fields(ExperimentConfig)
+        if f.metadata["section"] in ("dataset", "partition")
+    }
+    assert set(flips) == data_keys and len(data_keys) == 11 + 4
+
+    outputs = {}
+
+    def run(cfg):
+        if cfg not in outputs:
+            out = tmp_path / f"run-{len(outputs)}"
+            run_experiment(cfg.override(out=str(out)))
+            outputs[cfg] = [(out / f).read_bytes() for f in ("partition.json", "rounds.csv")]
+        return outputs[cfg]
+
+    for key, (base, flipped) in flips.items():
+        assert run(flipped) != run(base), key
 
 
 TRAFFIC_GOLDEN = Path(__file__).parent / "data" / "traffic_golden.json"
