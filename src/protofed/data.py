@@ -2,17 +2,19 @@
 
 Two dataset sources: the big-endian IDX image/label files used by the
 classic digit corpora, and synthetic Gaussian blobs for desk-scale runs.
-Partitioning draws per-class client proportions from a symmetric
-Dirichlet and assigns samples multinomially; smaller concentration means
-more skew. A "distinct-domain" variant splits the clients in half and
-gives each half samples from only one of two source domains.
+A second source domain is concatenated after the first into one dataset,
+whose ``sample_domains`` indexes each row's domain (0 or 1). Partitioning
+draws per-class client proportions from a symmetric Dirichlet and assigns
+samples multinomially; smaller concentration means more skew. A two-domain
+dataset is split "distinct-domain": the clients fall in two halves, and
+each half gets samples from only one domain.
 """
 from __future__ import annotations
 
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -47,16 +49,14 @@ class PartitionError(RuntimeError):
 class Dataset:
     """Read-only float64 feature matrix plus integer labels.
 
-    ``sample_domains`` is only set on concatenated two-domain datasets and
-    holds one tag per sample; plain datasets carry a single optional
-    ``domain_tag`` instead.
+    ``sample_domains`` is set only on a two-domain dataset (see ``concat``):
+    one index per row, 0 for the first domain and 1 for the second.
     """
 
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
     name: str
-    domain_tag: Optional[str] = None
     sample_domains: Optional[np.ndarray] = None
     image_shape: Optional[tuple[int, int, int]] = None
 
@@ -75,6 +75,11 @@ class Dataset:
             raise ValueError("labels length does not match feature rows")
         if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
             raise ValueError(f"labels outside [0, {self.num_classes})")
+        if self.sample_domains is not None:
+            domains = np.asarray(self.sample_domains)
+            if domains.shape != labels.shape or not ((domains == 0) | (domains == 1)).all():
+                raise ValueError("sample_domains must hold a 0 or 1 for each row")
+            object.__setattr__(self, "sample_domains", domains.astype(np.int64))
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -85,20 +90,17 @@ class Dataset:
 
     @staticmethod
     def concat(a: "Dataset", b: "Dataset") -> "Dataset":
-        """Stack two domains into one index space (a first, then b)."""
+        """Stack two domains into one index space: a's rows (domain 0), then b's."""
         if a.input_dim != b.input_dim:
             raise ValueError("domains have different feature widths")
         if a.num_classes != b.num_classes:
             raise ValueError("domains have different label spaces")
-        tags = np.array(
-            [a.domain_tag or "a"] * len(a) + [b.domain_tag or "b"] * len(b)
-        )
         return Dataset(
             features=np.vstack([a.features, b.features]),
             labels=np.concatenate([a.labels, b.labels]),
             num_classes=a.num_classes,
             name=f"{a.name}+{b.name}",
-            sample_domains=tags,
+            sample_domains=np.repeat([0, 1], [len(a), len(b)]),
             image_shape=a.image_shape if a.image_shape == b.image_shape else None,
         )
 
@@ -147,8 +149,6 @@ def synth_blobs(
     dim: int,
     spread: float,
     seed: int,
-    name: Optional[str] = None,
-    domain_tag: Optional[str] = None,
 ) -> Dataset:
     """Gaussian blobs with class centers on the unit sphere.
 
@@ -172,8 +172,7 @@ def synth_blobs(
         features=feats,
         labels=labels,
         num_classes=classes,
-        name=name or f"blobs:{classes}x{per_class}d{dim}",
-        domain_tag=domain_tag,
+        name=f"blobs:{classes}x{per_class}d{dim}",
     )
 
 
@@ -276,18 +275,18 @@ def _split_group(
 
 
 def partition_dirichlet(
-    dataset: Union[Dataset, tuple[Dataset, Dataset]],
+    dataset: Dataset,
     clients: int,
     alpha: float,
     test_fraction: float = 0.2,
     seed: int = 0,
-) -> tuple[Dataset, PartitionPlan]:
-    """Split a dataset (or a two-domain pair) into per-client shards.
+) -> PartitionPlan:
+    """Split a dataset into per-client shards that index its rows.
 
-    Returns the dataset the plan indexes into (the concatenation, for a
-    pair) together with the plan. Every sample lands in exactly one
-    client's train or test set; per-client test splits are stratified by
-    class at the given fraction.
+    Every sample lands in exactly one client's train or test set;
+    per-client test splits are stratified by class at the given fraction.
+    A two-domain dataset splits the clients into two random halves (the
+    first one larger when the count is odd), each over one domain's rows.
     """
     if clients < 1:
         raise ValueError("need at least one client")
@@ -296,33 +295,20 @@ def partition_dirichlet(
     if not 0 <= test_fraction < 1:
         raise ValueError("test_fraction must be in [0, 1)")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), _PARTITION_STREAM]))
-
-    if isinstance(dataset, tuple):
-        a, b = dataset
-        combined = Dataset.concat(a, b)
+    rows = np.arange(len(dataset), dtype=np.int64)
+    groups, kind = [(range(clients), rows)], "same-domain"  # groups: (client ids, row pool)
+    if dataset.sample_domains is not None:
         if clients < 2:
             raise ValueError("distinct-domain partitioning needs at least two clients")
         order = rng.permutation(clients)
-        first = order[: (clients + 1) // 2]
-        second = order[(clients + 1) // 2 :]
-        pools = [
-            np.arange(len(a), dtype=np.int64),
-            np.arange(len(a), len(a) + len(b), dtype=np.int64),
-        ]
-        shards: list[ClientShard] = []
-        for ids, pool in zip((first, second), pools):
-            shards += _split_group(
-                combined.labels, pool, sorted(int(i) for i in ids),
-                combined.num_classes, alpha, test_fraction, rng,
-            )
-        shards.sort(key=lambda s: s.client_id)
-        plan = PartitionPlan(tuple(shards), alpha, "distinct-domain", seed)
-        return combined, plan
-
-    pool = np.arange(len(dataset), dtype=np.int64)
-    shards = _split_group(
-        dataset.labels, pool, list(range(clients)),
-        dataset.num_classes, alpha, test_fraction, rng,
-    )
-    plan = PartitionPlan(tuple(shards), alpha, "same-domain", seed)
-    return dataset, plan
+        halves = (order[: (clients + 1) // 2], order[(clients + 1) // 2 :])
+        groups = [(sorted(halves[d]), rows[dataset.sample_domains == d]) for d in (0, 1)]
+        kind = "distinct-domain"
+    shards: list[ClientShard] = []
+    for ids, pool in groups:
+        shards += _split_group(
+            dataset.labels, pool, [int(i) for i in ids],
+            dataset.num_classes, alpha, test_fraction, rng,
+        )
+    shards.sort(key=lambda s: s.client_id)
+    return PartitionPlan(tuple(shards), alpha, kind, seed)

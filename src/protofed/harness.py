@@ -107,6 +107,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown dataset kind {self.data_kind!r}")
         if self.domains not in (1, 2):
             raise ValueError("domains must be 1 or 2")
+        for key in ("images", "labels", "images2", "labels2"):
+            if self.data_kind == "blobs" and getattr(self, key):
+                raise ValueError(f"[dataset] {key} is an idx file path; it needs kind = idx")
         if self.data_kind == "idx" and (not self.images or not self.labels):
             raise ValueError("idx datasets need images and labels paths")
         if self.data_kind == "idx" and bool(self.images2) != bool(self.labels2):
@@ -175,25 +178,19 @@ class ExperimentConfig:
         return dataclasses.replace(self, **actual) if actual else self
 
 
-def build_dataset(cfg: ExperimentConfig):
-    """The dataset named by the config: one Dataset, or a pair for the
-    distinct-domain case (the second blob domain is an independent draw)."""
+def build_dataset(cfg: ExperimentConfig) -> Dataset:
+    """The dataset named by the config. A second domain (blob domains = 2,
+    an independent draw at the next data seed, or the idx pair images2 and
+    labels2) is concatenated after the first and indexed per sample."""
     if cfg.data_kind == "blobs":
-        first = synth_blobs(
-            cfg.classes, cfg.per_class, cfg.dim, cfg.spread, cfg.data_seed,
-            domain_tag="a" if cfg.domains == 2 else None,
-        )
-        if cfg.domains == 1:
-            return first
-        second = synth_blobs(
-            cfg.classes, cfg.per_class, cfg.dim, cfg.spread, cfg.data_seed + 1,
-            domain_tag="b",
-        )
-        return first, second
-    first = load_idx(cfg.images, cfg.labels)
-    if cfg.images2:
-        return first, load_idx(cfg.images2, cfg.labels2)
-    return first
+        domains = [
+            synth_blobs(cfg.classes, cfg.per_class, cfg.dim, cfg.spread, cfg.data_seed + d)
+            for d in range(cfg.domains)
+        ]
+    else:
+        pairs = [(cfg.images, cfg.labels), (cfg.images2, cfg.labels2)]
+        domains = [load_idx(images, labels) for images, labels in pairs if images]
+    return domains[0] if len(domains) == 1 else Dataset.concat(*domains)
 
 
 def _build_arch(cfg: ExperimentConfig, dataset: Dataset) -> Arch:
@@ -236,9 +233,9 @@ def _write_checkpoint(out: Path, server, round_idx: int) -> None:
 
 def _partition(cfg: ExperimentConfig):
     """Build and split the dataset; returns the dataset and the plan."""
-    return partition_dirichlet(
-        build_dataset(cfg), cfg.clients, cfg.alpha, cfg.test_fraction, cfg.partition_seed
-    )
+    dataset = build_dataset(cfg)
+    plan = partition_dirichlet(dataset, cfg.clients, cfg.alpha, cfg.test_fraction, cfg.partition_seed)
+    return dataset, plan
 
 
 def _write_partition(cfg: ExperimentConfig, plan) -> Path:

@@ -289,7 +289,7 @@ def test_criterion_04_frozen_hand_values():
 def _tiny_world(method="mp-fedkd", **over):
     # stock FedConfig hyperparameters on a small dataset
     ds = synth_blobs(classes=3, per_class=30, dim=2, spread=0.15, seed=11)
-    ds, plan = partition_dirichlet(ds, clients=3, alpha=1e6, test_fraction=0.2, seed=5)
+    plan = partition_dirichlet(ds, clients=3, alpha=1e6, test_fraction=0.2, seed=5)
     arch = Arch(kind="mlp", input_dim=2, embedding_dim=4, num_classes=3, hidden=8)
     cfg = FedConfig(method=method, **over)
     server, clients = init_federation(arch, plan, seed=7)
@@ -410,7 +410,7 @@ def test_criterion_08_mnist_smoke():
         pytest.skip(f"no idx files under {_MNIST_DIR}")
     t0 = time.perf_counter()
     ds = load_idx(*pair)
-    ds, plan = partition_dirichlet(ds, clients=10, alpha=0.9, test_fraction=0.2, seed=0)
+    plan = partition_dirichlet(ds, clients=10, alpha=0.9, test_fraction=0.2, seed=0)
     arch = Arch(kind="mlp", input_dim=784, embedding_dim=64, num_classes=10, hidden=128)
     cfg = FedConfig(method="mp-fedkd", workers=4)
     server, clients = init_federation(arch, plan, seed=0)
@@ -436,7 +436,7 @@ def test_criterion_09_partition_statistics():
 
     worst = 0.0
     for seed in range(20):
-        _, plan = partition_dirichlet(ds, clients=4, alpha=1e6, test_fraction=0.2, seed=seed)
+        plan = partition_dirichlet(ds, clients=4, alpha=1e6, test_fraction=0.2, seed=seed)
         for shard in plan.shards:
             hist = np.asarray(shard.histogram, dtype=np.float64)
             uniform = hist.sum() / hist.size
@@ -445,7 +445,7 @@ def test_criterion_09_partition_statistics():
 
     hits = 0
     for seed in range(20):
-        _, plan = partition_dirichlet(ds, clients=10, alpha=0.3, test_fraction=0.2, seed=seed)
+        plan = partition_dirichlet(ds, clients=10, alpha=0.3, test_fraction=0.2, seed=seed)
         if any(
             max(s.histogram) / sum(s.histogram) > 0.5
             for s in plan.shards

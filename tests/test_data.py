@@ -152,8 +152,7 @@ def plan_covers_everything(ds: Dataset, plan: PartitionPlan):
 
 def test_partition_disjoint_cover_and_histograms():
     ds = synth_blobs(classes=4, per_class=60, dim=2, spread=0.2, seed=3)
-    out, plan = partition_dirichlet(ds, clients=5, alpha=0.5, test_fraction=0.2, seed=9)
-    assert out is ds
+    plan = partition_dirichlet(ds, clients=5, alpha=0.5, test_fraction=0.2, seed=9)
     assert len(plan.shards) == 5
     plan_covers_everything(ds, plan)
     for shard in plan.shards:
@@ -165,12 +164,12 @@ def test_partition_disjoint_cover_and_histograms():
 
 def test_partition_deterministic_in_seed():
     ds = synth_blobs(classes=3, per_class=40, dim=2, spread=0.2, seed=4)
-    _, p1 = partition_dirichlet(ds, clients=4, alpha=0.3, seed=11)
-    _, p2 = partition_dirichlet(ds, clients=4, alpha=0.3, seed=11)
+    p1 = partition_dirichlet(ds, clients=4, alpha=0.3, seed=11)
+    p2 = partition_dirichlet(ds, clients=4, alpha=0.3, seed=11)
     for a, b in zip(p1.shards, p2.shards):
         np.testing.assert_array_equal(a.train, b.train)
         np.testing.assert_array_equal(a.test, b.test)
-    _, p3 = partition_dirichlet(ds, clients=4, alpha=0.3, seed=12)
+    p3 = partition_dirichlet(ds, clients=4, alpha=0.3, seed=12)
     assert any(
         not np.array_equal(a.train, b.train) for a, b in zip(p1.shards, p3.shards)
     )
@@ -178,7 +177,7 @@ def test_partition_deterministic_in_seed():
 
 def test_partition_single_client_takes_all():
     ds = synth_blobs(classes=2, per_class=20, dim=2, spread=0.1, seed=5)
-    _, plan = partition_dirichlet(ds, clients=1, alpha=1.0, test_fraction=0.25, seed=0)
+    plan = partition_dirichlet(ds, clients=1, alpha=1.0, test_fraction=0.25, seed=0)
     shard = plan.shards[0]
     assert shard.train.size + shard.test.size == 40
     # stratified: exactly 25% of each class held out
@@ -187,7 +186,7 @@ def test_partition_single_client_takes_all():
 
 def test_partition_test_split_stratified():
     ds = synth_blobs(classes=3, per_class=50, dim=2, spread=0.2, seed=6)
-    _, plan = partition_dirichlet(ds, clients=3, alpha=100.0, test_fraction=0.2, seed=7)
+    plan = partition_dirichlet(ds, clients=3, alpha=100.0, test_fraction=0.2, seed=7)
     for shard in plan.shards:
         for c in range(3):
             n_train = shard.histogram[c]
@@ -204,26 +203,36 @@ def test_partition_impossible_raises():
 
 
 def test_partition_two_domains_never_mix():
-    a = synth_blobs(classes=3, per_class=40, dim=2, spread=0.2, seed=10, domain_tag="west")
-    b = synth_blobs(classes=3, per_class=40, dim=2, spread=0.2, seed=20, domain_tag="east")
-    combined, plan = partition_dirichlet((a, b), clients=5, alpha=0.7, seed=13)
+    a = synth_blobs(classes=3, per_class=40, dim=2, spread=0.2, seed=10)
+    b = synth_blobs(classes=3, per_class=40, dim=2, spread=0.2, seed=20)
+    combined = Dataset.concat(a, b)
+    plan = partition_dirichlet(combined, clients=5, alpha=0.7, seed=13)
     assert plan.kind == "distinct-domain"
-    assert combined.sample_domains is not None
     plan_covers_everything(combined, plan)
-    halves = {"west": 0, "east": 0}
+    halves = [0, 0]
     for shard in plan.shards:
         mine = np.concatenate([shard.train, shard.test])
-        tags = set(combined.sample_domains[mine])
-        assert len(tags) == 1
-        halves[tags.pop()] += 1
-    assert halves == {"west": 3, "east": 2} or halves == {"west": 2, "east": 3}
+        domains = set(combined.sample_domains[mine].tolist())
+        assert len(domains) == 1
+        halves[domains.pop()] += 1
+    assert halves == [3, 2]  # the larger half of an odd count takes the first domain
+
+
+def test_sample_domains_must_index_two_domains():
+    a = synth_blobs(classes=2, per_class=3, dim=2, spread=0.1, seed=0)
+    combined = Dataset.concat(a, a)
+    np.testing.assert_array_equal(combined.sample_domains, [0] * 6 + [1] * 6)
+    assert combined.sample_domains.dtype == np.int64
+    for bad in ([0, 1, 2, 0, 1, 0], [0, 1, 0.5, 0, 1, 0], ["a"] * 6, [0, 1, 0], [[0, 1, 0, 1, 0, 1]]):
+        with pytest.raises(ValueError, match="sample_domains"):
+            Dataset(a.features, a.labels, 2, "t", sample_domains=np.array(bad))
 
 
 def test_partition_plan_json_round_trips():
     import json
 
     ds = synth_blobs(classes=2, per_class=10, dim=2, spread=0.1, seed=14)
-    _, plan = partition_dirichlet(ds, clients=2, alpha=1.0, seed=15)
+    plan = partition_dirichlet(ds, clients=2, alpha=1.0, seed=15)
     blob = json.loads(plan.to_json())
     assert blob["alpha"] == 1.0
     assert blob["kind"] == "same-domain"
@@ -249,7 +258,7 @@ def test_partition_alpha_concentration_direction():
             shares.append(frac.max())
         return float(np.mean(shares))
 
-    _, skew = partition_dirichlet(ds, clients=4, alpha=0.1, seed=17)
-    _, flat = partition_dirichlet(ds, clients=4, alpha=1e6, seed=17)
+    skew = partition_dirichlet(ds, clients=4, alpha=0.1, seed=17)
+    flat = partition_dirichlet(ds, clients=4, alpha=1e6, seed=17)
     assert worst_share(skew) > worst_share(flat)
     np.testing.assert_allclose(worst_share(flat), 0.25, atol=0.02)

@@ -19,7 +19,7 @@ ARCH = Arch(kind="mlp", input_dim=2, embedding_dim=4, num_classes=3, hidden=8)
 
 def small_world(method="mp-fedkd", clients=3, seed=7, **over):
     ds = synth_blobs(classes=3, per_class=30, dim=2, spread=0.15, seed=11)
-    ds, plan = partition_dirichlet(ds, clients=clients, alpha=1e6, test_fraction=0.2, seed=5)
+    plan = partition_dirichlet(ds, clients=clients, alpha=1e6, test_fraction=0.2, seed=5)
     over.setdefault("rounds", 3)
     over.setdefault("epochs", 2)
     over.setdefault("batch_size", 16)

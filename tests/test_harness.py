@@ -288,6 +288,9 @@ ALL_COMMANDS = ["run", "partition-audit", "compare-clusterers"]
         ("[partition]\nseed = -1\n", ALL_COMMANDS),
         # no test rows would leave every metric NaN; the audit still shows it
         ("[partition]\ntest_fraction = 0\n", ["run", "compare-clusterers"]),
+        # an idx file path with blob data was silently ignored
+        ("[dataset]\nimages = missing.idx\n", ALL_COMMANDS),
+        ("[dataset]\nlabels2 = also-missing.idx\n", ALL_COMMANDS),
     ],
 )
 def test_bad_data_or_model_value_writes_nothing(tmp_path, capsys, bad, commands):
@@ -327,11 +330,11 @@ def test_override_skips_none():
 
 def test_two_domain_blobs():
     cfg = ExperimentConfig(domains=2, classes=3, per_class=10)
-    pair = build_dataset(cfg)
-    assert isinstance(pair, tuple) and len(pair) == 2
-    a, b = pair
-    assert a.domain_tag == "a" and b.domain_tag == "b"
-    assert not np.array_equal(a.features, b.features)
+    ds = build_dataset(cfg)
+    assert len(ds) == 2 * 30
+    np.testing.assert_array_equal(ds.sample_domains, [0] * 30 + [1] * 30)
+    assert not np.array_equal(ds.features[:30], ds.features[30:])
+    assert build_dataset(cfg.override(domains=1)).sample_domains is None
 
 
 # ------------------------------------------------------------ artifacts
