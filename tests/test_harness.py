@@ -372,16 +372,44 @@ def test_run_experiment_artifacts(tmp_path):
     assert len(protos["0"]) == cfg.embedding_dim
 
 
-def idx_files(directory: Path, seed: int) -> tuple[str, str]:
+def idx_files(directory: Path, seed: int, side: int = 4) -> tuple[str, str]:
     """A tiny idx image/label pair: 20 rows per digit in shuffled order, each
-    a 4x4 image that lights the pixel of its digit over pixel noise."""
+    a side x side image that lights the pixel of its digit over pixel noise."""
     rng = np.random.default_rng(seed)
     labels = rng.permutation(np.repeat(np.arange(10, dtype=np.uint8), 20))
-    images = rng.integers(0, 96, size=(labels.size, 16), dtype=np.uint8)
+    images = rng.integers(0, 96, size=(labels.size, side * side), dtype=np.uint8)
     images[np.arange(labels.size), labels] = 255
     directory.mkdir(parents=True)
-    paths = write_idx_pair(directory, images.reshape(-1, 4, 4), labels)
+    paths = write_idx_pair(directory, images.reshape(-1, side, side), labels)
     return str(paths[0]), str(paths[1])
+
+
+def idx_cfg(tmp_path, images: str, labels: str, **over) -> ExperimentConfig:
+    """small_cfg on idx data, with the blob-only [dataset] keys at their defaults."""
+    blob_defaults = {
+        f.name: f.default for f in dataclasses.fields(ExperimentConfig)
+        if f.name in ("classes", "per_class", "dim", "spread", "data_seed")
+    }
+    return small_cfg(tmp_path, data_kind="idx", images=images, labels=labels, **blob_defaults, **over)
+
+
+TRAINING_PINS = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name", ["cnn_per_batch", "linear"])
+def test_mp_fedkd_backbone_run_matches_pin(tmp_path, name):
+    # mp-fedkd over 3 rounds on the backbones the mlp round logs leave out:
+    # the cnn on 6x6 idx digits with per-batch prototypes, and the linear
+    # backbone on the small blobs. Every gradient path of the training step
+    # reaches these logs, so a step that moves one bit fails here.
+    if name == "linear":
+        cfg = small_cfg(tmp_path, model_kind="linear", rounds=3)
+    else:
+        images, labels = idx_files(tmp_path / "idx", 1, side=6)
+        cfg = idx_cfg(tmp_path, images, labels, model_kind="cnn", rounds=3, per_batch_protos=True)
+    run_experiment(cfg)
+    pinned = TRAINING_PINS / f"mp-fedkd_{name}_rounds.csv"
+    assert (Path(cfg.out) / "rounds.csv").read_bytes() == pinned.read_bytes()
 
 
 TWO_DOMAIN_PINS = Path(__file__).parent / "data"
