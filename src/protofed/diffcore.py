@@ -1,19 +1,17 @@
-"""Dense float64 tensors with a per-pass reverse-mode gradient tape.
+"""Dense float64 arrays: the plain-array layer and loss helpers training
+runs on, and the reverse-mode tape kept as their reference.
 
-Deliberately small: training records layers, the fused loss kernels and
-the few ops they build on (sq_dists, weighted_sum, detach); the elementwise
-and reduction ops serve the op-chain test references. Every op output, a
-fused loss kernel's and a backbone's representation too, is made by
-``_op``: it is wrapped read-only and checked for NaN/Inf, so numeric
-poisoning surfaces at the op boundary, and its gradient is recorded only
-while a ``Tape`` is active on the current thread. A tape lives for one
-forward pass and is confined to the worker that opened it; tensors
-themselves carry no tape state and may be shared read-only across workers.
+Training calls only the underscored helpers: each layer's value and
+backward (``_affine``, ``_conv2d``, ``_relu_grad``), the softmax pieces,
+``_sq_dists``, ``_as_index`` and ``_check_finite``. The rest is the engine
+the tests check that step against: ``Tensor``, ``Tape``, ``backward`` and
+the ops built on ``_op``, which freezes each output, checks it for NaN/Inf
+and records its gradient while a ``Tape`` is open. Open tapes sit on one
+module-level stack, so only one thread may use them.
 """
 from __future__ import annotations
 
 import math
-import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -114,11 +112,6 @@ def _wrap(arr: np.ndarray, op: str) -> Tensor:
     arr = np.asarray(arr, dtype=np.float64)
     _check_finite(arr, op)
     arr.setflags(write=False)
-    return _tensor(arr)
-
-
-def _tensor(arr: np.ndarray) -> Tensor:
-    # A Tensor over a read-only, checked float64 array: no copy, no check.
     t = Tensor.__new__(Tensor)
     t.data = arr
     return t
@@ -132,24 +125,15 @@ def as_tensor(x) -> Tensor:
 # Tape machinery
 # ---------------------------------------------------------------------------
 
-_TLS = threading.local()
-
-
-def _tape_stack() -> list["Tape"]:
-    stack = getattr(_TLS, "stack", None)
-    if stack is None:
-        stack = []
-        _TLS.stack = stack
-    return stack
+_TAPES: list["Tape"] = []  # the open tapes, innermost last
 
 
 def _active_tape() -> Optional["Tape"]:
-    stack = getattr(_TLS, "stack", None)
-    return stack[-1] if stack else None
+    return _TAPES[-1] if _TAPES else None
 
 
 class Tape:
-    """Ordered record of ops for one forward pass on one thread.
+    """Ordered record of ops for one forward pass.
 
     Leaves must be registered with :meth:`watch` before they are used;
     ops touching a watched (or derived) tensor are recorded in execution
@@ -174,14 +158,13 @@ class Tape:
         return len(self._records)
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        stack = _tape_stack()
-        if not stack or stack[-1] is not self:
+        if not _TAPES or _TAPES[-1] is not self:
             raise TapeError("tape exited out of order")
-        stack.pop()
+        _TAPES.pop()
 
 
 def _op(value: np.ndarray, name: str, inputs: tuple[Tensor, ...], bwd: Callable) -> Tensor:
@@ -572,6 +555,19 @@ def take_rows(x, indices) -> Tensor:
     return _op(x.data[idx], "take_rows", (x,), bwd)
 
 
+def _sq_dists(x: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sq_dists' value on plain arrays, with the (n, C, q) differences its
+    backward reuses."""
+    diff = x[:, None, :] - p[None, :, :]
+    return np.add.reduce(diff * diff, axis=2) / x.shape[1], diff
+
+
+def _sq_dists_grad(g: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """sq_dists' backward on plain arrays, before its reduction: summed over
+    axis 1 it is the gradient to x, negated and summed over axis 0 to p."""
+    return (2.0 / diff.shape[2]) * g[:, :, None] * diff
+
+
 def sq_dists(x, p) -> Tensor:
     """Row-mean squared distances: out[i, c] = mean_k (x[i, k] - p[c, k])**2.
 
@@ -582,15 +578,14 @@ def sq_dists(x, p) -> Tensor:
     x, p = as_tensor(x), as_tensor(p)
     if x.ndim != 2 or p.ndim != 2 or x.shape[1] != p.shape[1] or x.shape[1] == 0:
         raise ShapeError(f"sq_dists needs (n, q) and (C, q) matrices, got {x.shape}, {p.shape}")
-    q = x.shape[1]
-    diff = x.data[:, None, :] - p.data[None, :, :]
+    dists, diff = _sq_dists(x.data, p.data)
     need_x, need_p = _tracked(x), _tracked(p)
 
     def bwd(g):
-        gd = (2.0 / q) * g[:, :, None] * diff
+        gd = _sq_dists_grad(g, diff)
         return (gd.sum(axis=1) if need_x else None), (-gd.sum(axis=0) if need_p else None)
 
-    return _op(np.add.reduce(diff * diff, axis=2) / q, "sq_dists", (x, p), bwd)
+    return _op(dists, "sq_dists", (x, p), bwd)
 
 
 def detach(x) -> Tensor:

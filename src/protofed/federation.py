@@ -19,9 +19,9 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import chac as clustering
-from . import diffcore as dc
 from . import losses
 from .data import ClientShard, Dataset, PartitionPlan
+from .diffcore import _check_finite
 from .losses import GlobalPrototypes, LossWeights, _check_finite_floats
 from .metrics import RoundRecord, accuracy, macro_f1, rmse_mae
 from .model import Arch, Backbone, backbone_from_flat, init_backbone, sgd_step
@@ -258,40 +258,43 @@ def client_update(
             try:
                 pos = perm[start : start + cfg.batch_size]  # rows of the shard, and of the teacher
                 idx = train_idx[pos]
-                xb = dc._wrap(feats[idx], "batch")  # fresh gather: no second copy
                 yb = labels_all[idx]
                 if aux or method == "fedproto":
                     groups = losses.ClassGroups(yb, global_protos)
+                emb, logits, cache = state.model.forward(feats[idx])
+                ce, ce_bwd = losses.cross_entropy(logits, yb)
+                sums["ce"] += ce
+                # Each backward gets the scalar the loss mix hands its term; the
+                # gradients add up in the op chain's order, the classifier's last.
+                g_ce, g_emb = 1.0, None
                 if aux:
                     t_emb, t_logits = state.teacher[0][pos], state.teacher[1][pos]
-                    # A diagnostic, so off the tape: the teacher's embeddings and
-                    # the prototypes are plain arrays, leaving no gradient path.
-                    al = losses.align_loss(t_emb, groups)
-                with dc.Tape() as tape:
-                    state.model.watch(tape)
-                    emb, logits = state.model.forward(xb)
-                    ce = losses.cross_entropy(logits, yb)
-                    if aux:
-                        dist = losses.distill_loss(t_logits, logits, w.temperature)
-                        att = losses.attract_loss(emb, groups, w.scale)
-                        rep = losses.repel_loss(emb, global_protos, w.scale, classes=own_classes)
-                        pair = losses.attract_repel_loss(att, rep, w.balance)
-                        loss = losses.local_loss(ce, dist, al, pair, w, round_idx)
-                        sums["distill"] += dist.item()
-                        sums["align"] += al.item()
-                        sums["proto"] += pair.item()
-                    else:
-                        loss = ce
-                    if method == "fedproto":
-                        reg = losses.fedproto_loss(emb, groups)
-                        if reg is not None:
-                            loss = dc.weighted_sum((ce, reg), (1.0, cfg.fedproto_weight))
-                            sums["proto"] += reg.item()
-                    sums["ce"] += ce.item()
-                    grads = dc.backward(tape, loss)
+                    al, _ = losses.align_loss(t_emb, groups)  # a diagnostic: no gradient
+                    dist, dist_bwd = losses.distill_loss(t_logits, logits, w.temperature)
+                    att, att_bwd = losses.attract_loss(emb, groups, w.scale)
+                    rep, rep_bwd = losses.repel_loss(emb, global_protos, w.scale, own_classes)
+                    pair, pair_bwd = losses.attract_repel_loss(att, rep, w.balance)
+                    _, mix_bwd = losses.local_loss(ce, dist, al, pair, w, round_idx)
+                    g_ce, g_dist, _, g_pair = mix_bwd(1.0)
+                    g_att, g_rep = pair_bwd(g_pair)
+                    for bwd, g in ((rep_bwd, g_rep), (att_bwd, g_att)):
+                        if bwd is not None:
+                            g_emb = bwd(g) if g_emb is None else g_emb + bwd(g)
+                    g_logits = dist_bwd(g_dist) + ce_bwd(g_ce)
+                    sums["distill"] += dist
+                    sums["align"] += al
+                    sums["proto"] += pair
+                else:
+                    g_logits = ce_bwd(g_ce)
+                if method == "fedproto":
+                    reg = losses.fedproto_loss(emb, groups)
+                    if reg is not None:
+                        sums["proto"] += reg[0]
+                        g_emb = reg[1](cfg.fedproto_weight)
+                grad = state.model.backward(cache, g_emb, g_logits)
                 if cfg.per_batch_protos and method in _MULTI_PROTO:
-                    proto_input = (emb.data, yb)
-                sgd_step(state.model, grads, cfg.learning_rate, prox)
+                    proto_input = (emb, yb)
+                sgd_step(state.model, grad, cfg.learning_rate, prox)
             except Exception as exc:
                 raise FederationError(f"epoch {epoch} batch {batch}: {exc}") from exc
             batches_seen += 1
@@ -339,7 +342,7 @@ def aggregate_models(
             raise ValueError(f"client {cid} sent {len(flat)} parameters, expected {len(acc)}")
         flat = flat * (sizes[cid] / total)
         acc = flat if acc is None else acc + flat
-    dc._check_finite(acc, "aggregate_models")
+    _check_finite(acc, "aggregate_models")
     return acc
 
 
@@ -458,8 +461,8 @@ def run_round(
         )
         # A class no selected client holds keeps its stale prototype.
         server.protos = GlobalPrototypes.of(fresh.embedding_dim, {
-            **dict(zip(server.protos.labels, server.protos.matrix.data)),
-            **dict(zip(fresh.labels, fresh.matrix.data)),
+            **dict(zip(server.protos.labels, server.protos.matrix)),
+            **dict(zip(fresh.labels, fresh.matrix)),
         })
 
     # fedproto scores each client's personal model on its own test split,

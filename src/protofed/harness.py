@@ -51,6 +51,7 @@ def _ini(section: str, default, key: Optional[str] = None):
     return dataclasses.field(default=default, metadata=meta)
 
 
+_BLOB_KEYS = ("classes", "per_class", "dim", "spread", "data_seed")  # fields idx data ignores
 # Keyed by annotation text: with postponed annotations, Field.type is a string.
 _CASTERS = {"int": int, "float": float, "str": str, "bool": _bool}
 
@@ -110,6 +111,11 @@ class ExperimentConfig:
         for key in ("images", "labels", "images2", "labels2"):
             if self.data_kind == "blobs" and getattr(self, key):
                 raise ValueError(f"[dataset] {key} is an idx file path; it needs kind = idx")
+        if self.data_kind == "idx":
+            for f in dataclasses.fields(self):
+                if f.name in _BLOB_KEYS and getattr(self, f.name) != f.default:
+                    key = f.metadata.get("key", f.name)
+                    raise ValueError(f"[dataset] {key} is a blob setting; idx data takes none")
         if self.data_kind == "idx" and (not self.images or not self.labels):
             raise ValueError("idx datasets need images and labels paths")
         if self.data_kind == "idx" and bool(self.images2) != bool(self.labels2):
@@ -224,7 +230,7 @@ def _write_checkpoint(out: Path, server, round_idx: int) -> None:
     (ck / f"round_{round_idx:03d}.model").write_bytes(blob)
     table = {
         str(c): [float(v) for v in vec]
-        for c, vec in zip(server.protos.labels, server.protos.matrix.data)
+        for c, vec in zip(server.protos.labels, server.protos.matrix)
     }
     (ck / f"round_{round_idx:03d}.protos.json").write_text(
         json.dumps(table, sort_keys=True)
@@ -293,7 +299,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, list[RoundRecord]]:
             "total_down_bytes": sum(down),
             "total_up_bytes": sum(up),
         },
-        "config": dataclasses.asdict(cfg),
+        "config": {**dataclasses.asdict(cfg), "classes": dataset.num_classes},
     }
     (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2))
     return summary, records

@@ -8,33 +8,33 @@ that pulls current embeddings toward their class prototype while pushing
 the batch away from every prototype at once. The fedproto baseline adds
 its own regularizer, class means against prototypes.
 
-The global prototypes are one (C, q) matrix, ``GlobalPrototypes``, built
-once per round. A batch's ``ClassGroups`` indexes it once for the batch's
-classes that have a prototype; the alignment, attract and fedproto
+The global prototypes are one read-only (C, q) matrix, ``GlobalPrototypes``,
+built once per round. A batch's ``ClassGroups`` indexes it once for the
+batch's classes that have a prototype; the alignment, attract and fedproto
 kernels take an embedding matrix with those groups, and the repel kernel
 indexes the table itself.
 
-Gradient routing is part of each kernel's contract: distillation
-teachers, alignment embeddings, and attraction prototypes are constants
-(detached inside the kernel), so gradients only ever reach the intended
-side no matter what the caller watched, the table's matrix included.
-
-Each kernel computes its value in numpy and records one taped op (the
-prototype terms two: ``sq_dists``, then their reduction). A hand-written
-backward repeats, step for step, the arithmetic of the chain of small ops
-it replaces, so every gradient is bitwise that chain's.
+Each kernel takes plain arrays and returns ``(value, bwd)``: the value as a
+float, checked finite under the kernel's name, and ``bwd(g)``, the gradient
+of the kernel's input from the upstream scalar ``g``. Gradient routing is
+part of that contract: distillation teachers, attraction prototypes and
+alignment embeddings get none, so align's ``bwd`` gives the prototype rows'
+gradient, and repel's gives the prototype rows' only on request. A prototype
+term that finds no prototype returns ``bwd`` None. Each backward repeats, step
+for step, the arithmetic of the chain of small diffcore ops the kernel
+replaced, so every gradient is bitwise that chain's.
 """
 from __future__ import annotations
 
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import diffcore as dc
-from .diffcore import ShapeError, Tensor, as_tensor
+from .diffcore import ShapeError
 
 __all__ = [
     "LossWeights",
@@ -96,17 +96,14 @@ class LossWeights:
 
 
 class GlobalPrototypes:
-    """The global prototype table: one (C, q) matrix whose row k is the
-    prototype of class ``labels[k]``, labels ascending.
-
-    The matrix is a constant (the federation case) or a Tensor a test may
-    watch, so the alignment and repel kernels can be differentiated
-    against the prototypes.
-    """
+    """The global prototype table: one read-only (C, q) matrix whose row k is
+    the prototype of class ``labels[k]``, labels ascending."""
 
     def __init__(self, labels: Sequence[int], matrix) -> None:
         self.labels = [int(c) for c in labels]
-        self.matrix = as_tensor(matrix)
+        self.matrix = np.array(matrix, dtype=np.float64)
+        dc._check_finite(self.matrix, "GlobalPrototypes")
+        self.matrix.flags.writeable = False
         if self.matrix.ndim != 2 or self.matrix.shape[0] != len(self.labels):
             raise ShapeError(f"need one prototype row per label, got {self.matrix.shape}")
         if self.matrix.shape[1] < 1:
@@ -133,56 +130,62 @@ class GlobalPrototypes:
     def has(self, label: int) -> bool:
         return int(label) in self._row
 
-    def rows(self, classes: Sequence[int]) -> Tensor:
-        """The listed classes' prototypes, one row each, as one ``take_rows``."""
-        return dc.take_rows(self.matrix, [self._row[c] for c in classes])
+    def rows(self, classes: Sequence[int]) -> np.ndarray:
+        """The listed classes' prototypes, one read-only row each."""
+        out = self.matrix[np.array([self._row[c] for c in classes], dtype=np.intp)]
+        out.flags.writeable = False
+        return out
 
 
-def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean negative log-likelihood of the labels under row softmax."""
-    logits = as_tensor(logits)
+def _value(v, name: str) -> float:
+    """A kernel's value as a float, checked finite under the kernel's name."""
+    dc._check_finite(v, name)
+    return float(v)
+
+
+def cross_entropy(logits: np.ndarray, labels) -> tuple[float, Callable]:
+    """Mean negative log-likelihood of the labels under row softmax; ``bwd``
+    gives the logits' gradient."""
     if logits.ndim != 2 or logits.shape[0] < 1:
         raise ShapeError(f"logits must be a nonempty (n, C) matrix, got {logits.shape}")
     n = logits.shape[0]
-    ls = dc._log_softmax(logits.data - logits.data.max(axis=1, keepdims=True))
+    ls = dc._log_softmax(logits - logits.max(axis=1, keepdims=True))
     idx = dc._as_index(labels, n, logits.shape[1], "labels")
     rows = np.arange(n)
-    p = np.exp(ls)
 
     def bwd(g):
         gx = np.zeros(ls.shape)
         np.add.at(gx, (rows, idx), -(g / n))
-        return (dc._log_softmax_grad(gx, p),)
+        return dc._log_softmax_grad(gx, np.exp(ls))
 
     # np.add.reduce(...) / n is np.mean without its Python wrapper
-    return dc._op(np.add.reduce(-ls[rows, idx]) / n, "cross_entropy", (logits,), bwd)
+    return _value(np.add.reduce(-ls[rows, idx]) / n, "cross_entropy"), bwd
 
 
-def distill_loss(teacher_logits: Tensor, student_logits: Tensor, temperature: float) -> Tensor:
+def distill_loss(
+    teacher_logits: np.ndarray, student_logits: np.ndarray, temperature: float
+) -> tuple[float, Callable]:
     """Temperature-softened KL divergence from teacher to student,
     averaged over the batch and rescaled by temperature squared.
 
-    The teacher side is detached: gradients flow through the student
-    logits only.
+    The teacher is a constant: ``bwd`` gives the student logits' gradient.
     """
-    teacher = as_tensor(teacher_logits).data
-    student_logits = as_tensor(student_logits)
-    if teacher.shape != student_logits.shape:
-        raise ShapeError(f"teacher {teacher.shape} and student {student_logits.shape} differ")
-    if student_logits.ndim != 2 or student_logits.shape[0] < 1:
+    shape = student_logits.shape
+    if teacher_logits.shape != shape:
+        raise ShapeError(f"teacher {teacher_logits.shape} and student {shape} differ")
+    if len(shape) != 2 or shape[0] < 1:
         raise ShapeError("logits must be a nonempty (n, C) matrix")
-    z = dc._temp_scaled(teacher, temperature)
+    z = dc._temp_scaled(teacher_logits, temperature)
     e = np.exp(z)
     p = e / e.sum(axis=1, keepdims=True)
-    log_q = dc._log_softmax(dc._temp_scaled(student_logits.data, temperature))
-    q = np.exp(log_q)
-    c = temperature * temperature / student_logits.shape[0]
+    log_q = dc._log_softmax(dc._temp_scaled(student_logits, temperature))
+    c = temperature * temperature / shape[0]
 
     def bwd(g):
-        return (dc._log_softmax_grad(-((g * c) * p), q) / temperature,)
+        return dc._log_softmax_grad(-((g * c) * p), np.exp(log_q)) / temperature
 
     kl_sum = np.sum(p * (dc._log_softmax(z) - log_q))
-    return dc._op(kl_sum * c, "distill_loss", (student_logits,), bwd)
+    return _value(kl_sum * c, "distill_loss"), bwd
 
 
 class ClassGroups:
@@ -190,7 +193,7 @@ class ClassGroups:
     have a prototype (ascending), the constant (n, len(classes)) weights that
     turn per-row values into class means (row i holds 1 / (rows labelled
     ``classes[k]``) in column k when it carries that label, zeros elsewhere)
-    and those classes' prototype rows.
+    and those classes' prototype rows, read-only.
 
     The prototype kernels take a whole embedding matrix with its groups, so
     grouping a batch splits nothing, and one grouping serves the teacher's
@@ -206,93 +209,82 @@ class ClassGroups:
         self.weights = onehot / onehot.sum(axis=0)
         self.rows = protos.rows(self.classes)
 
-    def _check(self, embeddings) -> Tensor:
-        emb = as_tensor(embeddings)
+    def _check(self, emb: np.ndarray) -> None:
         if emb.ndim != 2 or emb.shape[0] != len(self.labels):
             raise ShapeError(f"need {len(self.labels)} embedding rows, got {emb.shape}")
         if emb.shape[1] != self.rows.shape[1]:
             raise ShapeError(
                 f"embeddings are {emb.shape[1]}-wide, prototypes are {self.rows.shape[1]}-wide"
             )
-        return emb
+
+    def _dists(self, emb: np.ndarray, caller: str):
+        """``dc._sq_dists`` of the embeddings to the batch classes' prototypes:
+        with ``weights``, ``sum(dists * weights)`` adds up each such class's
+        mean squared distance to its own prototype. (None, None), with a
+        ``PrototypeCoverageWarning``, when no batch class has one."""
+        self._check(emb)
+        if not self.classes:
+            warnings.warn(
+                f"{caller}: no batch class has a global prototype; returning 0",
+                PrototypeCoverageWarning,
+                stacklevel=3,
+            )
+            return None, None
+        return dc._sq_dists(emb, self.rows)
 
 
-def _weighted_total(dists: Tensor, weights: np.ndarray, name: str) -> Tensor:
-    """sum(dists * weights) for a constant weight matrix, as one op."""
-    return dc._op(np.sum(dists.data * weights), name, (dists,), lambda g: (g * weights,))
-
-
-def _class_mean_distances(
-    embeddings: Tensor, groups: ClassGroups, caller: str, grad_to_embeddings: bool
-) -> Optional[Tensor]:
-    """Squared distances of the embeddings to the prototypes of
-    ``groups.classes``, the batch classes that have one.
-
-    With ``groups.weights``, ``sum(dists * weights)`` adds up each such
-    class's mean squared distance to its own prototype; rows of other
-    classes weigh nothing. Gradients reach the embeddings or the prototypes,
-    never both. Returns None, with a ``PrototypeCoverageWarning``, when no
-    batch class has a prototype.
-    """
-    emb, rows = groups._check(embeddings), groups.rows
-    if not groups.classes:
-        warnings.warn(
-            f"{caller}: no batch class has a global prototype; returning 0",
-            PrototypeCoverageWarning,
-            stacklevel=3,
-        )
-        return None
-    if grad_to_embeddings:
-        rows = dc.detach(rows)
-    else:
-        emb = dc.detach(emb)
-    return dc.sq_dists(emb, rows)
-
-
-def align_loss(embeddings: Tensor, groups: ClassGroups) -> Tensor:
+def align_loss(embeddings: np.ndarray, groups: ClassGroups) -> tuple[float, Optional[Callable]]:
     """How far the received prototypes drifted from remembered embeddings.
 
     Per class: squared distance (mean over dimensions) between each
     remembered embedding and the class prototype, averaged over the
-    class; classes are then averaged uniformly. Embeddings are detached;
-    gradients reach only the prototype side.
+    class; classes are then averaged uniformly. The embeddings are
+    constants: ``bwd`` gives the gradient of the prototype rows
+    ``groups.rows``. Training logs the value and never calls ``bwd``.
     """
-    dists = _class_mean_distances(embeddings, groups, "align_loss", False)
+    dists, diff = groups._dists(embeddings, "align_loss")
     if dists is None:
-        return as_tensor(0.0)
-    return _weighted_total(dists, groups.weights / dists.shape[1], "align_loss")
+        return 0.0, None
+    weights = groups.weights / dists.shape[1]
+    value = _value(np.sum(dists * weights), "align_loss")
+    return value, lambda g: -dc._sq_dists_grad(g * weights, diff).sum(axis=0)
 
 
-def attract_loss(embeddings: Tensor, groups: ClassGroups, scale: float) -> Tensor:
+def attract_loss(
+    embeddings: np.ndarray, groups: ClassGroups, scale: float
+) -> tuple[float, Optional[Callable]]:
     """Pull within-class embeddings toward their global prototype.
 
     Sum over classes of the class-mean squared distance, scaled; the
-    prototypes are detached so gradients reach only the embeddings.
+    prototypes are constants, so ``bwd`` gives the embeddings' gradient.
     """
     if not scale > 0:
         raise ValueError("scale must be positive")
-    dists = _class_mean_distances(embeddings, groups, "attract_loss", True)
+    dists, diff = groups._dists(embeddings, "attract_loss")
     if dists is None:
-        return as_tensor(0.0)
-    return _weighted_total(dists, groups.weights * float(scale), "attract_loss")
+        return 0.0, None
+    weights = groups.weights * float(scale)
+    value = _value(np.sum(dists * weights), "attract_loss")
+    return value, lambda g: dc._sq_dists_grad(g * weights, diff).sum(axis=1)
 
 
 def repel_loss(
-    embeddings: Tensor,
+    embeddings: np.ndarray,
     protos: GlobalPrototypes,
     scale: float,
     classes: Optional[Iterable[int]] = None,
-) -> Tensor:
+) -> tuple[float, Optional[Callable]]:
     """Push the whole batch away from every class prototype at once.
 
     Log-sum-exp over classes of the negated, scaled batch-mean squared
-    distance to each prototype; computed with a detached max shift so the
+    distance to each prototype; computed with a constant max shift so the
     exponentials never overflow. Moving embeddings away from a prototype
-    lowers the loss.
+    lowers the loss. ``bwd(g)`` gives the embeddings' gradient, and
+    ``bwd(g, rows=True)`` that and the gradient of the requested classes'
+    prototype rows, ``protos.rows``, ascending.
     """
     if not scale > 0:
         raise ValueError("scale must be positive")
-    embeddings = as_tensor(embeddings)
     if embeddings.ndim != 2 or embeddings.shape[0] < 1:
         raise ShapeError(f"embeddings must be a nonempty matrix, got {embeddings.shape}")
     if embeddings.shape[1] != protos.embedding_dim:
@@ -308,68 +300,83 @@ def repel_loss(
             PrototypeCoverageWarning,
             stacklevel=2,
         )
-        return as_tensor(0.0)
+        return 0.0, None
     # Only the requested columns exist, so no excluded class is exponentiated.
-    dists = dc.sq_dists(embeddings, protos.rows(wanted))
+    dists, diff = dc._sq_dists(embeddings, protos.rows(wanted))
     n = dists.shape[0]
-    scores = np.mean(dists.data, axis=0) * -float(scale)
+    scores = np.mean(dists, axis=0) * -float(scale)
     shift = float(scores.max())  # constant: gradient-neutral shift
     with np.errstate(over="ignore"):
         e = np.exp(scores - shift)
     total = np.sum(e)
 
-    def bwd(g):
-        return (np.broadcast_to((((g / total) * e) * -float(scale)) / n, dists.shape),)
+    def bwd(g, rows: bool = False):
+        g_dists = np.broadcast_to((((g / total) * e) * -float(scale)) / n, dists.shape)
+        gd = dc._sq_dists_grad(g_dists, diff)
+        return (gd.sum(axis=1), -gd.sum(axis=0)) if rows else gd.sum(axis=1)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        return dc._op(np.log(total) + shift, "repel_loss", (dists,), bwd)
+        return _value(np.log(total) + shift, "repel_loss"), bwd
 
 
-def attract_repel_loss(attract: Tensor, repel: Tensor, balance: float) -> Tensor:
-    """Convex mix of the attract and repel terms."""
+def _mix(terms: Sequence[float], weights: Sequence[float], name: str) -> tuple[float, Callable]:
+    """sum_i weights[i] * terms[i] over scalar terms, added left to right, and
+    its backward: each term's upstream scalar."""
+    if any(np.ndim(t) != 0 for t in terms):
+        raise ShapeError(f"{name} needs scalar terms, got shapes {[np.shape(t) for t in terms]}")
+    acc = terms[0] * weights[0]
+    for t, w in zip(terms[1:], weights[1:]):
+        acc = acc + t * w
+    return _value(acc, name), lambda g: tuple(g * w for w in weights)
+
+
+def attract_repel_loss(attract: float, repel: float, balance: float) -> tuple[float, Callable]:
+    """Convex mix of the attract and repel terms; ``bwd`` gives their scalars."""
     if not 0.0 < balance <= 1.0:
         raise ValueError("balance must sit in (0, 1]")
-    return dc.weighted_sum((attract, repel), (float(balance), 1.0 - float(balance)))
+    return _mix((attract, repel), (balance, 1.0 - balance), "attract_repel_loss")
 
 
-def fedproto_loss(embeddings: Tensor, groups: ClassGroups) -> Optional[Tensor]:
+def fedproto_loss(embeddings: np.ndarray, groups: ClassGroups) -> Optional[tuple[float, Callable]]:
     """FedProto's regularizer: the mean squared gap, over the batch classes
-    with a prototype and the dimensions, between each class's batch-mean embedding and its global
-    prototype. None when no batch class has a prototype."""
-    emb = groups._check(embeddings)
+    with a prototype and the dimensions, between each class's batch-mean
+    embedding and its global prototype; ``bwd`` gives the embeddings'
+    gradient. None when no batch class has a prototype."""
+    groups._check(embeddings)
     if not groups.classes:
         return None
     weights = groups.weights
-    gap = weights.T @ emb.data - groups.rows.data
-    return dc._op(np.mean(gap * gap), "fedproto_loss", (emb,),
-                  lambda g: (weights @ ((2.0 * (g / gap.size)) * gap),))
+    gap = weights.T @ embeddings - groups.rows
+    value = _value(np.mean(gap * gap), "fedproto_loss")
+    return value, lambda g: weights @ ((2.0 * (g / gap.size)) * gap)
 
 
 def local_loss(
-    ce: Tensor,
-    distill: Optional[Tensor],
-    align: Optional[Tensor],
-    attract_repel: Optional[Tensor],
+    ce: float,
+    distill: Optional[float],
+    align: Optional[float],
+    attract_repel: Optional[float],
     weights: LossWeights,
     round_idx: int,
-) -> Tensor:
-    """Combined per-batch training loss.
+) -> tuple[float, Callable]:
+    """Combined per-batch training loss; ``bwd`` gives the scalar of each of
+    the four terms.
 
-    Round 1 is plain cross entropy (returned as-is, bit for bit); later
+    Round 1 is plain cross entropy (its value as-is, bit for bit); later
     rounds mix all four components by the configured weights.
     """
-    ce = as_tensor(ce)
-    if ce.shape != ():
+    if np.ndim(ce) != 0:
         raise ShapeError("ce must be a scalar loss")
     if round_idx < 1:
         raise ValueError(f"round index must be >= 1, got {round_idx}")
     if round_idx == 1:
-        return ce
+        return _value(ce, "local_loss"), lambda g: (g, None, None, None)
     parts = {"distill": distill, "align": align, "attract_repel": attract_repel}
     for name, part in parts.items():
         if part is None:
             raise ValueError(f"{name} loss is required after round 1")
-    return dc.weighted_sum(
+    return _mix(
         (ce, distill, align, attract_repel),
         (weights.ce_weight, 1.0 - weights.ce_weight, weights.align_weight, weights.proto_weight),
+        "local_loss",
     )

@@ -3,28 +3,30 @@
 A backbone is two parameter groups: representation layers that map a flat
 feature batch to embeddings, and a classifier that maps embeddings to
 logits. One ``Backbone`` class serves every kind: ``_layers`` lists each
-kind's layers with their weight shapes once, and the parameter layout, init
-and forward all read that table. Forward passes are pure and run the layers
-on plain arrays: ``forward`` records them as one taped op, then the
-classifier's ``affine``; ``infer`` computes the same values off the tape.
-Training mutates parameters only through ``sgd_step``, one step on a frozen
-vector of all parameters. That vector is what travels: ``adopt`` takes one
-in place of the parameters and ``backbone_from_flat`` builds a backbone over
-one, each without a copy. A snapshot, written as a checkpoint, shares it and
-serializes to a little-endian buffer with a JSON shape manifest up front;
-only this module knows the layout.
+kind's layers with their weight shapes once, and the parameter layout, init,
+forward and backward all read that table. Forward passes are pure and run
+on plain arrays: ``forward`` keeps each layer's input for ``backward``,
+which walks the table in reverse and returns the gradient of every
+parameter as one flat vector; ``infer`` computes the same values and keeps
+nothing. Training mutates parameters only through ``sgd_step``, one step on
+that vector. The parameters are read-only views into one frozen vector, and
+that vector is what travels: ``adopt`` takes one in place of the parameters
+and ``backbone_from_flat`` builds a backbone over one, each without a copy.
+A snapshot, written as a checkpoint, shares it and serializes to a
+little-endian buffer with a JSON shape manifest up front; only this module
+knows the layout.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
 from functools import cache
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import diffcore as dc
-from .diffcore import ShapeError, Tape, Tensor, _check_finite, as_tensor
+from .diffcore import ShapeError, _check_finite
 
 __all__ = [
     "Arch",
@@ -130,17 +132,13 @@ class Backbone:
     """Parameter container plus a pure forward pass over the representation
     layers its ``Arch`` lists (see ``_layers``), then a linear classifier."""
 
-    def __init__(self, arch: Arch, params: Sequence[Tensor]):
-        """All parameters, representation first, classifier last. The tensors
-        are kept, so a tape can watch them."""
-        want = [shape for _, _, shape in _flat_layout(arch)]
-        if [p.shape for p in params] != want:
-            raise ShapeError(f"params {[p.shape for p in params]} != expected {want}")
+    def __init__(self, arch: Arch, flat: np.ndarray):
+        """A backbone over ``flat`` (see ``adopt``): no parameter is copied."""
         self.arch = arch
-        self.rep_params, self.cls_params, self._flat = list(params[:-2]), list(params[-2:]), None
+        self.adopt(flat)
 
     @property
-    def params(self) -> list[Tensor]:
+    def params(self) -> list[np.ndarray]:
         return self.rep_params + self.cls_params
 
     @property
@@ -151,17 +149,6 @@ class Backbone:
     def num_classes(self) -> int:
         return self.arch.num_classes
 
-    def watch(self, tape: Tape) -> None:
-        tape.watch(*self.params)
-
-    @property
-    def flat(self) -> np.ndarray:
-        """All parameters end to end in one frozen vector, built on first use."""
-        if self._flat is None:
-            self._flat = flatten_params(self.params)
-            self._flat.setflags(write=False)
-        return self._flat
-
     def adopt(self, flat: np.ndarray) -> None:
         """Take a finite float64 vector as ``flat``, with no copy: it is frozen
         and each parameter becomes a read-only view into it."""
@@ -170,8 +157,8 @@ class Backbone:
         if flat.dtype != np.float64 or flat.shape != (size,):
             raise ShapeError(f"expected {size} float64 values, got {flat.dtype} {flat.shape}")
         flat.setflags(write=False)
-        views = [dc._tensor(flat[start:stop].reshape(shape)) for start, stop, shape in layout]
-        self.rep_params, self.cls_params, self._flat = views[:-2], views[-2:], flat
+        views = [flat[start:stop].reshape(shape) for start, stop, shape in layout]
+        self.rep_params, self.cls_params, self.flat = views[:-2], views[-2:], flat
 
     def _embed(self, x: np.ndarray, inputs: Optional[list]) -> np.ndarray:
         """The representation layers on plain arrays. Given a list ``inputs``,
@@ -185,7 +172,7 @@ class Backbone:
                 inputs.append(a)
             fns = _PARAM_LAYERS.get(op)
             if fns is not None:
-                a = fns[0](a, rep[j].data, rep[j + 1].data)
+                a = fns[0](a, rep[j], rep[j + 1])
                 j += 2
                 if inputs is not None:
                     _check_finite(a, op)
@@ -195,57 +182,65 @@ class Backbone:
                 a = a.reshape((x.shape[0],) + (self.arch.image_shape if op == "image" else (-1,)))
         return a
 
-    def forward(self, x: Tensor) -> tuple[Tensor, Tensor]:
-        """Batch of flat features -> (embeddings, logits): the representation
-        layers as one taped op, then the classifier's affine."""
-        x = as_tensor(x)
-        inputs: list[np.ndarray] = []
-        emb = self._embed(x.data, inputs)
-        rep = self.rep_params
-        need = [dc._tracked(t) for t in (x, *rep)]  # x is often the untracked batch
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+        """Batch of flat features -> (embeddings, logits, cache): the layers,
+        each output checked under its op name (``embed`` for the embeddings),
+        then the classifier's affine. ``cache`` is for ``backward``."""
+        cache: list[np.ndarray] = []
+        emb = self._embed(x, cache)
+        _check_finite(emb, "embed")
+        logits = dc._affine(emb, *self.cls_params)
+        _check_finite(logits, "affine")
+        cache.append(emb)
+        return emb, logits, cache
 
-        def bwd(g):
-            grads, j = [None] * len(rep), len(rep)
-            for (op, *_), a in zip(reversed(_layers(self.arch)), reversed(inputs)):
-                if g is None:  # nothing below this layer is tracked
-                    break
-                fns = _PARAM_LAYERS.get(op)
-                if fns is not None:
-                    j -= 2
-                    g, grads[j], grads[j + 1] = fns[1](
-                        g, a, rep[j].data, any(need[: j + 1]), need[j + 1], need[j + 2]
-                    )
-                elif op == "relu":
-                    g = dc._relu_grad(g, a)
-                else:
-                    g = g.reshape(a.shape)
-            return (g if need[0] else None, *grads)
-
-        emb_t = dc._op(emb, "embed", (x, *rep), bwd)
-        w, b = self.cls_params
-        return emb_t, dc.affine(emb_t, w, b)
+    def backward(self, cache: list, g_emb: Optional[np.ndarray],
+                 g_logits: np.ndarray) -> np.ndarray:
+        """Every parameter's gradient in ``_flat_layout`` order, from ``forward``'s
+        cache and the upstream gradients at the embeddings (or None) and the
+        logits; the classifier's share at the embeddings is added last."""
+        *inputs, emb = cache
+        grad = np.empty(self.flat.size)
+        parts = [grad[start:stop].reshape(shape) for start, stop, shape in _flat_layout(self.arch)]
+        rep, w = self.rep_params, self.cls_params[0]
+        g, parts[-2][...], parts[-1][...] = dc._affine_grads(g_logits, emb, w, True, True, True)
+        g = g if g_emb is None else g_emb + g
+        j = len(rep)
+        for (op, *_), a in zip(reversed(_layers(self.arch)), reversed(inputs)):
+            fns = _PARAM_LAYERS.get(op)
+            if fns is not None:
+                j -= 2
+                g, parts[j][...], parts[j + 1][...] = fns[1](g, a, rep[j], j > 0, True, True)
+            elif g is None:  # below the first layer: only the input's reshape
+                break
+            elif op == "relu":
+                g = dc._relu_grad(g, a)
+            else:
+                g = g.reshape(a.shape)
+        return grad
 
     def infer(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``forward``'s values on plain arrays, off the tape: for a model
-        whose outputs are constants (shard outputs, evaluation)."""
+        """``forward``'s values, with no cache and no per-layer checks: for a
+        model whose outputs are constants (shard outputs, evaluation)."""
         emb = self._embed(np.asarray(x, dtype=np.float64), None)
-        w, b = self.cls_params
-        logits = dc._affine(emb, w.data, b.data)
+        logits = dc._affine(emb, *self.cls_params)
         _check_finite(emb, "infer embeddings")
         _check_finite(logits, "infer logits")
         return emb, logits
 
 
-def build_backbone(arch: Arch, params: Sequence[Tensor]) -> Backbone:
-    return Backbone(arch, params)
+def build_backbone(arch: Arch, params: Sequence[np.ndarray]) -> Backbone:
+    """A backbone over a new vector of all parameters, representation first,
+    classifier last."""
+    want = [shape for _, _, shape in _flat_layout(arch)]
+    if [np.shape(p) for p in params] != want:
+        raise ShapeError(f"params {[np.shape(p) for p in params]} != expected {want}")
+    return Backbone(arch, flatten_params(params))
 
 
 def backbone_from_flat(arch: Arch, flat: np.ndarray) -> Backbone:
     """A backbone over ``flat`` (see ``Backbone.adopt``): no parameter is copied."""
-    model = object.__new__(Backbone)
-    model.arch = arch
-    model.adopt(flat)
-    return model
+    return Backbone(arch, flat)
 
 
 def init_backbone(arch: Arch, rng: np.random.Generator) -> Backbone:
@@ -258,11 +253,11 @@ def init_backbone(arch: Arch, rng: np.random.Generator) -> Backbone:
     return backbone_from_flat(arch, np.concatenate(draws))
 
 
-def flatten_params(params: Sequence[Tensor]) -> np.ndarray:
-    """Concatenate parameters into one float64 vector (row-major)."""
+def flatten_params(params: Sequence[np.ndarray]) -> np.ndarray:
+    """Concatenate parameters into one new float64 vector (row-major)."""
     if not params:
         raise ValueError("no parameters to flatten")
-    return np.concatenate([p.data.reshape(-1) for p in params])
+    return np.concatenate([np.ravel(p) for p in params], dtype=np.float64)
 
 
 def _manifest_shapes(arch: Arch) -> list[list[int]]:
@@ -319,25 +314,19 @@ def snapshot(backbone: Backbone, round_idx: int) -> ModelSnapshot:
     return ModelSnapshot(arch=backbone.arch, flat=backbone.flat, round_idx=round_idx)
 
 
-def sgd_step(backbone: Backbone, grads: Mapping[Tensor, np.ndarray], lr: float,
+def sgd_step(backbone: Backbone, grad: np.ndarray, lr: float,
              prox: Optional[tuple[float, np.ndarray]] = None) -> Backbone:
-    """In-place gradient step: p <- p - lr * g for every parameter, as one
-    expression over the parameters and their gradients laid end to end. With
-    ``prox = (rho, anchor)``, g gains the proximal gradient rho * (flat - anchor)."""
+    """In-place gradient step on the flat gradient ``backward`` returns:
+    flat <- flat - lr * grad, computed in ``grad``'s buffer, which becomes the
+    backbone's vector. With ``prox = (rho, anchor)``, grad first gains the
+    proximal gradient rho * (flat - anchor)."""
     if not lr > 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
-    gs = []
-    for p in backbone.params:
-        g = grads.get(p)
-        if g is None:
-            raise ShapeError("gradient map is missing a parameter")
-        if g.shape != p.data.shape:
-            raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        gs.append(g.ravel())
-    step = np.concatenate(gs, dtype=np.float64)  # the one temporary: the new vector
+    if grad.dtype != np.float64 or grad.shape != backbone.flat.shape:
+        raise ShapeError(f"gradient {grad.dtype} {grad.shape} != parameters {backbone.flat.shape}")
     if prox is not None:
-        step += prox[0] * (backbone.flat - prox[1])
-    np.subtract(backbone.flat, np.multiply(step, lr, out=step), out=step)
-    _check_finite(step, "sgd_step")
-    backbone.adopt(step)
+        grad += prox[0] * (backbone.flat - prox[1])
+    np.subtract(backbone.flat, np.multiply(grad, lr, out=grad), out=grad)
+    _check_finite(grad, "sgd_step")
+    backbone.adopt(grad)
     return backbone

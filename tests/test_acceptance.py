@@ -17,7 +17,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import check_grads, ward_reference
+from helpers import (
+    LiveTable,
+    align_loss,
+    attract_loss,
+    attract_repel_loss,
+    check_grads,
+    cross_entropy,
+    distill_loss,
+    forward,
+    local_loss,
+    repel_loss,
+    ward_reference,
+)
 import protofed.federation as fed
 import protofed.losses as losses_mod
 from protofed.chac import Cluster, chac, delta_ssq, kmeans
@@ -25,18 +37,7 @@ from protofed.data import load_idx, partition_dirichlet, synth_blobs
 from protofed.diffcore import Tensor
 from protofed.federation import FedConfig, init_federation, run_round
 from protofed.harness import ExperimentConfig, run_experiment
-from protofed.losses import (
-    ClassGroups,
-    GlobalPrototypes,
-    LossWeights,
-    align_loss,
-    attract_loss,
-    attract_repel_loss,
-    cross_entropy,
-    distill_loss,
-    local_loss,
-    repel_loss,
-)
+from protofed.losses import ClassGroups, GlobalPrototypes, LossWeights
 from protofed.model import Arch
 
 E = math.e
@@ -109,7 +110,7 @@ def test_criterion_02_cluster_count_guard_exhaustive():
 
 
 def test_criterion_03_loss_gradients_match_finite_differences():
-    from protofed.model import build_backbone, init_backbone
+    from protofed.model import init_backbone
 
     t0 = time.perf_counter()
     rng = np.random.default_rng(1234)
@@ -138,7 +139,8 @@ def test_criterion_03_loss_gradients_match_finite_differences():
         labels = np.repeat([0, 1], [len(b) for b in blocks])
 
         def build_align(ls, emb=emb, labels=labels):
-            return align_loss(emb, ClassGroups(labels, GlobalPrototypes([0, 1], ls[0])))
+            table = LiveTable([0, 1], ls[0])
+            return align_loss(emb, ClassGroups(labels, table), table)
 
         check_grads(build_align, [np.stack([rng.uniform(-2, 2, q), rng.uniform(-2, 2, q)])])
 
@@ -160,7 +162,7 @@ def test_criterion_03_loss_gradients_match_finite_differences():
         emb = rng.uniform(-2, 2, (int(rng.integers(2, 6)), q))
 
         def build_repel(ls, scale=scale):
-            return repel_loss(ls[0], GlobalPrototypes([0, 1], ls[1]), scale)
+            return repel_loss(ls[0], LiveTable([0, 1], ls[1]), scale)
 
         check_grads(build_repel, [emb, np.stack([rng.uniform(-2, 2, q), rng.uniform(-2, 2, q)])])
 
@@ -187,8 +189,7 @@ def test_criterion_03_loss_gradients_match_finite_differences():
 
         def build_full(ls, arch=arch, x=x, labels=labels, teacher_logits=teacher_logits,
                        prev_emb=prev_emb, table=table, w=w):
-            m = build_backbone(arch, ls)
-            emb, logits = m.forward(x)
+            emb, logits = forward(arch, ls, x)
             ce = cross_entropy(logits, labels)
             dist = distill_loss(teacher_logits, logits, w.temperature)
             groups = ClassGroups(labels, table)
@@ -199,7 +200,7 @@ def test_criterion_03_loss_gradients_match_finite_differences():
             )
             return local_loss(ce, dist, align_loss(prev_emb, groups), pair, w, round_idx=2)
 
-        check_grads(build_full, [p.data for p in base.params])
+        check_grads(build_full, base.params)
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0, f"gradient sweep took {elapsed:.1f}s"
@@ -275,8 +276,8 @@ def test_criterion_04_frozen_hand_values():
         0: fed.PrototypeSet({0: [np.array([1.0])]}, {0: 5}),
         1: fed.PrototypeSet({0: [np.array([1.0])]}, {0: 5}),
     }
-    assert fed.aggregate_prototypes(sets, 1, "normalized").matrix.data[0, 0] == pytest.approx(1.0)
-    assert fed.aggregate_prototypes(sets, 1, "literal").matrix.data[0, 0] == pytest.approx(0.5)
+    assert fed.aggregate_prototypes(sets, 1, "normalized").matrix[0, 0] == pytest.approx(1.0)
+    assert fed.aggregate_prototypes(sets, 1, "literal").matrix[0, 0] == pytest.approx(0.5)
 
 
 # -------------------------------------------------------------------------

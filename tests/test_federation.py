@@ -7,10 +7,23 @@ import pytest
 import protofed.chac as clustering
 import protofed.diffcore as dc
 import protofed.federation as fed
-from helpers import prox_reference
+from helpers import (
+    align_reference,
+    attract_reference,
+    attract_repel_reference,
+    cross_entropy,
+    cross_entropy_reference,
+    distill_reference,
+    embed_reference,
+    fedproto_reference,
+    forward,
+    local_loss_reference,
+    prox_reference,
+    repel_reference,
+)
 from protofed.data import ClientShard, partition_dirichlet, synth_blobs
 from protofed.harness import ExperimentConfig, rounds_csv, run_experiment
-from protofed.losses import GlobalPrototypes, LossWeights, PrototypeCoverageWarning, cross_entropy
+from protofed.losses import ClassGroups, GlobalPrototypes, LossWeights, PrototypeCoverageWarning
 from protofed.model import Arch, backbone_from_flat, build_backbone, flatten_params, sgd_step
 
 
@@ -143,8 +156,8 @@ def test_aggregate_prototypes_normalized_vs_literal_hand_values():
     }
     normalized = fed.aggregate_prototypes(sets, 1, "normalized")
     literal = fed.aggregate_prototypes(sets, 1, "literal")
-    assert normalized.rows([0]).data[0, 0] == pytest.approx(1.0)
-    assert literal.rows([0]).data[0, 0] == pytest.approx(0.5)
+    assert normalized.rows([0])[0, 0] == pytest.approx(1.0)
+    assert literal.rows([0])[0, 0] == pytest.approx(0.5)
 
 
 def test_aggregate_prototypes_count_weighting():
@@ -153,16 +166,16 @@ def test_aggregate_prototypes_count_weighting():
         1: _proto_set({0: [[4.0]]}, {0: 3}),
     }
     table = fed.aggregate_prototypes(sets, 1, "normalized")
-    assert table.rows([0]).data[0, 0] == pytest.approx(3.0)
+    assert table.rows([0])[0, 0] == pytest.approx(3.0)
 
 
 def test_aggregate_prototypes_multiple_vectors_average():
     sets = {0: _proto_set({2: [[0.0], [2.0]]}, {2: 6})}
     table = fed.aggregate_prototypes(sets, 1, "normalized")
-    assert table.rows([2]).data[0, 0] == pytest.approx(1.0)
+    assert table.rows([2])[0, 0] == pytest.approx(1.0)
     # single member: literal prefactor 1/(1*2) gives the same mean
     literal = fed.aggregate_prototypes(sets, 1, "literal")
-    assert literal.rows([2]).data[0, 0] == pytest.approx(1.0)
+    assert literal.rows([2])[0, 0] == pytest.approx(1.0)
 
 
 def test_prototype_set_validation():
@@ -182,7 +195,7 @@ def test_models_travel_as_the_server_vector():
     flat = server.model.flat
     for st in clients.values():
         assert st.model.flat is flat  # views into the server's vector, no copy
-        assert all(np.shares_memory(p.data, flat) for p in st.model.params)
+        assert all(np.shares_memory(p, flat) for p in st.model.params)
     st = clients[0]
     res = fed.client_update(st, ds, flat, server.protos, cfg, round_idx=1, run_seed=0)
     assert res.flat is st.model.flat and res.protos is None
@@ -316,6 +329,58 @@ def test_fedprox_positive_rho_changes_trajectory():
     )
 
 
+@pytest.mark.parametrize("method", ["mp-fedkd", "fedproto"])
+def test_client_step_matches_the_op_chain_bitwise(method, monkeypatch):
+    # client_update chains the kernels' backwards by hand. Replaying a
+    # round-2 update batch by batch, with every layer and loss term as a
+    # taped op chain over the parameters each step started from, gives each
+    # flat gradient sgd_step received bit for bit.
+    steps = []
+
+    def recording_step(model, grad, lr, prox):
+        steps.append((model.flat, grad.copy()))
+        return sgd_step(model, grad, lr, prox)
+
+    weights = LossWeights(ce_weight=0.7, proto_weight=0.4, balance=0.3, temperature=0.5)
+    ds, cfg, server, clients = small_world(
+        method=method, seed=3, weights=weights, fedproto_weight=2.5
+    )
+    server, _ = drive(ds, cfg, server, clients, 1)
+    st, w = clients[1], cfg.weights
+    teacher, protos = st.teacher, server.protos
+    monkeypatch.setattr(fed, "sgd_step", recording_step)
+    fed.client_update(st, ds, server.model.flat, protos, cfg, round_idx=2, run_seed=server.seed)
+    own = [int(c) for c in np.flatnonzero(st.shard.histogram > 0)]
+    rng = np.random.default_rng(np.random.SeedSequence([server.seed, fed._SHUFFLE_STREAM, 2, 1]))
+    want = []
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(st.shard.train.size)
+        for start in range(0, perm.size, cfg.batch_size):
+            pos = perm[start : start + cfg.batch_size]
+            idx = st.shard.train[pos]
+            y, groups = ds.labels[idx], ClassGroups(ds.labels[idx], protos)
+            leaves = [dc.Tensor(p) for p in backbone_from_flat(ARCH, steps[len(want)][0]).params]
+            with dc.Tape() as tape:
+                tape.watch(*leaves)
+                emb, logits = embed_reference(ARCH, leaves, ds.features[idx])
+                ce = cross_entropy_reference(logits, y)
+                if method == "fedproto":
+                    loss = dc.add(ce, dc.mul(fedproto_reference(emb, groups), cfg.fedproto_weight))
+                else:
+                    pair = attract_repel_reference(
+                        attract_reference(emb, groups, w.scale),
+                        repel_reference(emb, protos, w.scale, own),
+                        w.balance,
+                    )
+                    dist = distill_reference(teacher[1][pos], logits, w.temperature)
+                    loss = local_loss_reference(
+                        ce, dist, align_reference(teacher[0][pos], groups), pair, w
+                    )
+            grads = dc.backward(tape, loss)
+            want.append(np.concatenate([grads[leaf].ravel() for leaf in leaves]).tobytes())
+    assert [grad.tobytes() for _, grad in steps] == want
+
+
 @pytest.mark.parametrize("rho", [0.01, 5.0])
 def test_fedprox_gradient_matches_the_proximal_op_chain_bitwise(rho, monkeypatch):
     # client_update adds the proximal gradient in sgd_step, with no tape op.
@@ -324,8 +389,8 @@ def test_fedprox_gradient_matches_the_proximal_op_chain_bitwise(rho, monkeypatch
     # parameters are the anchor itself, and after every later one.
     seen = []
 
-    def recording_step(model, grads, lr, prox):
-        sgd_step(model, grads, lr, prox)
+    def recording_step(model, grad, lr, prox):
+        sgd_step(model, grad, lr, prox)
         seen.append(model.flat.tobytes())
         return model
 
@@ -344,12 +409,14 @@ def test_fedprox_gradient_matches_the_proximal_op_chain_bitwise(rho, monkeypatch
             order = train[rng.permutation(train.size)]
             for start in range(0, train.size, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
+                leaves = [dc.Tensor(p) for p in model.params]
                 with dc.Tape() as tape:
-                    model.watch(tape)
-                    _, logits = model.forward(dc.Tensor(ds.features[idx]))
+                    tape.watch(*leaves)
+                    _, logits = forward(ARCH, leaves, ds.features[idx])
                     ce = cross_entropy(logits, ds.labels[idx])
-                    grads = dc.backward(tape, dc.add(ce, prox_reference(model.params, anchor, rho)))
-                sgd_step(model, grads, cfg.learning_rate)
+                    grads = dc.backward(tape, dc.add(ce, prox_reference(leaves, anchor, rho)))
+                grad = np.concatenate([grads[leaf].ravel() for leaf in leaves])
+                sgd_step(model, grad, cfg.learning_rate)
                 want.append(model.flat.tobytes())
         assert len(seen) > 1 and seen == want, seed
         assert res.flat.tobytes() == model.flat.tobytes()
@@ -397,13 +464,13 @@ def test_worker_parallelism_reproduces_sequential_run():
     for a, b in zip(recs1, recs4):
         assert dataclasses.replace(a, wall_time=0.0) == dataclasses.replace(b, wall_time=0.0)
     assert server1.protos.labels == server4.protos.labels
-    assert np.array_equal(server1.protos.matrix.data, server4.protos.matrix.data)
+    assert np.array_equal(server1.protos.matrix, server4.protos.matrix)
 
 
 def test_stale_class_prototypes_survive_absence():
     ds, cfg, server, clients = small_world()
     server, _ = drive(ds, cfg, server, clients, 1)
-    kept = server.protos.rows([2]).data
+    kept = server.protos.rows([2])
     # only clients without any fresh evidence for some class would retain it;
     # simulate by making class 2's holders sit the round out
     hist2 = np.array([st.shard.histogram[2] for st in clients.values()])
@@ -418,7 +485,7 @@ def test_stale_class_prototypes_survive_absence():
         shard = ClientShard(client_id=0, train=train, test=test, histogram=[6, 6, 0])
         lean = {0: fed.ClientState(0, shard, build_backbone(ARCH, list(server.model.params)))}
     server, _ = fed.run_round(server, lean, ds, cfg)
-    assert np.array_equal(server.protos.rows([2]).data, kept)
+    assert np.array_equal(server.protos.rows([2]), kept)
     assert server.protos.labels == [0, 1, 2]
 
 
@@ -433,23 +500,23 @@ def test_per_batch_prototypes_cluster_the_last_batch(monkeypatch):
     ds, cfg, server, clients = small_world(per_batch_protos=True)
     st = clients[0]
     embs, labels = [], []
-    forward, cross_entropy = st.model.forward, fed.losses.cross_entropy
+    model_forward, ce_kernel = st.model.forward, fed.losses.cross_entropy
 
     def recording_forward(x):
-        emb, logits = forward(x)
-        embs.append(emb.data.copy())
-        return emb, logits
+        emb, logits, cache = model_forward(x)
+        embs.append(emb.copy())
+        return emb, logits, cache
 
     def recording_ce(logits, y):
         labels.append(np.array(y))
-        return cross_entropy(logits, y)
+        return ce_kernel(logits, y)
 
     monkeypatch.setattr(st.model, "forward", recording_forward)
     monkeypatch.setattr(fed.losses, "cross_entropy", recording_ce)
     res = fed.client_update(
         st, ds, server.model.flat, server.protos, cfg, round_idx=1, run_seed=0
     )
-    # the pass over the trained shard (off the tape) makes the teacher; the
+    # the pass over the trained shard (infer, no cache) makes the teacher; the
     # last batch's pre-step embeddings are the prototype input
     batches = cfg.epochs * len(range(0, st.shard.train.size, cfg.batch_size))
     assert len(embs) == len(labels) == batches
@@ -502,6 +569,21 @@ def test_partial_participation_round():
     assert set(rec.selected) <= set(clients)
 
 
+@pytest.mark.parametrize("method", fed.METHODS)
+def test_training_never_touches_the_tape(monkeypatch, method):
+    # The training step runs on plain arrays: the reference tape in diffcore
+    # is for the tests, so opening one or recording an op fails the run.
+    def refuse(*args, **kwargs):
+        raise AssertionError("training reached the reference tape")
+
+    monkeypatch.setattr(dc.Tape, "__enter__", refuse)
+    monkeypatch.setattr(dc, "_op", refuse)
+    ds, cfg, server, clients = small_world(method=method)
+    _, records = drive(ds, cfg, server, clients, 2)
+    assert all(r.ce > 0.0 for r in records)
+    assert (records[1].proto > 0.0) == (method in fed._USES_PROTOS)
+
+
 def test_client_failure_is_attributed():
     ds, cfg, server, clients = small_world()
     bad = ClientShard(client_id=1, train=[10**6], test=[], histogram=[1, 0, 0])
@@ -522,8 +604,8 @@ def test_diverging_client_names_round_client_batch_and_op():
 
 
 def test_align_weight_is_a_diagnostic():
-    # The alignment term has no gradient path (detached embeddings, plain-array
-    # prototypes), so its weight cannot move the parameters.
+    # The alignment term has no gradient path (the teacher's embeddings and the
+    # prototypes are constants), so its weight cannot move the parameters.
     finals, aligns = [], []
     for weight in (0.0, 1.0):
         ds, cfg, server, clients = small_world(
@@ -554,8 +636,8 @@ def test_round_metrics_by_hand(method):
     for cid in (0, 1):  # fedproto: the personal models; fedavg: the server model
         model = clients[cid].model if method == "fedproto" else server.model
         te = clients[cid].shard.test
-        _, logits = model.forward(dc.Tensor(ds.features[te]))
-        preds.append(np.argmax(logits.data, axis=1))
+        _, logits, _ = model.forward(ds.features[te])
+        preds.append(np.argmax(logits, axis=1))
         ys.append(ds.labels[te])
     per_client = np.mean([np.mean(p == y) for p, y in zip(preds, ys)])
     p, y = np.concatenate(preds), np.concatenate(ys)

@@ -196,20 +196,23 @@ def test_ini_surface_is_pinned():
     sections: dict[str, list[str]] = {}
     for section, key in INI_SURFACE:
         sections.setdefault(section, []).append(key)
-    # idx data takes its second domain from images2/labels2, so domains = 2
-    # is read on its own, with blob data
-    alone = ("dataset", "domains")
+    # idx data takes its second domain from images2/labels2 and has no blob
+    # settings, so domains = 2 and the blob keys are read on their own, with
+    # blob data
+    alone = {("dataset", k) for k in ("domains", "classes", "per_class", "dim", "spread", "seed")}
     text = ""
     for section, keys in sections.items():
         text += f"[{section}]\n"
         text += "".join(
-            f"{k} = {INI_SURFACE[section, k][1]}\n" for k in keys if (section, k) != alone
+            f"{k} = {INI_SURFACE[section, k][1]}\n" for k in keys if (section, k) not in alone
         )
     cfg = ExperimentConfig.from_ini_text(text)
-    two_domain = ExperimentConfig.from_ini_text("[dataset]\ndomains = 2\n")
+    blobs = ExperimentConfig.from_ini_text(
+        "[dataset]\n" + "".join(f"{k} = {INI_SURFACE[s, k][1]}\n" for s, k in sorted(alone))
+    )
     default = ExperimentConfig()
     for (section, key), (field, value) in INI_SURFACE.items():
-        read = two_domain if (section, key) == alone else cfg
+        read = blobs if (section, key) in alone else cfg
         assert getattr(read, field) == value, (section, key)
         assert getattr(default, field) != value, (section, key)
     # the two booleans share a value above, so check they do not alias
@@ -291,6 +294,8 @@ ALL_COMMANDS = ["run", "partition-audit", "compare-clusterers"]
         # an idx file path with blob data was silently ignored
         ("[dataset]\nimages = missing.idx\n", ALL_COMMANDS),
         ("[dataset]\nlabels2 = also-missing.idx\n", ALL_COMMANDS),
+        # and so was a blob setting with idx data
+        ("[dataset]\nper_class = 30\nkind = idx\nimages = a\nlabels = b\n", ALL_COMMANDS),
     ],
 )
 def test_bad_data_or_model_value_writes_nothing(tmp_path, capsys, bad, commands):
@@ -390,7 +395,9 @@ def idx_cfg(tmp_path, images: str, labels: str, **over) -> ExperimentConfig:
         f.name: f.default for f in dataclasses.fields(ExperimentConfig)
         if f.name in ("classes", "per_class", "dim", "spread", "data_seed")
     }
-    return small_cfg(tmp_path, data_kind="idx", images=images, labels=labels, **blob_defaults, **over)
+    return small_cfg(
+        tmp_path, data_kind="idx", images=images, labels=labels, **blob_defaults, **over
+    )
 
 
 TRAINING_PINS = Path(__file__).parent / "data"
@@ -426,11 +433,10 @@ def test_two_domain_run_matches_pins(tmp_path, name):
         (images, labels), (images2, labels2) = (
             idx_files(tmp_path / f"idx-{seed}", seed) for seed in (1, 2)
         )
-        cfg = small_cfg(
-            tmp_path, data_kind="idx", images=images, labels=labels,
-            images2=images2, labels2=labels2, clients=5,
-        )
-    run_experiment(cfg)
+        cfg = idx_cfg(tmp_path, images, labels, images2=images2, labels2=labels2, clients=5)
+    summary, _ = run_experiment(cfg)
+    # summary.json names the classes of the data built, not a blob default
+    assert summary["config"]["classes"] == (3 if name == "blobs" else 10)
     for artifact in ("partition.json", "rounds.csv"):
         pinned = TWO_DOMAIN_PINS / f"two_domain_{name}_{artifact}"
         assert (Path(cfg.out) / artifact).read_bytes() == pinned.read_bytes(), artifact
@@ -444,7 +450,7 @@ def test_every_data_key_changes_the_run(tmp_path):
         idx_files(tmp_path / f"idx-{seed}", seed) for seed in (1, 2, 3)
     )
     blobs = small_cfg(tmp_path, method="fedavg", epochs=1)
-    idx = blobs.override(data_kind="idx", images=a_img, labels=a_lab)
+    idx = idx_cfg(tmp_path, a_img, a_lab, method="fedavg", epochs=1)
     two_idx = idx.override(images2=c_img, labels2=c_lab)  # the pair flips together
     flips = {
         ("dataset", "kind"): (blobs, idx),

@@ -4,31 +4,35 @@ import numpy as np
 import pytest
 
 from helpers import (
+    LiveTable,
+    align_loss,
     align_reference,
+    attract_loss,
     attract_reference,
+    attract_repel_loss,
     attract_repel_reference,
     check_grads,
+    cross_entropy,
     cross_entropy_reference,
+    distill_loss,
     distill_reference,
+    embed_reference,
+    fedproto_loss,
     fedproto_reference,
+    forward,
+    local_loss,
     local_loss_reference,
+    repel_loss,
     repel_reference,
 )
 from protofed import diffcore as dc
+from protofed import losses
 from protofed.diffcore import ShapeError, Tape, Tensor, backward
 from protofed.losses import (
     ClassGroups,
     GlobalPrototypes,
     LossWeights,
     PrototypeCoverageWarning,
-    align_loss,
-    attract_loss,
-    attract_repel_loss,
-    cross_entropy,
-    distill_loss,
-    fedproto_loss,
-    local_loss,
-    repel_loss,
 )
 
 E = math.e
@@ -211,7 +215,7 @@ def test_class_groups_mean_weights_and_shape_check():
     groups = ClassGroups([2, 0, 2], table)
     assert groups.classes == [2]
     np.testing.assert_array_equal(groups.weights, [[0.5], [0.0], [0.5]])
-    np.testing.assert_array_equal(groups.rows.data, [[0.0, 0.0]])
+    np.testing.assert_array_equal(groups.rows, [[0.0, 0.0]])
     with pytest.raises(ShapeError):
         align_loss(emb, ClassGroups([0, 2], table))
     with pytest.raises(ShapeError):
@@ -222,13 +226,13 @@ def test_class_groups_match_per_class_blocks_with_gradients():
     rng = np.random.default_rng(11)
     labels = np.array([1, 0, 1, 2, 1, 0])
     emb = Tensor(rng.uniform(-2, 2, (6, 3)))
-    table = GlobalPrototypes([0, 1], Tensor(rng.uniform(-2, 2, (2, 3))))
+    table = LiveTable([0, 1], rng.uniform(-2, 2, (2, 3)))
     # class 2 has no prototype; attract adds up the class terms, align averages them
     blocks = [np.flatnonzero(labels == c) for c in (0, 1)]
 
     def run(kernel, mix, grouped):
         with Tape() as tape:
-            tape.watch(emb, table.matrix)
+            tape.watch(emb, table.leaf)
             if grouped:
                 loss = kernel(emb, ClassGroups(labels, table))
             else:
@@ -238,9 +242,13 @@ def test_class_groups_match_per_class_blocks_with_gradients():
                 ]
                 loss = dc.mul(dc.add(*parts), mix)
         grads = backward(tape, loss)
-        return loss.item(), [grads[t] for t in (emb, table.matrix)]
+        return loss.item(), [grads[t] for t in (emb, table.leaf)]
 
-    for kernel, mix in ((lambda e, g: attract_loss(e, g, 0.5), 1.0), (align_loss, 0.5)):
+    kernels = (
+        (lambda e, g: attract_loss(e, g, 0.5), 1.0),
+        (lambda e, g: align_loss(e, g, table), 0.5),
+    )
+    for kernel, mix in kernels:
         (v1, g1), (v2, g2) = run(kernel, mix, True), run(kernel, mix, False)
         np.testing.assert_allclose(v1, v2, rtol=1e-13)
         for a, b in zip(g1, g2):
@@ -273,9 +281,9 @@ def test_attract_repel_mix_hand_value():
 
 
 def test_local_loss_round1_is_ce_bitwise():
-    ce = cross_entropy(Tensor([[1.0, 0.0]]), [0])
-    out = local_loss(ce, None, None, None, LossWeights(), round_idx=1)
-    assert out is ce
+    ce, _ = losses.cross_entropy(np.array([[1.0, 0.0]]), [0])
+    out, bwd = losses.local_loss(ce, None, None, None, LossWeights(), round_idx=1)
+    assert out == ce and bwd(0.3) == (0.3, None, None, None)
 
 
 def test_local_loss_mix_hand_value():
@@ -316,8 +324,8 @@ def test_prototype_table_contract():
     table = GlobalPrototypes.of(3, {2: np.ones(3), 0: np.zeros(3)})
     assert table.has(2) and not table.has(1)
     assert table.labels == [0, 2] and table.embedding_dim == 3
-    np.testing.assert_array_equal(table.matrix.data, [np.zeros(3), np.ones(3)])
-    np.testing.assert_array_equal(table.rows([2, 0]).data, [np.ones(3), np.zeros(3)])
+    np.testing.assert_array_equal(table.matrix, [np.zeros(3), np.ones(3)])
+    np.testing.assert_array_equal(table.rows([2, 0]), [np.ones(3), np.zeros(3)])
     with pytest.raises(ShapeError):
         GlobalPrototypes.of(3, {1: np.ones(4)})
     with pytest.raises(ValueError):
@@ -350,25 +358,25 @@ def test_distill_gradients_flow_to_student_only():
 def test_align_gradients_flow_to_protos_only():
     rng = np.random.default_rng(3)
     emb = Tensor(rng.uniform(-2, 2, size=(4, 3)))
-    table = GlobalPrototypes([0], Tensor(rng.uniform(-2, 2, size=(1, 3))))
+    table = LiveTable([0], rng.uniform(-2, 2, size=(1, 3)))
     with Tape() as tape:
-        tape.watch(emb, table.matrix)
-        loss = align_loss(emb, ClassGroups([0] * 4, table))
+        tape.watch(emb, table.leaf)
+        loss = align_loss(emb, ClassGroups([0] * 4, table), table)
     grads = backward(tape, loss)
     assert np.all(grads[emb] == 0.0)
-    assert np.any(grads[table.matrix] != 0.0)
+    assert np.any(grads[table.leaf] != 0.0)
 
 
 def test_attract_gradients_flow_to_embeddings_only():
     rng = np.random.default_rng(4)
     emb = Tensor(rng.uniform(-2, 2, size=(4, 3)))
-    table = GlobalPrototypes([0], Tensor(rng.uniform(-2, 2, size=(1, 3))))
+    table = LiveTable([0], rng.uniform(-2, 2, size=(1, 3)))
     with Tape() as tape:
-        tape.watch(emb, table.matrix)
+        tape.watch(emb, table.leaf)
         loss = attract_loss(emb, ClassGroups([0] * 4, table), scale=0.5)
     grads = backward(tape, loss)
     assert np.any(grads[emb] != 0.0)
-    assert np.all(grads[table.matrix] == 0.0)
+    assert np.all(grads[table.leaf] == 0.0)
 
 
 def test_distill_matches_finite_differences():
@@ -387,7 +395,8 @@ def test_align_matches_finite_differences_wrt_protos():
     labels = [0, 0, 0, 2, 2]
 
     def build(ls):
-        return align_loss(emb, ClassGroups(labels, GlobalPrototypes([0, 2], ls[0])))
+        table = LiveTable([0, 2], ls[0])
+        return align_loss(emb, ClassGroups(labels, table), table)
 
     check_grads(build, [rng.uniform(-2, 2, size=(2, 4))])
 
@@ -408,14 +417,14 @@ def test_repel_matches_finite_differences_wrt_both_sides():
     p1 = rng.uniform(-2, 2, size=3)
 
     def build(ls):
-        return repel_loss(ls[0], GlobalPrototypes([0, 1], ls[1]), scale=0.5)
+        return repel_loss(ls[0], LiveTable([0, 1], ls[1]), scale=0.5)
 
     check_grads(build, [emb, np.stack([p0, p1])])
 
 
 def test_combined_loss_matches_finite_differences_through_model():
     # the full post-round-1 client loss, differentiated through an MLP
-    from protofed.model import Arch, build_backbone, init_backbone
+    from protofed.model import Arch, init_backbone
 
     rng = np.random.default_rng(9)
     arch = Arch(kind="mlp", input_dim=3, embedding_dim=4, num_classes=3, hidden=5)
@@ -428,8 +437,7 @@ def test_combined_loss_matches_finite_differences_through_model():
     w = LossWeights(temperature=0.8)
 
     def build(ls):
-        m = build_backbone(arch, ls)
-        emb, logits = m.forward(x)
+        emb, logits = forward(arch, ls, x)
         ce = cross_entropy(logits, labels)
         distill = distill_loss(teacher_logits, logits, w.temperature)
         groups = ClassGroups(labels, table)
@@ -441,7 +449,7 @@ def test_combined_loss_matches_finite_differences_through_model():
         )
         return local_loss(ce, distill, align, pair, w, round_idx=3)
 
-    check_grads(build, [p.data for p in base.params])
+    check_grads(build, base.params)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +484,7 @@ def test_fused_kernels_match_op_chain_references_bitwise(seed):
     arrays = {c: rng.uniform(-2, 2, q) for c in range(C) if c == labels[0] or rng.random() < 0.7}
     plain = protos_from(arrays, q)
     groups = ClassGroups(labels, plain)
-    live = GlobalPrototypes(plain.labels, Tensor(plain.matrix.data))
+    live = LiveTable(plain.labels, plain.matrix)
     scale = float(rng.uniform(0.1, 2.0))
     own = sorted(set(labels.tolist()) | {int(rng.integers(0, C))})
     terms = [Tensor(v) for v in rng.uniform(-2, 2, 4)]
@@ -505,12 +513,12 @@ def test_fused_kernels_match_op_chain_references_bitwise(seed):
         "attract, tracked prototypes": (
             lambda: attract_loss(emb, ClassGroups(labels, live), scale),
             lambda: attract_reference(emb, ClassGroups(labels, live), scale),
-            [emb, live.matrix],
+            [emb, live.leaf],
         ),
         "align": (
-            lambda: align_loss(emb, ClassGroups(labels, live)),
-            lambda: align_reference(emb, ClassGroups(labels, live)),
-            [emb, live.matrix],
+            lambda: align_loss(emb, ClassGroups(labels, live), live),
+            lambda: align_reference(emb, ClassGroups(labels, live), live),
+            [emb, live.leaf],
         ),
         "repel": (
             lambda: repel_loss(emb, plain, scale, classes=own),
@@ -520,7 +528,7 @@ def test_fused_kernels_match_op_chain_references_bitwise(seed):
         "repel, tracked prototypes": (
             lambda: repel_loss(emb, live, scale, classes=own),
             lambda: repel_reference(emb, live, scale, own),
-            [emb, live.matrix],
+            [emb, live.leaf],
         ),
         "attract_repel": (
             lambda: attract_repel_loss(terms[0], terms[1], w.balance),
@@ -541,8 +549,9 @@ def test_fused_kernels_match_op_chain_references_bitwise(seed):
 @pytest.mark.parametrize("seed", range(5))
 def test_fused_training_loss_matches_op_chain_bitwise(seed):
     # The client's post-round-1 batch loss through an MLP, in client_update's
-    # order: every parameter gradient equals the op chain's, so the order in
-    # which the terms' gradients add up at the embeddings and logits held.
+    # order: the kernels and the backbone's backward give every parameter
+    # gradient of the op chain, layers included, so the order in which the
+    # terms' gradients add up at the embeddings and logits held.
     from protofed.model import Arch, init_backbone
 
     rng = np.random.default_rng(100 + seed)
@@ -553,10 +562,11 @@ def test_fused_training_loss_matches_op_chain_bitwise(seed):
     t_emb, t_logits = teacher.infer(x)
     table = protos_from({c: rng.uniform(-1, 1, 4) for c in range(3)}, 4)
     w = LossWeights(temperature=0.3)
+    leaves = [Tensor(p) for p in model.params]
 
     def build(kernels):
-        ce_k, distill_k, align_k, attract_k, repel_k, pair_k, local_k = kernels
-        emb, logits = model.forward(Tensor(x))
+        fwd, ce_k, distill_k, align_k, attract_k, repel_k, pair_k, local_k = kernels
+        emb, logits = fwd(arch, leaves, x)
         ce = ce_k(logits, labels)
         groups = ClassGroups(labels, table)
         al = align_k(t_emb, groups)
@@ -566,15 +576,15 @@ def test_fused_training_loss_matches_op_chain_bitwise(seed):
         return local_k(ce, dist, al, pair_k(att, rep, w.balance), w)
 
     fused = (
-        cross_entropy, distill_loss, align_loss, attract_loss, repel_loss,
+        forward, cross_entropy, distill_loss, align_loss, attract_loss, repel_loss,
         attract_repel_loss, lambda *a: local_loss(*a, round_idx=2),
     )
     reference = (
-        cross_entropy_reference, distill_reference, align_reference, attract_reference,
-        repel_reference, attract_repel_reference, local_loss_reference,
+        embed_reference, cross_entropy_reference, distill_reference, align_reference,
+        attract_reference, repel_reference, attract_repel_reference, local_loss_reference,
     )
-    got = _value_and_grads(lambda: build(fused), model.params)
-    assert got == _value_and_grads(lambda: build(reference), model.params)
+    got = _value_and_grads(lambda: build(fused), leaves)
+    assert got == _value_and_grads(lambda: build(reference), leaves)
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -587,7 +597,7 @@ def test_fedproto_kernel_matches_op_chain_bitwise(seed):
     rng = np.random.default_rng(300 + seed)
     n, C, q = (int(v) for v in rng.integers((1, 2, 1), (12, 6, 6)))
     arch = Arch(kind="mlp", input_dim=3, embedding_dim=q, num_classes=C, hidden=5)
-    model = init_backbone(arch, rng)
+    leaves = [Tensor(p) for p in init_backbone(arch, rng).params]
     x = rng.uniform(-1, 1, size=(n, 3))
     labels = rng.integers(0, C, size=n)
     held = set(labels.tolist())
@@ -596,19 +606,21 @@ def test_fedproto_kernel_matches_op_chain_bitwise(seed):
     weight = float(rng.uniform(0.0, 4.0))
     regs = []
 
-    def build(kernel, mix):
-        emb, logits = model.forward(Tensor(x))
-        ce = cross_entropy(logits, labels)
+    def build(fwd, ce_k, kernel, mix):
+        emb, logits = fwd(arch, leaves, x)
+        ce = ce_k(logits, labels)
         regs.append(kernel(emb, ClassGroups(labels, table)))
         return ce if regs[-1] is None else mix(ce, regs[-1])
 
     got = _value_and_grads(
-        lambda: build(fedproto_loss, lambda ce, r: dc.weighted_sum((ce, r), (1.0, weight))),
-        model.params,
+        lambda: build(forward, cross_entropy, fedproto_loss,
+                      lambda ce, r: dc.weighted_sum((ce, r), (1.0, weight))),
+        leaves,
     )
     want = _value_and_grads(
-        lambda: build(fedproto_reference, lambda ce, r: dc.add(ce, dc.mul(r, weight))),
-        model.params,
+        lambda: build(embed_reference, cross_entropy_reference, fedproto_reference,
+                      lambda ce, r: dc.add(ce, dc.mul(r, weight))),
+        leaves,
     )
     assert got == want
     assert (regs[0] is None) == (regs[1] is None) == (seed % 5 == 0 or not held & set(keep))
