@@ -6,8 +6,10 @@ backward (``_affine``, ``_conv2d``, ``_relu_grad``), the softmax pieces,
 ``_sq_dists``, ``_as_index`` and ``_check_finite``. The rest is the engine
 the tests check that step against: ``Tensor``, ``Tape``, ``backward`` and
 the ops built on ``_op``, which freezes each output, checks it for NaN/Inf
-and records its gradient while a ``Tape`` is open. Open tapes sit on one
-module-level stack, so only one thread may use them.
+and records its gradient while a ``Tape`` is open. Each op's backward
+computes every operand's gradient, watched or not, and ``backward`` keeps
+those of the tensors the tape tracks. Open tapes sit on one module-level
+stack, so only one thread may use them.
 """
 from __future__ import annotations
 
@@ -29,7 +31,6 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "weighted_sum",
     "neg",
     "relu",
     "log",
@@ -142,15 +143,15 @@ class Tape:
 
     def __init__(self) -> None:
         self._records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
-        self._tracked: set[int] = set()
+        self._on_tape: set[int] = set()  # ids of watched tensors and their descendants
         self._leaves: list[Tensor] = []
 
     def watch(self, *tensors: Tensor) -> None:
         for t in tensors:
             if not isinstance(t, Tensor):
                 raise TypeError("watch() takes Tensors")
-            if id(t) not in self._tracked:
-                self._tracked.add(id(t))
+            if id(t) not in self._on_tape:
+                self._on_tape.add(id(t))
                 self._leaves.append(t)
 
     @property
@@ -170,19 +171,14 @@ class Tape:
 def _op(value: np.ndarray, name: str, inputs: tuple[Tensor, ...], bwd: Callable) -> Tensor:
     """The one way an op output is made: wrap and check ``value``, and record
     ``bwd`` when the active tape tracks any input. ``bwd(g)`` returns one
-    gradient per input, None for an input it skips."""
+    gradient per input, or None for one it sends none; ``backward`` drops
+    those of untracked inputs."""
     out = _wrap(value, name)
     tape = _active_tape()
-    if tape is not None and any(id(i) in tape._tracked for i in inputs):
+    if tape is not None and any(id(i) in tape._on_tape for i in inputs):
         tape._records.append((out, inputs, bwd))
-        tape._tracked.add(id(out))
+        tape._on_tape.add(id(out))
     return out
-
-
-def _tracked(t: Tensor) -> bool:
-    """True when the active tape tracks t; else ``backward`` drops t's gradient."""
-    tape = _active_tape()
-    return tape is not None and id(t) in tape._tracked
 
 
 def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
@@ -193,7 +189,7 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     """
     if loss.shape != ():
         raise TapeError(f"loss must be a scalar, got shape {loss.shape}")
-    if id(loss) not in tape._tracked:
+    if id(loss) not in tape._on_tape:
         raise TapeError("loss was not computed under this tape")
     grads: dict[int, np.ndarray] = {id(loss): np.ones(())}
     for out, inputs, bwd in reversed(tape._records):
@@ -201,7 +197,7 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
         if g is None:
             continue
         for inp, gi in zip(inputs, bwd(g)):
-            if gi is None or id(inp) not in tape._tracked:
+            if gi is None or id(inp) not in tape._on_tape:
                 continue
             # Out of place: a stored gradient may be another node's g, a
             # broadcast view, or the same array handed to both inputs.
@@ -222,12 +218,7 @@ def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul {a.shape} @ {b.shape}")
-    need_a, need_b = _tracked(a), _tracked(b)  # a is often the unwatched batch
-
-    def bwd(g):
-        return (g @ b.data.T if need_a else None), (a.data.T @ g if need_b else None)
-
-    return _op(a.data @ b.data, "matmul", (a, b), bwd)
+    return _op(a.data @ b.data, "matmul", (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
 
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -237,10 +228,11 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _affine_grads(g, x, w, need_x: bool, need_w: bool, need_b: bool) -> tuple:
-    """affine's backward on plain arrays: gradients to x, w and b, or None."""
-    gx, gw = (g @ w.T if need_x else None), (x.T @ g if need_w else None)
-    return gx, gw, (np.add.reduce(g, 0) if need_b else None)  # g.sum(axis=0), unwrapped
+def _affine_grads(g, x, w, need_x: bool) -> tuple:
+    """affine's backward on plain arrays: gradients to x (None unless
+    need_x), w and b."""
+    gx = g @ w.T if need_x else None
+    return gx, x.T @ g, np.add.reduce(g, 0)  # g.sum(axis=0), unwrapped
 
 
 def affine(x, w, b) -> Tensor:
@@ -248,9 +240,8 @@ def affine(x, w, b) -> Tensor:
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
         raise ShapeError(f"affine {x.shape} @ {w.shape} + {b.shape}")
-    need = (_tracked(x), _tracked(w), _tracked(b))  # x is often the batch
     return _op(_affine(x.data, w.data, b.data), "affine", (x, w, b),
-               lambda g: _affine_grads(g, x.data, w.data, *need))
+               lambda g: _affine_grads(g, x.data, w.data, True))
 
 
 def _same_or_scalar(a: Tensor, b: Tensor, op: str) -> None:
@@ -263,27 +254,15 @@ def add(a, b) -> Tensor:
     if a.shape != b.shape and a.shape == ():  # scalar on the left, by symmetry
         a, b = b, a
     _same_or_scalar(a, b, "add")
-    need_a, need_b = _tracked(a), _tracked(b)
     scalar_b = a.shape != b.shape
-
-    def bwd(g):
-        gb = (np.sum(g) if scalar_b else g) if need_b else None
-        return (g if need_a else None), gb
-
-    return _op(a.data + b.data, "add", (a, b), bwd)
+    return _op(a.data + b.data, "add", (a, b), lambda g: (g, np.sum(g) if scalar_b else g))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _same_or_scalar(a, b, "sub")
-    need_a, need_b = _tracked(a), _tracked(b)
     scalar_b = a.shape != b.shape
-
-    def bwd(g):
-        gb = -(np.sum(g) if scalar_b else g) if need_b else None
-        return (g if need_a else None), gb
-
-    return _op(a.data - b.data, "sub", (a, b), bwd)
+    return _op(a.data - b.data, "sub", (a, b), lambda g: (g, -(np.sum(g) if scalar_b else g)))
 
 
 def mul(a, b) -> Tensor:
@@ -292,32 +271,11 @@ def mul(a, b) -> Tensor:
         a, b = b, a
     _same_or_scalar(a, b, "mul")
     scalar_b = b.shape == ()
-    need_a, need_b = _tracked(a), _tracked(b)
 
     def bwd(g):
-        ga = g * b.data if need_a else None
-        gb = (np.sum(g * a.data) if scalar_b else g * a.data) if need_b else None
-        return ga, gb
+        return g * b.data, (np.sum(g * a.data) if scalar_b else g * a.data)
 
     return _op(a.data * b.data, "mul", (a, b), bwd)
-
-
-def weighted_sum(terms: Sequence, weights: Sequence[float]) -> Tensor:
-    """sum_i weights[i] * terms[i] over scalar terms, added left to right."""
-    terms = tuple(as_tensor(t) for t in terms)
-    weights = [float(w) for w in weights]
-    if not terms or len(terms) != len(weights) or any(t.shape != () for t in terms):
-        shapes = [t.shape for t in terms]
-        raise ShapeError(f"weighted_sum needs scalar terms, one weight each, got {shapes}")
-    acc = terms[0].data * weights[0]
-    for t, w in zip(terms[1:], weights[1:]):
-        acc = acc + t.data * w
-    need = [_tracked(t) for t in terms]
-
-    def bwd(g):
-        return tuple(g * w if n else None for w, n in zip(weights, need))
-
-    return _op(acc, "weighted_sum", terms, bwd)
 
 
 def neg(x) -> Tensor:
@@ -425,35 +383,33 @@ def _conv2d(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _conv2d_grads(g, x, k, need_dx: bool, need_dk: bool, need_db: bool) -> tuple:
+def _conv2d_grads(g, x, k, need_dx: bool) -> tuple:
     """conv2d's backward on plain arrays, block by block as the forward:
-    gradients to x, k and b, or None. Each block's columns are recomputed
-    rather than kept."""
+    gradients to x (None unless need_dx), k and b. Each block's columns are
+    recomputed rather than kept."""
     _, ci, h, w = x.shape
     co, _, kh, kw = k.shape
     ho, wo = h - kh + 1, w - kw + 1
     k2 = k.reshape(co, ci * kh * kw)
-    dk = np.zeros((co, ci * kh * kw)) if need_dk else None
+    dk = np.zeros((co, ci * kh * kw))
     dx = np.zeros(x.shape) if need_dx else None
     for sl in _conv_blocks(x, k):
         g3 = g[sl].reshape(-1, co, ho * wo)
-        if need_dk:  # the block's columns are freed before dcols exists
-            dk += np.matmul(g3, _im2col(x[sl], kh, kw).transpose(0, 2, 1)).sum(axis=0)
+        # the block's columns are freed before dcols exists
+        dk += np.matmul(g3, _im2col(x[sl], kh, kw).transpose(0, 2, 1)).sum(axis=0)
         if need_dx:  # col2im: one slice-add per kernel tap
             dcols = np.matmul(k2.T, g3).reshape(-1, ci, kh, kw, ho, wo)
             for i in range(kh):
                 for j in range(kw):
                     dx[sl, :, i : i + ho, j : j + wo] += dcols[:, :, i, j]
-    dk = dk.reshape(k.shape) if need_dk else None
-    return dx, dk, (g.sum(axis=(0, 2, 3)) if need_db else None)
+    return dx, dk.reshape(k.shape), g.sum(axis=(0, 2, 3))
 
 
 def conv2d(x, k, b) -> Tensor:
     """Valid-padding stride-1 convolution plus a channel bias: NCHW input,
     OIHW kernel, (O,) bias.
 
-    One GEMM per block of samples over im2col columns; backward skips the
-    gradient of an operand the tape does not track.
+    One GEMM per block of samples over im2col columns, forward and backward.
     """
     x, k, b = as_tensor(x), as_tensor(k), as_tensor(b)
     if x.ndim != 4 or k.ndim != 4:
@@ -464,9 +420,8 @@ def conv2d(x, k, b) -> Tensor:
         raise ShapeError(f"conv2d kernel {k.shape} does not fit input {x.shape}")
     if b.shape != (co,):
         raise ShapeError(f"conv2d bias {b.shape} does not fit kernel {k.shape}")
-    need = (_tracked(x), _tracked(k), _tracked(b))  # x is often the batch
     return _op(_conv2d(x.data, k.data, b.data), "conv2d", (x, k, b),
-               lambda g: _conv2d_grads(g, x.data, k.data, *need))
+               lambda g: _conv2d_grads(g, x.data, k.data, True))
 
 
 def _temp_scaled(logits: np.ndarray, tau: float) -> np.ndarray:
@@ -579,11 +534,10 @@ def sq_dists(x, p) -> Tensor:
     if x.ndim != 2 or p.ndim != 2 or x.shape[1] != p.shape[1] or x.shape[1] == 0:
         raise ShapeError(f"sq_dists needs (n, q) and (C, q) matrices, got {x.shape}, {p.shape}")
     dists, diff = _sq_dists(x.data, p.data)
-    need_x, need_p = _tracked(x), _tracked(p)
 
     def bwd(g):
         gd = _sq_dists_grad(g, diff)
-        return (gd.sum(axis=1) if need_x else None), (-gd.sum(axis=0) if need_p else None)
+        return gd.sum(axis=1), -gd.sum(axis=0)
 
     return _op(dists, "sq_dists", (x, p), bwd)
 

@@ -24,7 +24,7 @@ from .data import ClientShard, Dataset, PartitionPlan
 from .diffcore import _check_finite
 from .losses import GlobalPrototypes, LossWeights, _check_finite_floats
 from .metrics import RoundRecord, accuracy, macro_f1, rmse_mae
-from .model import Arch, Backbone, backbone_from_flat, init_backbone, sgd_step
+from .model import Arch, Backbone, init_backbone, sgd_step
 
 __all__ = [
     "FederationError",
@@ -393,7 +393,7 @@ def init_federation(
     )
     clients = {}
     for shard in plan.shards:
-        local = backbone_from_flat(arch, global_model.flat)
+        local = Backbone(arch, global_model.flat)
         clients[shard.client_id] = ClientState(
             client_id=shard.client_id, shard=shard, model=local
         )

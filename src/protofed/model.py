@@ -11,7 +11,7 @@ parameter as one flat vector; ``infer`` computes the same values and keeps
 nothing. Training mutates parameters only through ``sgd_step``, one step on
 that vector. The parameters are read-only views into one frozen vector, and
 that vector is what travels: ``adopt`` takes one in place of the parameters
-and ``backbone_from_flat`` builds a backbone over one, each without a copy.
+and ``Backbone(arch, flat)`` builds a backbone over one, each without a copy.
 A snapshot, written as a checkpoint, shares it and serializes to a
 little-endian buffer with a JSON shape manifest up front; only this module
 knows the layout.
@@ -35,7 +35,6 @@ __all__ = [
     "init_backbone",
     "build_backbone",
     "snapshot",
-    "backbone_from_flat",
     "flatten_params",
     "sgd_step",
 ]
@@ -203,14 +202,14 @@ class Backbone:
         grad = np.empty(self.flat.size)
         parts = [grad[start:stop].reshape(shape) for start, stop, shape in _flat_layout(self.arch)]
         rep, w = self.rep_params, self.cls_params[0]
-        g, parts[-2][...], parts[-1][...] = dc._affine_grads(g_logits, emb, w, True, True, True)
+        g, parts[-2][...], parts[-1][...] = dc._affine_grads(g_logits, emb, w, True)
         g = g if g_emb is None else g_emb + g
         j = len(rep)
         for (op, *_), a in zip(reversed(_layers(self.arch)), reversed(inputs)):
             fns = _PARAM_LAYERS.get(op)
             if fns is not None:
                 j -= 2
-                g, parts[j][...], parts[j + 1][...] = fns[1](g, a, rep[j], j > 0, True, True)
+                g, parts[j][...], parts[j + 1][...] = fns[1](g, a, rep[j], j > 0)
             elif g is None:  # below the first layer: only the input's reshape
                 break
             elif op == "relu":
@@ -238,11 +237,6 @@ def build_backbone(arch: Arch, params: Sequence[np.ndarray]) -> Backbone:
     return Backbone(arch, flatten_params(params))
 
 
-def backbone_from_flat(arch: Arch, flat: np.ndarray) -> Backbone:
-    """A backbone over ``flat`` (see ``Backbone.adopt``): no parameter is copied."""
-    return Backbone(arch, flat)
-
-
 def init_backbone(arch: Arch, rng: np.random.Generator) -> Backbone:
     """Uniform init in +-1/sqrt(fan_in), drawn in fixed parameter order and
     laid end to end as the backbone's vector."""
@@ -250,7 +244,7 @@ def init_backbone(arch: Arch, rng: np.random.Generator) -> Backbone:
     for shape, fan in _param_shapes(arch):
         bound = 1.0 / np.sqrt(fan)
         draws.append(rng.uniform(-bound, bound, size=shape).ravel())
-    return backbone_from_flat(arch, np.concatenate(draws))
+    return Backbone(arch, np.concatenate(draws))
 
 
 def flatten_params(params: Sequence[np.ndarray]) -> np.ndarray:

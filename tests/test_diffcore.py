@@ -306,7 +306,10 @@ def test_conv2d_blocks_match_one_block(monkeypatch, samples_per_block):
         (dc.affine, ((4, 3), (3, 5), (5,))),
     ],
 )
-def test_untracked_input_gets_no_gradient_work(op, inputs):
+def test_every_operand_gets_a_gradient_watched_or_not(op, inputs):
+    # An op's backward returns every operand's gradient whichever operands
+    # the tape watches; backward keeps only the watched ones, bitwise as when
+    # all are watched.
     rng = RNG(24)
     operands = [Tensor(rand(rng, *shape)) for shape in inputs]
 
@@ -324,7 +327,8 @@ def test_untracked_input_gets_no_gradient_work(op, inputs):
     for i, skipped in enumerate(operands):
         others = [t for t in operands if t is not skipped]
         partial, partial_bwd = grads(*others)
-        assert partial_bwd[i] is None
+        assert all(gi is not None for gi in partial_bwd) and skipped not in partial
+        np.testing.assert_array_equal(partial_bwd[i], every_bwd[i])
         for t in others:
             np.testing.assert_array_equal(partial[t], every[t])
 

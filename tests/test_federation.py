@@ -24,7 +24,7 @@ from helpers import (
 from protofed.data import ClientShard, partition_dirichlet, synth_blobs
 from protofed.harness import ExperimentConfig, rounds_csv, run_experiment
 from protofed.losses import ClassGroups, GlobalPrototypes, LossWeights, PrototypeCoverageWarning
-from protofed.model import Arch, backbone_from_flat, build_backbone, flatten_params, sgd_step
+from protofed.model import Arch, Backbone, build_backbone, flatten_params, sgd_step
 
 
 ARCH = Arch(kind="mlp", input_dim=2, embedding_dim=4, num_classes=3, hidden=8)
@@ -359,7 +359,7 @@ def test_client_step_matches_the_op_chain_bitwise(method, monkeypatch):
             pos = perm[start : start + cfg.batch_size]
             idx = st.shard.train[pos]
             y, groups = ds.labels[idx], ClassGroups(ds.labels[idx], protos)
-            leaves = [dc.Tensor(p) for p in backbone_from_flat(ARCH, steps[len(want)][0]).params]
+            leaves = [dc.Tensor(p) for p in Backbone(ARCH, steps[len(want)][0]).params]
             with dc.Tape() as tape:
                 tape.watch(*leaves)
                 emb, logits = embed_reference(ARCH, leaves, ds.features[idx])
@@ -400,7 +400,7 @@ def test_fedprox_gradient_matches_the_proximal_op_chain_bitwise(rho, monkeypatch
         st, run_seed = clients[seed % 3], 40 + seed
         seen.clear()
         res = fed.client_update(st, ds, server.model.flat, server.protos, cfg, 1, run_seed)
-        model = backbone_from_flat(ARCH, server.model.flat)
+        model = Backbone(ARCH, server.model.flat)
         anchor, train, want = model.params, st.shard.train, []
         rng = np.random.default_rng(
             np.random.SeedSequence([run_seed, fed._SHUFFLE_STREAM, 1, st.client_id])

@@ -442,6 +442,15 @@ def test_two_domain_run_matches_pins(tmp_path, name):
         assert (Path(cfg.out) / artifact).read_bytes() == pinned.read_bytes(), artifact
 
 
+def ini_keys(*sections: str) -> set[tuple[str, str]]:
+    """The (section, key) pairs ExperimentConfig reads: all, or those of ``sections``."""
+    return {
+        (f.metadata["section"], f.metadata.get("key", f.name))
+        for f in dataclasses.fields(ExperimentConfig)
+        if not sections or f.metadata["section"] in sections
+    }
+
+
 def test_every_data_key_changes_the_run(tmp_path):
     # Each [dataset] and [partition] key, flipped on its own in a 2-round
     # run, changes partition.json or rounds.csv. Blob keys flip from a blob
@@ -469,11 +478,7 @@ def test_every_data_key_changes_the_run(tmp_path):
         ("partition", "test_fraction"): (blobs, blobs.override(test_fraction=0.3)),
         ("partition", "seed"): (blobs, blobs.override(partition_seed=6)),
     }
-    data_keys = {
-        (f.metadata["section"], f.metadata.get("key", f.name))
-        for f in dataclasses.fields(ExperimentConfig)
-        if f.metadata["section"] in ("dataset", "partition")
-    }
+    data_keys = ini_keys("dataset", "partition")
     assert set(flips) == data_keys and len(data_keys) == 11 + 4
 
     outputs = {}
@@ -487,6 +492,70 @@ def test_every_data_key_changes_the_run(tmp_path):
 
     for key, (base, flipped) in flips.items():
         assert run(flipped) != run(base), key
+
+
+def test_every_other_key_changes_the_run_or_is_named(tmp_path):
+    # Each [model], [loss], [federation] and [run] key, flipped on its own in
+    # a 2-round run, changes rounds.csv, unless it is named below as one that
+    # must not. The base is mp-fedkd with checkpoints, except for the keys
+    # only fedprox and fedproto read.
+    mp = small_cfg(tmp_path, checkpoints=True)
+    prox, proto = small_cfg(tmp_path, method="fedprox"), small_cfg(tmp_path, method="fedproto")
+    changes = {
+        ("model", "kind"): (mp, mp.override(model_kind="linear")),
+        ("model", "hidden"): (mp, mp.override(hidden=6)),
+        ("model", "embedding_dim"): (mp, mp.override(embedding_dim=3)),
+        ("loss", "ce_weight"): (mp, mp.override(ce_weight=0.5)),
+        ("loss", "proto_weight"): (mp, mp.override(proto_weight=0.5)),
+        ("loss", "balance"): (mp, mp.override(balance=0.8)),
+        ("loss", "scale"): (mp, mp.override(scale=1.0)),
+        ("loss", "temperature"): (mp, mp.override(temperature=0.5)),
+        ("federation", "method"): (mp, mp.override(method="fedavg")),
+        ("federation", "rounds"): (mp, mp.override(rounds=3)),
+        ("federation", "epochs"): (mp, mp.override(epochs=1)),
+        ("federation", "batch_size"): (mp, mp.override(batch_size=8)),
+        ("federation", "learning_rate"): (mp, mp.override(learning_rate=0.1)),
+        ("federation", "fraction"): (mp, mp.override(fraction=0.67)),
+        ("federation", "clusters_per_class"): (mp, mp.override(clusters_per_class=1)),
+        ("federation", "aggregation"): (mp, mp.override(aggregation="literal")),
+        ("federation", "prox_rho"): (prox, prox.override(prox_rho=0.5)),
+        ("federation", "fedproto_weight"): (proto, proto.override(fedproto_weight=3.0)),
+        ("federation", "per_batch_protos"): (mp, mp.override(per_batch_protos=True)),
+        ("run", "seed"): (mp, mp.override(seed=8)),
+    }
+    # Keys that must leave rounds.csv byte-identical, and with it the
+    # checkpoints where both runs write them.
+    unchanged = {
+        # the client thread pool: the determinism contract across workers
+        ("federation", "workers"): mp.override(workers=2),
+        # bookkeeping only: traffic is booked per relay hub
+        ("federation", "hubs"): mp.override(hubs=3),
+        # the align term is a logged diagnostic; its weight reaches no gradient
+        ("loss", "align_weight"): mp.override(align_weight=2.0),
+        # outputs only: whether checkpoints are written, and where the run goes
+        ("run", "checkpoints"): mp.override(checkpoints=False),
+        ("run", "out"): mp.override(out=str(tmp_path / "elsewhere")),
+    }
+    # test_every_data_key_changes_the_run accounts for [dataset] and [partition]
+    assert set(changes) | set(unchanged) == ini_keys() - ini_keys("dataset", "partition")
+    assert len(changes) + len(unchanged) == 25 and len(ini_keys()) == 40
+
+    outputs = {}
+
+    def run(cfg):
+        if cfg not in outputs:
+            out = tmp_path / f"run-{len(outputs)}"
+            run_experiment(cfg.override(out=str(out)))
+            models = sorted((out / "checkpoints").glob("*.model"))
+            outputs[cfg] = (out / "rounds.csv").read_bytes(), [m.read_bytes() for m in models]
+        return outputs[cfg]
+
+    for key, (base, flipped) in changes.items():
+        assert run(flipped)[0] != run(base)[0], key
+    log, models = run(mp)
+    assert len(models) == 2  # one checkpoint per round
+    for key, flipped in unchanged.items():
+        assert run(flipped) == (log, models if flipped.checkpoints else []), key
 
 
 TRAFFIC_GOLDEN = Path(__file__).parent / "data" / "traffic_golden.json"

@@ -614,7 +614,7 @@ def test_fedproto_kernel_matches_op_chain_bitwise(seed):
 
     got = _value_and_grads(
         lambda: build(forward, cross_entropy, fedproto_loss,
-                      lambda ce, r: dc.weighted_sum((ce, r), (1.0, weight))),
+                      lambda ce, r: dc.add(dc.mul(ce, 1.0), dc.mul(r, weight))),
         leaves,
     )
     want = _value_and_grads(

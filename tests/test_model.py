@@ -10,8 +10,8 @@ from protofed import losses
 from protofed.diffcore import NonFiniteError, ShapeError, Tape, Tensor, backward
 from protofed.model import (
     Arch,
+    Backbone,
     ModelSnapshot,
-    backbone_from_flat,
     build_backbone,
     _flat_layout,
     _layers,
@@ -284,7 +284,7 @@ def test_stepping_one_backbone_leaves_its_siblings_unchanged():
 def test_flatten_then_from_flat_round_trip_bitwise():
     b = small_mlp(12)
     flat = flatten_params(b.params)
-    back = backbone_from_flat(MLP2x4x3, flat)
+    back = Backbone(MLP2x4x3, flat)
     assert back.flat is flat and not flat.flags.writeable
     for p, q in zip(b.params, back.params):
         assert p.tobytes() == q.tobytes()
@@ -293,20 +293,20 @@ def test_flatten_then_from_flat_round_trip_bitwise():
         with pytest.raises(ShapeError):
             back.adopt(bad)
         with pytest.raises(ShapeError):
-            backbone_from_flat(MLP2x4x3, bad)
+            Backbone(MLP2x4x3, bad)
 
 
 def test_snapshot_round_trip_and_teacher_equality():
     b = small_mlp(13)
     snap = snapshot(b, round_idx=4)
-    teacher = backbone_from_flat(snap.arch, snap.flat)
+    teacher = Backbone(snap.arch, snap.flat)
     x = np.random.default_rng(14).uniform(-1, 1, size=(3, 2))
     _, z1, _ = b.forward(x)
     _, z2, _ = teacher.forward(x)
     assert z1.tobytes() == z2.tobytes()
     # later training must not leak into the snapshot
     sgd_step(b, _ones(b), lr=0.1)
-    _, z3, _ = backbone_from_flat(snap.arch, snap.flat).forward(x)
+    _, z3, _ = Backbone(snap.arch, snap.flat).forward(x)
     assert z3.tobytes() == z2.tobytes()
 
 
