@@ -222,17 +222,18 @@ def matmul(a, b) -> Tensor:
 
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """affine's value on plain arrays."""
+    """affine's value on plain arrays, also over a leading client axis:
+    (G, n, d) @ (G, d, m) + (G, m), each client's slice bitwise its own."""
     acc = x @ w
-    acc += b
+    acc += b[..., None, :]
     return acc
 
 
 def _affine_grads(g, x, w, need_x: bool) -> tuple:
-    """affine's backward on plain arrays: gradients to x (None unless
-    need_x), w and b."""
-    gx = g @ w.T if need_x else None
-    return gx, x.T @ g, np.add.reduce(g, 0)  # g.sum(axis=0), unwrapped
+    """affine's backward on plain arrays, also over a leading client axis:
+    gradients to x (None unless need_x), w and b."""
+    gx = g @ w.swapaxes(-1, -2) if need_x else None
+    return gx, x.swapaxes(-1, -2) @ g, np.add.reduce(g, -2)  # g.sum(axis=-2), unwrapped
 
 
 def affine(x, w, b) -> Tensor:
@@ -435,14 +436,15 @@ def _temp_scaled(logits: np.ndarray, tau: float) -> np.ndarray:
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
-    """Row log-softmax of temperature-scaled, shifted logits."""
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    """Row log-softmax of temperature-scaled, shifted logits (rows on the
+    last axis)."""
+    return z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
 
 
 def _log_softmax_grad(g: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Gradient to the shifted logits from g at the log-softmax, whose exp is
     p; a caller at temperature tau divides it by tau."""
-    return g - p * g.sum(axis=1, keepdims=True)
+    return g - p * np.add.reduce(g, axis=-1, keepdims=True)
 
 
 def softmax_t(logits, tau: float = 1.0) -> Tensor:

@@ -137,29 +137,37 @@ class GlobalPrototypes:
         return out
 
 
-def _value(v, name: str) -> float:
-    """A kernel's value as a float, checked finite under the kernel's name."""
+def _value(v, name: str):
+    """A kernel's value as a float (one per client over a client axis),
+    checked finite under the kernel's name."""
     dc._check_finite(v, name)
-    return float(v)
+    return v if isinstance(v, np.ndarray) and v.ndim else float(v)
 
 
 def cross_entropy(logits: np.ndarray, labels) -> tuple[float, Callable]:
     """Mean negative log-likelihood of the labels under row softmax; ``bwd``
-    gives the logits' gradient."""
-    if logits.ndim != 2 or logits.shape[0] < 1:
-        raise ShapeError(f"logits must be a nonempty (n, C) matrix, got {logits.shape}")
-    n = logits.shape[0]
-    ls = dc._log_softmax(logits - logits.max(axis=1, keepdims=True))
-    idx = dc._as_index(labels, n, logits.shape[1], "labels")
+    gives the logits' gradient. Over a leading client axis, (G, n, C) logits
+    and (G, n) labels, the value is each client's and ``bwd`` takes each
+    client's upstream scalar; every client's slice is bitwise its own call."""
+    if logits.ndim not in (2, 3) or logits.shape[-2] < 1:
+        raise ShapeError(f"logits must be a nonempty (n, C) matrix or a stack of them, "
+                         f"got {logits.shape}")
+    n, classes = logits.shape[-2:]
+    idx = np.asarray(labels, dtype=np.int64)
+    if idx.shape != logits.shape[:-1]:
+        raise ShapeError(f"labels must be {logits.shape[:-1]} class indices, got {idx.shape}")
+    dc._as_index(idx.reshape(-1), idx.size, classes, "labels")  # the range check
     rows = np.arange(n)
+    at = (rows, idx) if idx.ndim == 1 else (np.arange(idx.shape[0])[:, None], rows, idx)
+    ls = dc._log_softmax(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
 
     def bwd(g):
         gx = np.zeros(ls.shape)
-        np.add.at(gx, (rows, idx), -(g / n))
+        gx[at] = 0.0 - (g / n if idx.ndim == 1 else np.reshape(g / n, (-1, 1)))  # one label a row
         return dc._log_softmax_grad(gx, np.exp(ls))
 
     # np.add.reduce(...) / n is np.mean without its Python wrapper
-    return _value(np.add.reduce(-ls[rows, idx]) / n, "cross_entropy"), bwd
+    return _value(np.add.reduce(-ls[at], -1) / n, "cross_entropy"), bwd
 
 
 def distill_loss(

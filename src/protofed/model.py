@@ -12,9 +12,10 @@ nothing. Training mutates parameters only through ``sgd_step``, one step on
 that vector. The parameters are read-only views into one frozen vector, and
 that vector is what travels: ``adopt`` takes one in place of the parameters
 and ``Backbone(arch, flat)`` builds a backbone over one, each without a copy.
-A snapshot, written as a checkpoint, shares it and serializes to a
-little-endian buffer with a JSON shape manifest up front; only this module
-knows the layout.
+A ``BackboneStack`` runs the same code over several clients' vectors at once,
+stacked on a leading axis. A snapshot, written as a checkpoint, shares the
+vector and serializes to a little-endian buffer with a JSON shape manifest up
+front; only this module knows the layout.
 """
 from __future__ import annotations
 
@@ -31,6 +32,8 @@ from .diffcore import ShapeError, _check_finite
 __all__ = [
     "Arch",
     "Backbone",
+    "BackboneStack",
+    "forward_entries",
     "ModelSnapshot",
     "init_backbone",
     "build_backbone",
@@ -123,17 +126,37 @@ def _flat_layout(arch: Arch) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     return tuple((end - int(np.prod(s)), end, s) for s, end in zip(shapes, ends))
 
 
+def _conv2d(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``dc._conv2d``, client by client over a stack's leading axis."""
+    return dc._conv2d(x, k, b) if k.ndim == 4 else np.stack([dc._conv2d(*a) for a in zip(x, k, b)])
+
+
+def _conv2d_grads(g, x, k, need_x: bool) -> tuple:
+    """``dc._conv2d_grads``, client by client over a stack's leading axis."""
+    if k.ndim == 4:
+        return dc._conv2d_grads(g, x, k, need_x)
+    dx, dk, db = zip(*[dc._conv2d_grads(*a, need_x) for a in zip(g, x, k)])
+    return None if dx[0] is None else np.stack(dx), np.stack(dk), np.stack(db)
+
+
 # The layers that take two parameters (weights, bias): value, backward.
-_PARAM_LAYERS = {"affine": (dc._affine, dc._affine_grads), "conv2d": (dc._conv2d, dc._conv2d_grads)}
+_PARAM_LAYERS = {"affine": (dc._affine, dc._affine_grads), "conv2d": (_conv2d, _conv2d_grads)}
+
+
+def _views(layout: tuple, flat: np.ndarray) -> list[np.ndarray]:
+    """Each parameter of a ``_flat_layout`` as a view into ``flat`` (and a stack's client axis)."""
+    return [flat[..., start:stop].reshape(flat.shape[:-1] + shape) for start, stop, shape in layout]
 
 
 class Backbone:
     """Parameter container plus a pure forward pass over the representation
     layers its ``Arch`` lists (see ``_layers``), then a linear classifier."""
 
+    _stacked = False  # a BackboneStack's vector and batches lead with a client axis
+
     def __init__(self, arch: Arch, flat: np.ndarray):
         """A backbone over ``flat`` (see ``adopt``): no parameter is copied."""
-        self.arch = arch
+        self.arch, self._layers, self._layout = arch, _layers(arch), _flat_layout(arch)
         self.adopt(flat)
 
     @property
@@ -151,22 +174,23 @@ class Backbone:
     def adopt(self, flat: np.ndarray) -> None:
         """Take a finite float64 vector as ``flat``, with no copy: it is frozen
         and each parameter becomes a read-only view into it."""
-        layout = _flat_layout(self.arch)
-        size = layout[-1][1]
-        if flat.dtype != np.float64 or flat.shape != (size,):
-            raise ShapeError(f"expected {size} float64 values, got {flat.dtype} {flat.shape}")
+        size = self._layout[-1][1]
+        if flat.dtype != np.float64 or flat.ndim != 1 + self._stacked or flat.shape[-1] != size:
+            raise ShapeError(f"expected {'clients x ' * self._stacked}{size} float64 values, "
+                             f"got {flat.dtype} {flat.shape}")
         flat.setflags(write=False)
-        views = [flat[start:stop].reshape(shape) for start, stop, shape in layout]
+        views = _views(self._layout, flat)
         self.rep_params, self.cls_params, self.flat = views[:-2], views[-2:], flat
 
     def _embed(self, x: np.ndarray, inputs: Optional[list]) -> np.ndarray:
         """The representation layers on plain arrays. Given a list ``inputs``,
         each layer's input is appended to it for the backward, and each affine
         or conv2d output is checked under its op name."""
-        if x.ndim != 2 or x.shape[1] != self.arch.input_dim:
-            raise ShapeError(f"expected (n, {self.arch.input_dim}) input, got {x.shape}")
+        lead, d = self.flat.shape[:-1], self.arch.input_dim
+        if x.ndim != 2 + len(lead) or x.shape[: len(lead)] != lead or x.shape[-1] != d:
+            raise ShapeError(f"expected ({'clients, ' * len(lead)}n, {d}) input, got {x.shape}")
         rep, j, a = self.rep_params, 0, x
-        for op, *_ in _layers(self.arch):
+        for op, *_ in self._layers:
             if inputs is not None:
                 inputs.append(a)
             fns = _PARAM_LAYERS.get(op)
@@ -178,7 +202,7 @@ class Backbone:
             elif op == "relu":
                 a = np.maximum(a, 0.0)
             else:
-                a = a.reshape((x.shape[0],) + (self.arch.image_shape if op == "image" else (-1,)))
+                a = a.reshape(x.shape[:-1] + (self.arch.image_shape if op == "image" else (-1,)))
         return a
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
@@ -193,19 +217,21 @@ class Backbone:
         cache.append(emb)
         return emb, logits, cache
 
-    def backward(self, cache: list, g_emb: Optional[np.ndarray],
-                 g_logits: np.ndarray) -> np.ndarray:
+    def backward(self, cache: list, g_emb, g_logits: np.ndarray) -> np.ndarray:
         """Every parameter's gradient in ``_flat_layout`` order, from ``forward``'s
-        cache and the upstream gradients at the embeddings (or None) and the
-        logits; the classifier's share at the embeddings is added last."""
+        cache and the upstream gradients at the embeddings (or None; on a stack,
+        a list of each client's or None) and the logits; the classifier's share
+        at the embeddings is added last."""
         *inputs, emb = cache
-        grad = np.empty(self.flat.size)
-        parts = [grad[start:stop].reshape(shape) for start, stop, shape in _flat_layout(self.arch)]
+        grad = np.empty(self.flat.shape)
+        parts = _views(self._layout, grad)
         rep, w = self.rep_params, self.cls_params[0]
         g, parts[-2][...], parts[-1][...] = dc._affine_grads(g_logits, emb, w, True)
-        g = g if g_emb is None else g_emb + g
+        for g_client, term in zip(g, g_emb) if isinstance(g_emb, list) else [(g, g_emb)]:
+            if term is not None:  # a + b is b + a, bit for bit
+                g_client += term
         j = len(rep)
-        for (op, *_), a in zip(reversed(_layers(self.arch)), reversed(inputs)):
+        for (op, *_), a in zip(reversed(self._layers), reversed(inputs)):
             fns = _PARAM_LAYERS.get(op)
             if fns is not None:
                 j -= 2
@@ -226,6 +252,24 @@ class Backbone:
         _check_finite(emb, "infer embeddings")
         _check_finite(logits, "infer logits")
         return emb, logits
+
+
+class BackboneStack(Backbone):
+    """Backbones of one ``Arch`` stacked on a leading client axis: a (clients,
+    P) vector, (clients, n, input_dim) batches. ``forward``, ``backward`` and
+    ``sgd_step`` step every client at once, each client's slice bit for bit
+    what its own ``Backbone`` computes; the conv layers run client by client."""
+
+    _stacked = True
+
+
+@cache
+def forward_entries(arch: Arch) -> int:
+    """The float64 entries a one-row ``forward`` holds: its cache (a reshaped
+    layer input counted again) and the logits."""
+    model = Backbone(arch, np.zeros(_flat_layout(arch)[-1][1]))
+    _, logits, cache = model.forward(np.zeros((1, arch.input_dim)))
+    return sum(a.size for a in cache) + logits.size
 
 
 def build_backbone(arch: Arch, params: Sequence[np.ndarray]) -> Backbone:

@@ -21,10 +21,10 @@ from helpers import (
     prox_reference,
     repel_reference,
 )
-from protofed.data import ClientShard, partition_dirichlet, synth_blobs
+from protofed.data import ClientShard, Dataset, partition_dirichlet, synth_blobs
 from protofed.harness import ExperimentConfig, rounds_csv, run_experiment
 from protofed.losses import ClassGroups, GlobalPrototypes, LossWeights, PrototypeCoverageWarning
-from protofed.model import Arch, Backbone, build_backbone, flatten_params, sgd_step
+from protofed.model import Arch, Backbone, build_backbone, flatten_params, forward_entries, sgd_step
 
 
 ARCH = Arch(kind="mlp", input_dim=2, embedding_dim=4, num_classes=3, hidden=8)
@@ -601,6 +601,145 @@ def test_diverging_client_names_round_client_batch_and_op():
         "client 0 failed in round 1: epoch 0 batch 1: affine produced a non-finite value"
     )
     assert isinstance(info.value.__cause__.__cause__, dc.NonFiniteError)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_lockstep_failure_names_the_lowest_failing_client():
+    # Clients 0 and 2 fail in round 2 on a NaN teacher logit; client 2 at
+    # batch 0, client 0 at a later batch. They stack together, so the failed
+    # stack steps again client by client: the error names client 0 with its
+    # own batch, and client 1 finishes its round.
+    ds, cfg, server, clients = small_world()
+    server, _ = drive(ds, cfg, server, clients, 1)
+    bad_batch = {}
+    for cid, pick in ((0, -1), (2, 0)):
+        st = clients[cid]
+        seeds = np.random.SeedSequence([server.seed, fed._SHUFFLE_STREAM, 2, cid])
+        rng = np.random.default_rng(seeds)
+        perm = rng.permutation(st.shard.train.size)
+        logits = st.teacher[1].copy()
+        logits[perm[pick]] = np.nan
+        st.teacher = (st.teacher[0], logits)
+        bad_batch[cid] = (perm.size + pick) % perm.size // cfg.batch_size
+    assert bad_batch[2] == 0 < bad_batch[0]
+    teacher1 = clients[1].teacher
+    with pytest.raises(fed.FederationError) as info:
+        fed.run_round(server, clients, ds, cfg)
+    assert str(info.value) == (
+        f"client 0 failed in round 2: epoch 0 batch {bad_batch[0]}: "
+        "distill_loss produced a non-finite value"
+    )
+    assert isinstance(info.value.__cause__.__cause__, dc.NonFiniteError)
+    assert clients[1].teacher is not teacher1  # trained to the end
+
+
+def ragged_world(method, workers=1):
+    # Unequal shards at batch 8: the clients' remainder batches differ in size
+    # and fall at different schedule indices, so stacks split and regroup.
+    ds = synth_blobs(classes=3, per_class=40, dim=2, spread=0.3, seed=13)
+    plan = partition_dirichlet(ds, clients=5, alpha=0.5, test_fraction=0.2, seed=3)
+    cfg = fed.FedConfig(method=method, rounds=2, epochs=2, batch_size=8, learning_rate=0.05,
+                        workers=workers)
+    server, clients = fed.init_federation(ARCH, plan, seed=2)
+    sizes = [st.shard.train.size for st in clients.values()]
+    assert len(set(sizes)) == len(sizes) and len({n % 8 for n in sizes}) > 2
+    return ds, cfg, server, clients
+
+
+def _result_bytes(res):
+    protos = None if res.protos is None else sorted(
+        (c, block.tobytes(), res.protos.counts[c]) for c, block in res.protos.protos.items()
+    )
+    flat = None if res.flat is None else res.flat.tobytes()
+    return res.client_id, flat, protos, res.train_size, res.ce, res.distill, res.align, res.proto
+
+
+@pytest.mark.parametrize("method", fed.METHODS)
+def test_lockstep_gives_each_client_its_lone_result(method):
+    # Two rounds of the whole round's lockstep against client_update on each
+    # client alone: the same parameters, prototypes and losses, bit for bit.
+    ds, cfg, server, together = ragged_world(method)
+    _, _, _, alone = ragged_world(method)
+    ids, stacked, step = sorted(together), [], fed._step
+
+    def counting(model, runs, *args):
+        stacked.append(len(runs))
+        return step(model, runs, *args)
+
+    for round_idx in (1, 2):
+        flat = server.model.flat if method in fed._SHARES_MODEL else None
+        stacked.clear()
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(fed, "_step", counting)
+            got = fed.train_clients([together[c] for c in ids], ds, flat, server.protos, cfg,
+                                    round_idx, server.seed)
+        # every client step ran once, most of them in stacks
+        assert sum(stacked) == sum(cfg.epochs * -(-together[c].shard.train.size // 8) for c in ids)
+        assert sum(g for g in stacked if g > 1) > sum(stacked) // 2
+        want = [fed.client_update(alone[c], ds, flat, server.protos, cfg, round_idx, server.seed)
+                for c in ids]
+        assert [_result_bytes(r) for r in got] == [_result_bytes(r) for r in want]
+        assert [together[c].model.flat.tobytes() for c in ids] == [
+            alone[c].model.flat.tobytes() for c in ids
+        ]
+        if method in fed._SHARES_MODEL:
+            server.model.adopt(fed.aggregate_models(
+                {r.client_id: r.flat for r in got}, {r.client_id: r.train_size for r in got}
+            ))
+        if method in fed._USES_PROTOS:
+            server.protos = fed.aggregate_prototypes(
+                {r.client_id: r.protos for r in got}, ARCH.embedding_dim, cfg.aggregation
+            )
+
+
+@pytest.mark.parametrize("method", fed.METHODS)
+def test_worker_chunks_do_not_change_a_ragged_run(method):
+    # workers splits the sorted clients into contiguous lockstep chunks.
+    runs = []
+    for workers in (1, 2, 5):
+        ds, cfg, server, clients = ragged_world(method, workers)
+        server, records = drive(ds, cfg, server, clients, 2)
+        runs.append((
+            server.model.flat.tobytes(),
+            [clients[c].model.flat.tobytes() for c in sorted(clients)],
+            server.protos.labels,
+            server.protos.matrix.tobytes(),
+            [dataclasses.replace(r, wall_time=0.0) for r in records],
+        ))
+    assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("kind", ["cnn", "mlp"])
+def test_stacked_steps_stay_within_the_entry_cap(monkeypatch, kind):
+    # Every training forward of a 10-client round, alone or stacked, holds at
+    # most _STACK_ENTRIES with its gradient: the 28x28 cnn (at batch 8, where
+    # one client fits and two do not) steps one client at a time, the small
+    # 784-wide mlp several at once.
+    rng = np.random.default_rng(0)
+    labels = np.repeat(np.arange(10), 40)
+    ds = Dataset(rng.uniform(size=(labels.size, 784)), labels, 10, "noise", image_shape=(1, 28, 28))
+    plan = partition_dirichlet(ds, clients=10, alpha=1.0, test_fraction=0.2, seed=0)
+    arch = Arch(kind=kind, input_dim=784, embedding_dim=8, num_classes=10, hidden=16,
+                image_shape=(1, 28, 28) if kind == "cnn" else None)
+    batch = 8 if kind == "cnn" else 16
+    cfg = fed.FedConfig(method="fedavg", rounds=1, epochs=1, batch_size=batch, learning_rate=0.01)
+    server, clients = fed.init_federation(arch, plan, seed=0)
+    per_row = forward_entries(arch)  # its one-row probe forward runs before the spy
+    calls, forward = [], fed.Backbone.forward
+
+    def spy(model, x):
+        calls.append((x.shape[0] if x.ndim == 3 else 1, x.shape[-2], model.flat.shape[-1]))
+        return forward(model, x)
+
+    monkeypatch.setattr(fed.Backbone, "forward", spy)
+    fed.run_round(server, clients, ds, cfg)
+    assert sum(g for g, _, _ in calls) == sum(
+        -(-st.shard.train.size // batch) for st in clients.values()
+    )
+    entries = [g * (rows * per_row + size) for g, rows, size in calls]
+    assert max(entries) <= fed._STACK_ENTRIES
+    stacked = max(g for g, _, _ in calls)
+    assert stacked == 1 if kind == "cnn" else stacked > 1
 
 
 def test_align_weight_is_a_diagnostic():

@@ -11,6 +11,7 @@ from protofed.diffcore import NonFiniteError, ShapeError, Tape, Tensor, backward
 from protofed.model import (
     Arch,
     Backbone,
+    BackboneStack,
     ModelSnapshot,
     build_backbone,
     _flat_layout,
@@ -220,6 +221,37 @@ def test_training_step_reaches_every_param():
 
 def _ones(b):
     return np.ones(b.flat.size)
+
+
+@pytest.mark.parametrize("arch, block_entries", KINDS)
+def test_a_stack_steps_each_client_bitwise_as_alone(monkeypatch, arch, block_entries):
+    # A BackboneStack's forward, backward (one client with no embedding
+    # gradient) and proximal SGD step give each client's slice the bytes its
+    # own Backbone gets.
+    if block_entries is not None:
+        monkeypatch.setattr(dc, "_CONV_BLOCK_ENTRIES", block_entries)
+    rng = np.random.default_rng(5)
+    alone = [init_backbone(arch, rng) for _ in range(3)]
+    stack = BackboneStack(arch, np.array([b.flat for b in alone]))
+    x = rng.normal(size=(3, 7, arch.input_dim))
+    emb, logits, cache = stack.forward(x)
+    g_emb = [rng.normal(size=emb.shape[1:]), None, rng.normal(size=emb.shape[1:])]
+    g_logits = rng.normal(size=logits.shape)
+    grad = stack.backward(cache, g_emb, g_logits)
+    want_grad = grad.copy()
+    anchor = alone[1].flat
+    sgd_step(stack, grad, 0.1, (0.5, anchor))
+    for i, b in enumerate(alone):
+        e, z, c = b.forward(x[i])
+        assert (e.tobytes(), z.tobytes()) == (emb[i].tobytes(), logits[i].tobytes())
+        g = b.backward(c, g_emb[i], g_logits[i])
+        assert g.tobytes() == want_grad[i].tobytes()
+        sgd_step(b, g, 0.1, (0.5, anchor))
+        assert b.flat.tobytes() == stack.flat[i].tobytes()
+    with pytest.raises(ShapeError):
+        BackboneStack(arch, anchor)  # one vector is no stack
+    with pytest.raises(ShapeError):
+        stack.forward(x[0])  # a batch without its client axis
 
 
 def test_sgd_step_zero_grads_is_identity():
