@@ -99,6 +99,7 @@ def _singletons(pts: np.ndarray, requested: int) -> ClusteringResult:
 
 
 _BLOCK_FLOATS = 1 << 16  # difference entries per block of the initial costs
+_KMEANS_ITERS = 100  # Lloyd rounds before kmeans stops short of convergence
 
 
 def _initial_costs(pts: np.ndarray) -> np.ndarray:
@@ -283,9 +284,10 @@ def centroids(result: ClusteringResult) -> np.ndarray:
     return np.vstack([c.mean for c in result.clusters])
 
 
-def kmeans(points, requested: int, seed: int, max_iters: int = 100) -> ClusteringResult:
-    """Lloyd's iteration with uniform-over-points init; same conditional
-    guard as chac. Clusters that empty out are dropped from the result."""
+def kmeans(points, requested: int, seed: int) -> ClusteringResult:
+    """Lloyd's iteration with uniform-over-points init, at most
+    ``_KMEANS_ITERS`` rounds; same conditional guard as chac. Clusters that
+    empty out are dropped from the result."""
     pts = _as_points(points)
     if requested < 1:
         raise ValueError(f"requested cluster count must be >= 1, got {requested}")
@@ -296,7 +298,7 @@ def kmeans(points, requested: int, seed: int, max_iters: int = 100) -> Clusterin
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 103]))
     cents = pts[rng.choice(n, size=requested, replace=False)].copy()
     assign = np.full(n, -1)
-    for _ in range(max_iters):
+    for _ in range(_KMEANS_ITERS):
         d2 = ((pts[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
         new_assign = np.argmin(d2, axis=1)
         if np.array_equal(new_assign, assign):

@@ -5,7 +5,8 @@ as its flat parameter vector; clients train locally, extract each class's
 prototypes from their embeddings as one (K, q) block, and send both back.
 A round's clients train in lockstep (``train_clients``): the clients whose
 batches have the same size at one index of their schedules take one stacked
-step, each ending bit for bit where it would alone.
+step, each ending bit for bit where it would alone; every client's
+prototypes and teacher are made after the round's schedule.
 The server averages the vectors by training-set size and merges prototype
 tables, keeping stale classes until fresh evidence arrives. Personal-model
 training (fedproto) skips the model exchange entirely. Each round's record
@@ -325,9 +326,10 @@ def train_clients(
     Each client draws its batches from its own shuffle stream. At each index
     of the schedules, the clients whose batches have the same size step
     together, in stacks within ``_STACK_ENTRIES``, each bit for bit as alone;
-    a client's prototypes and teacher are made once its schedule ends. A
-    failed stack steps again client by client: a failing client stops with a
-    ``FederationError`` naming its own epoch and batch; the others go on.
+    every client's prototypes and teacher are made after the round's
+    schedule. A failed stack's clients step again one by one: a failing
+    client stops with a ``FederationError`` naming its own epoch and batch;
+    the others go on.
     """
     if round_idx < 1:
         raise ValueError("round index must be >= 1")
@@ -354,70 +356,51 @@ def train_clients(
             own_classes=[int(c) for c in np.flatnonzero(st.shard.histogram > 0)],
         ))
 
-    def fail(i: int, k: int, exc: Exception) -> None:
-        per_epoch = -(-states[i].shard.train.size // bs)
-        runs[i].error = FederationError("epoch {} batch {}: {}".format(*divmod(k, per_epoch), exc))
-        runs[i].error.__cause__ = exc
-
     # Each client's parameters: its own model's while it steps alone, a row of
-    # the BackboneStack while it steps with others, a copy of it once done.
-    flats = {i: st.model.flat for i, st in enumerate(states)}
-    stacks: dict[tuple[int, ...], Backbone] = {}  # the last index's, reused while their key holds
-    out: dict[int, object] = {}
-
-    def finish(i: int) -> None:  # as soon as the client is done
-        try:
-            out[i] = runs[i].error or _finish(runs[i], flats[i], dataset, cfg, round_idx, run_seed)
-        except Exception as exc:
-            out[i] = exc
-
+    # the BackboneStack while it steps with others, a copy of the row once done,
+    # so the stack can be freed (a copy of a lone client's own vector would
+    # only hold two of them until the results are made).
+    flats = [st.model.flat for st in states]
+    stacks: dict = {}  # the last index's models, reused while their key holds
     per_row, n_params = forward_entries(states[0].model.arch), states[0].model.flat.size
-    # Clients too big to share a stack at full batches step one after
-    # another, each keeping its parameters in cache.
-    solo = _STACK_ENTRIES // (bs * per_row + n_params) < 2
-    for group in [[i] for i in range(len(runs))] if solo else [range(len(runs))]:
-        active = group
-        for k in range(max(len(runs[i].batches) for i in group)):
-            active = [i for i in active if runs[i].error is None and k < len(runs[i].batches)]
-            by_size: dict[int, list[int]] = {}
-            for i in active:
-                b = runs[i].batches[k]
+    for k in range(max(len(r.batches) for r in runs)):
+        by_size: dict[int, list[int]] = {}
+        for i, r in enumerate(runs):
+            if r.error is None and k < len(r.batches):
+                b = r.batches[k]
                 by_size.setdefault(b.stop - b.start, []).append(i)
-            keys = [tuple(m[s : s + cap]) for size, m in by_size.items()
-                    for cap in [max(1, _STACK_ENTRIES // (size * per_row + n_params))]
-                    for s in range(0, len(m), cap)]
-            stacks = {key: stacks.get(key) or _stack(key, states, flats) for key in keys}
-            step = (k, dataset, global_protos, cfg, round_idx, prox)
-            for key, model in stacks.items():
-                try:
-                    _step(model, [runs[i] for i in key], *step)
-                except Exception as exc:
-                    stacks[key] = None  # rebuilt from flats next time
-                    if len(key) == 1:
-                        fail(key[0], k, exc)
-                        continue
-                    for i in key:  # step again client by client
-                        alone = _stack((i,), states, flats)
-                        try:
-                            _step(alone, [runs[i]], *step)
-                            flats[i] = alone.flat
-                        except Exception as exc_i:
-                            fail(i, k, exc_i)
-                    continue
-                if len(key) == 1:
-                    flats[key[0]] = model.flat
-                    continue
-                for i, row in zip(key, model.flat):  # a done client's copy frees the stack
-                    flats[i] = row if k + 1 < len(runs[i].batches) else row.copy()
-            for i in active:
-                if runs[i].error is None and k + 1 == len(runs[i].batches):
-                    finish(i)
-    for i in set(range(len(runs))) - set(out):  # no batches, or failed
-        finish(i)
-    return [out[i] for i in range(len(runs))]
+        work = [tuple(m[s : s + cap]) for size, m in by_size.items()
+                for cap in [max(1, _STACK_ENTRIES // (size * per_row + n_params))]
+                for s in range(0, len(m), cap)]
+        stacks = {key: stacks.get(key) for key in work}
+        for key in work:  # grows by a failed stack's clients, to step again alone
+            model = stacks[key] = stacks.get(key) or _stack(key, states, flats)
+            try:
+                _step(model, [runs[i] for i in key], k, dataset, global_protos, cfg, round_idx,
+                      prox)
+            except Exception as exc:
+                stacks[key] = None  # rebuilt from flats next time
+                if len(key) > 1:
+                    work += [(i,) for i in key]
+                else:
+                    r = runs[key[0]]
+                    per_epoch = -(-r.state.shard.train.size // bs)
+                    r.error = FederationError(
+                        "epoch {} batch {}: {}".format(*divmod(k, per_epoch), exc))
+                    r.error.__cause__ = exc
+                continue
+            for i, row in zip(key, model.flat if len(key) > 1 else [model.flat]):
+                flats[i] = row.copy() if len(key) > 1 and k + 1 == len(runs[i].batches) else row
+    out = []
+    for r, flat in zip(runs, flats):
+        try:
+            out.append(r.error or _finish(r, flat, dataset, cfg, round_idx, run_seed))
+        except Exception as exc:
+            out.append(exc)
+    return out
 
 
-def _stack(key: tuple[int, ...], states: Sequence[ClientState], flats: dict) -> Backbone:
+def _stack(key: tuple[int, ...], states: Sequence[ClientState], flats: list) -> Backbone:
     """The model the clients ``key`` step: a lone client's own, adopting its
     parameters, or a BackboneStack over a copy of theirs."""
     if len(key) > 1:

@@ -72,14 +72,10 @@ def macro_f1(preds, labels, num_classes: int) -> float:
         raise ValueError("num_classes must be >= 1")
     if min(p.min(), y.min()) < 0 or max(p.max(), y.max()) >= num_classes:
         raise ValueError("class index outside [0, num_classes)")
-    scores = []
-    for c in range(num_classes):
-        tp = int(np.sum((p == c) & (y == c)))
-        fp = int(np.sum((p == c) & (y != c)))
-        fn = int(np.sum((p != c) & (y == c)))
-        denom = 2 * tp + fp + fn
-        scores.append(2 * tp / denom if denom else 0.0)
-    return float(np.mean(scores))
+    tp = np.bincount(y[p == y], minlength=num_classes)
+    # per class 2 tp + fp + fn: its predictions plus its labels
+    denom = np.bincount(p, minlength=num_classes) + np.bincount(y, minlength=num_classes)
+    return float(np.mean(np.where(denom > 0, 2 * tp / np.maximum(denom, 1), 0.0)))
 
 
 def average_accuracy(per_round_acc: Sequence[float]) -> float:

@@ -603,12 +603,9 @@ def test_diverging_client_names_round_client_batch_and_op():
     assert isinstance(info.value.__cause__.__cause__, dc.NonFiniteError)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_lockstep_failure_names_the_lowest_failing_client():
-    # Clients 0 and 2 fail in round 2 on a NaN teacher logit; client 2 at
-    # batch 0, client 0 at a later batch. They stack together, so the failed
-    # stack steps again client by client: the error names client 0 with its
-    # own batch, and client 1 finishes its round.
+def nan_teacher_world():
+    # After round 1, clients 0 and 2 get a NaN teacher logit: in round 2
+    # client 2 fails at batch 0 and client 0 at a later batch.
     ds, cfg, server, clients = small_world()
     server, _ = drive(ds, cfg, server, clients, 1)
     bad_batch = {}
@@ -622,6 +619,15 @@ def test_lockstep_failure_names_the_lowest_failing_client():
         st.teacher = (st.teacher[0], logits)
         bad_batch[cid] = (perm.size + pick) % perm.size // cfg.batch_size
     assert bad_batch[2] == 0 < bad_batch[0]
+    return ds, cfg, server, clients, bad_batch
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_lockstep_failure_names_the_lowest_failing_client():
+    # Clients 0 and 2 stack together, so the failed stack steps again client
+    # by client: the error names client 0 with its own batch, and client 1
+    # finishes its round.
+    ds, cfg, server, clients, bad_batch = nan_teacher_world()
     teacher1 = clients[1].teacher
     with pytest.raises(fed.FederationError) as info:
         fed.run_round(server, clients, ds, cfg)
@@ -631,6 +637,34 @@ def test_lockstep_failure_names_the_lowest_failing_client():
     )
     assert isinstance(info.value.__cause__.__cause__, dc.NonFiniteError)
     assert clients[1].teacher is not teacher1  # trained to the end
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_retried_client_ends_where_it_would_alone(monkeypatch):
+    # The three clients stack; each failed stack's clients step again alone.
+    # Clients 0 and 2 stop at their own batches, and client 1, retried with
+    # them, ends bit for bit where it ends when it trains alone.
+    ds, cfg, server, clients, bad_batch = nan_teacher_world()
+    _, _, fresh_server, alone = small_world()
+    drive(ds, cfg, fresh_server, alone, 1)
+    groups, step = [], fed._step
+
+    def spy(model, runs, *args):
+        groups.append([r.state.client_id for r in runs])
+        return step(model, runs, *args)
+
+    monkeypatch.setattr(fed, "_step", spy)
+    got = fed.train_clients([clients[c] for c in (0, 1, 2)], ds, server.model.flat,
+                            server.protos, cfg, 2, server.seed)
+    assert [0, 1, 2] in groups and [1] in groups
+    for cid in (0, 2):
+        assert isinstance(got[cid], fed.FederationError)
+        assert str(got[cid]) == (
+            f"epoch 0 batch {bad_batch[cid]}: distill_loss produced a non-finite value"
+        )
+    want = fed.client_update(alone[1], ds, server.model.flat, server.protos, cfg, 2, server.seed)
+    assert _result_bytes(got[1]) == _result_bytes(want)
+    assert clients[1].model.flat.tobytes() == alone[1].model.flat.tobytes()
 
 
 def ragged_world(method, workers=1):

@@ -68,3 +68,24 @@ def test_round_record_is_frozen():
     rec = RoundRecord(1, (0, 1), 0.1, 0.0, 0.0, 0.0, 0.9, 0.3, 0.1, 0.8, 0.01, 64, (64, 80))
     with pytest.raises(AttributeError):
         rec.acc = 0.5
+
+
+def test_macro_f1_equals_the_per_class_formula_bitwise():
+    # Random cases, some with many hits and some with classes that neither
+    # the predictions nor the labels hold, against F1 counted class by class.
+    rng = np.random.default_rng(8)
+    for case in range(300):
+        classes = int(rng.integers(1, 12))
+        n = int(rng.integers(1, 301))
+        y = rng.integers(0, max(1, classes - case % 3), size=n)
+        p = np.where(rng.uniform(size=n) < 0.8, y, rng.integers(0, classes, size=n))
+        if case % 2:
+            p = rng.integers(0, classes, size=n)
+        scores = []
+        for c in range(classes):
+            tp = int(np.sum((p == c) & (y == c)))
+            fp = int(np.sum((p == c) & (y != c)))
+            fn = int(np.sum((p != c) & (y == c)))
+            denom = 2 * tp + fp + fn
+            scores.append(2 * tp / denom if denom else 0.0)
+        assert macro_f1(p, y, classes).hex() == float(np.mean(scores)).hex()
