@@ -2,12 +2,13 @@
 
 Two dataset sources: the big-endian IDX image/label files used by the
 classic digit corpora, and synthetic Gaussian blobs for desk-scale runs.
-A second source domain is concatenated after the first into one dataset,
-whose ``sample_domains`` indexes each row's domain (0 or 1). Partitioning
-draws per-class client proportions from a symmetric Dirichlet and assigns
-samples multinomially; smaller concentration means more skew. A two-domain
-dataset is split "distinct-domain": the clients fall in two halves, and
-each half gets samples from only one domain.
+An idx corpus stays uint8, and ``Dataset.rows`` makes float64 inputs of
+the rows a batch needs. A second source domain is concatenated after the
+first into one dataset, whose ``sample_domains`` indexes each row's domain
+(0 or 1). Partitioning draws per-class client proportions from a symmetric
+Dirichlet and assigns samples multinomially; smaller concentration means
+more skew. A two-domain dataset is split "distinct-domain": the clients
+fall in two halves, and each half gets samples from only one domain.
 """
 from __future__ import annotations
 
@@ -47,7 +48,9 @@ class PartitionError(RuntimeError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Read-only float64 feature matrix plus integer labels.
+    """Read-only features, as stored, plus integer labels; ``rows`` gives
+    float64 model inputs: an idx file's uint8 pixels scaled to [0, 1] per
+    gather, or the float64 features, checked finite once.
 
     ``sample_domains`` is set only on a two-domain dataset (see ``concat``):
     one index per row, 0 for the first domain and 1 for the second.
@@ -61,7 +64,8 @@ class Dataset:
     image_shape: Optional[tuple[int, int, int]] = None
 
     def __post_init__(self):
-        features = np.asarray(self.features, dtype=np.float64).view()  # keeps the caller's flags
+        dtype = np.uint8 if np.asarray(self.features).dtype == np.uint8 else np.float64
+        features = np.asarray(self.features, dtype=dtype).view()  # keeps the caller's flags
         features.setflags(write=False)
         labels = np.asarray(self.labels, dtype=np.int64)
         object.__setattr__(self, "features", features)
@@ -69,7 +73,8 @@ class Dataset:
         if features.ndim != 2:
             raise ValueError(f"features must be (n, d), got {features.shape}")
         # A finite sum clears the array in one reduction; only the scan may raise.
-        if not np.isfinite(np.add.reduce(features, None)) and not np.isfinite(features).all():
+        if (features.dtype == np.float64 and not np.isfinite(np.add.reduce(features, None))
+                and not np.isfinite(features).all()):
             raise ValueError("features hold a non-finite value")
         if labels.shape != (self.features.shape[0],):
             raise ValueError("labels length does not match feature rows")
@@ -88,6 +93,11 @@ class Dataset:
     def input_dim(self) -> int:
         return self.features.shape[1]
 
+    def rows(self, idx: np.ndarray) -> np.ndarray:
+        """The float64 model inputs of the rows ``idx`` (an index array)."""
+        x = self.features[idx]
+        return x / 255.0 if x.dtype == np.uint8 else x
+
     @staticmethod
     def concat(a: "Dataset", b: "Dataset") -> "Dataset":
         """Stack two domains into one index space: a's rows (domain 0), then b's."""
@@ -95,6 +105,9 @@ class Dataset:
             raise ValueError("domains have different feature widths")
         if a.num_classes != b.num_classes:
             raise ValueError("domains have different label spaces")
+        if a.features.dtype != b.features.dtype:
+            raise ValueError(f"domains store features differently: {a.name} "
+                             f"{a.features.dtype}, {b.name} {b.features.dtype}")
         return Dataset(
             features=np.vstack([a.features, b.features]),
             labels=np.concatenate([a.labels, b.labels]),
@@ -118,7 +131,7 @@ def _read_idx_header(blob: bytes, path: str, expect_magic: int, ndim: int) -> tu
 
 
 def load_idx(images_path, labels_path) -> Dataset:
-    """Load an IDX image/label file pair; pixels are scaled to [0, 1]."""
+    """Load an IDX image/label file pair; the dataset keeps the uint8 pixels as read."""
     with open(images_path, "rb") as f:
         img_blob = f.read()
     with open(labels_path, "rb") as f:
@@ -135,7 +148,7 @@ def load_idx(images_path, labels_path) -> Dataset:
     pixels = np.frombuffer(img_blob, dtype=np.uint8, offset=16).reshape(n, rows * cols)
     labels = np.frombuffer(lab_blob, dtype=np.uint8, offset=8).astype(np.int64)
     return Dataset(
-        features=pixels / 255.0,
+        features=pixels,
         labels=labels,
         num_classes=10,
         name=f"idx:{n}x{rows}x{cols}",

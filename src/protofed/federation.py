@@ -184,11 +184,11 @@ def select_clients(client_ids, fraction: float, seed: int, round_idx: int) -> tu
     return tuple(sorted(ids[i] for i in picked))
 
 
-def _forward_chunks(model: Backbone, feats: np.ndarray, batch: int) -> tuple[np.ndarray, ...]:
-    """Embeddings and logits of ``feats``, ``batch`` rows per forward pass."""
+def _forward_chunks(model: Backbone, data: Dataset, idx: np.ndarray, batch: int) -> tuple:
+    """Embeddings and logits of the rows ``idx``, gathered ``batch`` at a time."""
     embs, logits = [], []
-    for i in range(0, feats.shape[0], batch):
-        emb, out = model.infer(feats[i : i + batch])
+    for i in range(0, idx.size, batch):
+        emb, out = model.infer(data.rows(idx[i : i + batch]))
         embs.append(emb)
         logits.append(out)
     if not embs:
@@ -253,7 +253,7 @@ def _step(model: Backbone, runs: Sequence[_Run], k: int, dataset: Dataset,
     through, each client's logged terms join its sums, in batch order."""
     w, clients = cfg.weights, len(runs)
     idx = np.concatenate([r.rows[r.batches[k]] for r in runs])
-    x, y = dataset.features[idx], dataset.labels[idx]
+    x, y = dataset.rows(idx), dataset.labels[idx]
     if clients > 1:
         x, y = x.reshape(clients, -1, x.shape[1]), y.reshape(clients, -1)
     emb, logits, cache = model.forward(x)
@@ -420,7 +420,7 @@ def _finish(r: _Run, flat: np.ndarray, dataset: Dataset, cfg: FedConfig, round_i
     proto_set: Optional[PrototypeSet] = None
     if method in _USES_PROTOS:
         # One pass over the trained shard: the prototypes' input and the teacher.
-        emb_train, logits_train = _forward_chunks(state.model, dataset.features[train_idx], 512)
+        emb_train, logits_train = _forward_chunks(state.model, dataset, train_idx, 512)
         if method in _MULTI_PROTO:
             state.teacher = (emb_train, logits_train)
         proto_input = r.proto_input or (emb_train, dataset.labels[train_idx])
@@ -586,7 +586,7 @@ def run_round(
     for model, te in parts:
         if te.size == 0:
             continue
-        _, logits = _forward_chunks(model, dataset.features[te], 1024)
+        _, logits = _forward_chunks(model, dataset, te, 1024)
         preds.append(np.argmax(logits, axis=1))
         ys.append(dataset.labels[te])
         accs.append(accuracy(preds[-1], ys[-1]))

@@ -49,8 +49,60 @@ def test_idx_round_trip(tmp_path):
     assert ds.image_shape == (1, 4, 3)
     assert ds.num_classes == 10
     np.testing.assert_array_equal(ds.labels, labels.astype(np.int64))
-    np.testing.assert_allclose(ds.features, images.reshape(7, 12) / 255.0)
-    assert ds.features.min() >= 0.0 and ds.features.max() <= 1.0
+    x = ds.rows(np.arange(7))
+    assert x.tobytes() == (images.reshape(7, 12) / 255.0).tobytes()
+    assert x.min() >= 0.0 and x.max() <= 1.0
+
+
+def test_idx_keeps_the_files_uint8_pixels_read_only(tmp_path):
+    rng = np.random.default_rng(3)
+    images = rng.integers(0, 256, size=(5, 6, 4), dtype=np.uint8)
+    ds = load_idx(*write_idx_pair(tmp_path, images, np.zeros(5, dtype=np.uint8)))
+    assert ds.features.dtype == np.uint8 and not ds.features.flags.writeable
+    assert ds.features.nbytes == 5 * 6 * 4
+    assert ds.features.tobytes() == images.tobytes()
+    assert not ds.features.flags.owndata  # a view of the bytes read, not a copy
+
+
+def test_load_idx_peak_memory_stays_near_the_payload(tmp_path):
+    # criterion 8's corpus size; the float64 matrix alone would be 8x the payload
+    import tracemalloc
+
+    n, side = 60_000, 28
+    img_path, lab_path = tmp_path / "imgs", tmp_path / "labs"
+    with open(img_path, "wb") as f:
+        f.write(struct.pack(">iiii", 0x803, n, side, side))
+        f.write(np.resize(np.arange(256, dtype=np.uint8), n * side * side))
+    lab_path.write_bytes(struct.pack(">ii", 0x801, n) + (np.arange(n) % 10).astype(np.uint8).tobytes())
+    tracemalloc.start()
+    try:
+        ds = load_idx(img_path, lab_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ds) == n
+    assert peak < 1.25 * n * side * side, peak
+
+
+def test_rows_scale_the_gathered_pixels_bitwise(tmp_path):
+    rng = np.random.default_rng(4)
+    images = rng.integers(0, 256, size=(9, 3, 5), dtype=np.uint8)
+    labels = rng.integers(0, 10, size=9, dtype=np.uint8)
+    ds = load_idx(*write_idx_pair(tmp_path, images, labels))
+    pixels = images.reshape(9, 15)
+    for idx in (rng.permutation(9), np.array([4, 4, 0, 8, 4]), np.zeros(0, dtype=np.int64)):
+        x = ds.rows(idx)
+        assert x.dtype == np.float64 and x.shape == (idx.size, 15)
+        assert x.tobytes() == (pixels[idx] / 255.0).tobytes()
+    other = tmp_path / "other"
+    other.mkdir()
+    images2 = rng.integers(0, 256, size=(4, 3, 5), dtype=np.uint8)
+    ds2 = load_idx(*write_idx_pair(other, images2, np.ones(4, dtype=np.uint8)))
+    both = Dataset.concat(ds, ds2)
+    assert both.features.dtype == np.uint8
+    pixels = np.vstack([pixels, images2.reshape(4, 15)])
+    idx = rng.permutation(13)[np.array([0, 5, 5, 12, 3, 9])]
+    assert both.rows(idx).tobytes() == (pixels[idx] / 255.0).tobytes()
 
 
 def test_idx_empty_file_is_structured_error(tmp_path):
@@ -226,6 +278,14 @@ def test_sample_domains_must_index_two_domains():
     for bad in ([0, 1, 2, 0, 1, 0], [0, 1, 0.5, 0, 1, 0], ["a"] * 6, [0, 1, 0], [[0, 1, 0, 1, 0, 1]]):
         with pytest.raises(ValueError, match="sample_domains"):
             Dataset(a.features, a.labels, 2, "t", sample_domains=np.array(bad))
+
+
+def test_concat_refuses_domains_stored_differently():
+    blobs = synth_blobs(classes=2, per_class=3, dim=4, spread=0.1, seed=0)
+    pixels = Dataset(np.zeros((6, 4), dtype=np.uint8), blobs.labels, 2, "pixels")
+    for a, b in ((blobs, pixels), (pixels, blobs)):
+        with pytest.raises(ValueError, match="blobs:2x3d4.*pixels|pixels.*blobs:2x3d4"):
+            Dataset.concat(a, b)
 
 
 def test_partition_plan_json_round_trips():

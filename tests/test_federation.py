@@ -42,6 +42,13 @@ def small_world(method="mp-fedkd", clients=3, seed=7, **over):
     return ds, cfg, server, clients_map
 
 
+def whole_gather_forward(model, x, batch):
+    """Embeddings and logits of the gathered float64 rows ``x``, ``batch``
+    rows per pass: the forward before each chunk gathered its own rows."""
+    outs = [model.infer(x[i : i + batch]) for i in range(0, len(x), batch)]
+    return tuple(np.concatenate(part) for part in zip(*outs))
+
+
 def drive(ds, cfg, server, clients, rounds):
     records = []
     for _ in range(rounds):
@@ -230,10 +237,59 @@ def test_teacher_is_the_trained_models_shard_outputs(method):
     ds, cfg, server, clients = small_world(method=method)
     st = clients[0]
     fed.client_update(st, ds, server.model.flat, server.protos, cfg, round_idx=1, run_seed=0)
-    want = fed._forward_chunks(st.model, ds.features[st.shard.train], 512)
+    want = whole_gather_forward(st.model, ds.rows(st.shard.train), 512)
     assert [a.tobytes() for a in st.teacher] == [a.tobytes() for a in want]
     n = st.shard.train.size
     assert [a.shape for a in st.teacher] == [(n, ARCH.embedding_dim), (n, ARCH.num_classes)]
+
+
+def test_digit_passes_gather_one_chunk_at_a_time(monkeypatch):
+    # uint8 pixels: only a chunk of rows at a time becomes float64 in the
+    # teacher/prototype pass (512) and in evaluation (1024), with the outputs
+    # of one whole-split gather
+    rng = np.random.default_rng(0)
+    labels = np.repeat(np.arange(10), 300)
+    ds = Dataset(rng.integers(0, 256, (labels.size, 784), dtype=np.uint8), labels, 10,
+                 "digits", image_shape=(1, 28, 28))
+    plan = partition_dirichlet(ds, clients=3, alpha=1e6, test_fraction=0.4, seed=1)
+    arch = Arch(kind="mlp", input_dim=784, embedding_dim=8, num_classes=10, hidden=16)
+    server, clients = fed.init_federation(arch, plan, seed=2)
+    cfg = fed.FedConfig(epochs=1, batch_size=32, learning_rate=0.05)
+    phase, seen = ["train"], []
+    rows, finish, train = Dataset.rows, fed._finish, fed.train_clients
+
+    def spy_rows(dataset, idx):
+        seen.append((phase[0], len(idx)))
+        return rows(dataset, idx)
+
+    def in_phase(name, fn, after):
+        def wrapped(*args, **kwargs):
+            phase[0] = name
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                phase[0] = after
+        return wrapped
+
+    monkeypatch.setattr(Dataset, "rows", spy_rows)
+    monkeypatch.setattr(fed, "_finish", in_phase("teacher", finish, "train"))
+    monkeypatch.setattr(fed, "train_clients", in_phase("train", train, "eval"))
+    server, (rec,) = drive(ds, cfg, server, clients, 1)
+    monkeypatch.undo()
+
+    sizes = {p: [n for q, n in seen if q == p] for p in ("teacher", "eval")}
+    train_sizes = [st.shard.train.size for st in clients.values()]
+    test = np.concatenate([clients[cid].shard.test for cid in sorted(clients)])
+    assert max(train_sizes) > 512 and test.size > 1024  # a whole gather would be bigger
+    assert max(sizes["teacher"]) == 512 and sum(sizes["teacher"]) == sum(train_sizes)
+    assert max(sizes["eval"]) == 1024 and sum(sizes["eval"]) == test.size
+    for st in clients.values():
+        want = whole_gather_forward(st.model, ds.rows(st.shard.train), 512)
+        assert [a.tobytes() for a in st.teacher] == [a.tobytes() for a in want]
+    got = fed._forward_chunks(server.model, ds, test, 1024)
+    want = whole_gather_forward(server.model, ds.rows(test), 1024)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert rec.acc == np.mean(np.argmax(want[1], axis=1) == ds.labels[test])
 
 
 def test_teacher_round_runs_the_model_over_the_shard_once(monkeypatch):
@@ -362,7 +418,7 @@ def test_client_step_matches_the_op_chain_bitwise(method, monkeypatch):
             leaves = [dc.Tensor(p) for p in Backbone(ARCH, steps[len(want)][0]).params]
             with dc.Tape() as tape:
                 tape.watch(*leaves)
-                emb, logits = embed_reference(ARCH, leaves, ds.features[idx])
+                emb, logits = embed_reference(ARCH, leaves, ds.rows(idx))
                 ce = cross_entropy_reference(logits, y)
                 if method == "fedproto":
                     loss = dc.add(ce, dc.mul(fedproto_reference(emb, groups), cfg.fedproto_weight))
@@ -412,7 +468,7 @@ def test_fedprox_gradient_matches_the_proximal_op_chain_bitwise(rho, monkeypatch
                 leaves = [dc.Tensor(p) for p in model.params]
                 with dc.Tape() as tape:
                     tape.watch(*leaves)
-                    _, logits = forward(ARCH, leaves, ds.features[idx])
+                    _, logits = forward(ARCH, leaves, ds.rows(idx))
                     ce = cross_entropy(logits, ds.labels[idx])
                     grads = dc.backward(tape, dc.add(ce, prox_reference(leaves, anchor, rho)))
                 grad = np.concatenate([grads[leaf].ravel() for leaf in leaves])
@@ -809,7 +865,7 @@ def test_round_metrics_by_hand(method):
     for cid in (0, 1):  # fedproto: the personal models; fedavg: the server model
         model = clients[cid].model if method == "fedproto" else server.model
         te = clients[cid].shard.test
-        _, logits, _ = model.forward(ds.features[te])
+        _, logits, _ = model.forward(ds.rows(te))
         preds.append(np.argmax(logits, axis=1))
         ys.append(ds.labels[te])
     per_client = np.mean([np.mean(p == y) for p, y in zip(preds, ys)])
