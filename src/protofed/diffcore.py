@@ -364,46 +364,49 @@ def _im2col(xb: np.ndarray, kh: int, kw: int) -> np.ndarray:
 
 def _conv_blocks(x: np.ndarray, k: np.ndarray) -> list[slice]:
     """Sample blocks whose im2col columns hold at most _CONV_BLOCK_ENTRIES."""
-    n, ci, h, w = x.shape
-    kh, kw = k.shape[2:]
+    n, ci, h, w = x.shape[-4:]
+    kh, kw = k.shape[-2:]
     step = max(1, _CONV_BLOCK_ENTRIES // (ci * kh * kw * (h - kh + 1) * (w - kw + 1)))
     return [slice(s, s + step) for s in range(0, n, step)]
 
 
 def _conv2d(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """conv2d's value on plain arrays, one GEMM per sample block."""
-    n, _, h, w = x.shape
-    co, ci, kh, kw = k.shape
-    ho, wo = h - kh + 1, w - kw + 1
-    k2 = k.reshape(co, ci * kh * kw)
-    acc = np.empty((n, co, ho, wo))
-    for sl in _conv_blocks(x, k):
-        cols = _im2col(x[sl], kh, kw)
-        np.matmul(k2, cols, out=acc[sl].reshape(cols.shape[0], co, ho * wo))
-    acc += b[:, None, None]
+    """conv2d's value on plain arrays, one GEMM per sample block; also over a
+    leading client axis, (G, n, ci, h, w) samples, (G, co, ci, kh, kw) kernels
+    and (G, co) biases, each client's blocks written into the one output."""
+    co, ci, kh, kw = k.shape[-4:]
+    ho, wo = x.shape[-2] - kh + 1, x.shape[-1] - kw + 1
+    xs = x.reshape((-1,) + x.shape[-4:])
+    acc = np.empty(xs.shape[:2] + (co, ho, wo))
+    for xc, k2, ac in zip(xs, k.reshape(-1, co, ci * kh * kw), acc):
+        for sl in _conv_blocks(x, k):
+            cols = _im2col(xc[sl], kh, kw)
+            np.matmul(k2, cols, out=ac[sl].reshape(cols.shape[0], co, ho * wo))
+    acc = acc.reshape(x.shape[:-3] + acc.shape[2:])
+    acc += b[..., None, :, None, None]
     return acc
 
 
 def _conv2d_grads(g, x, k, need_dx: bool) -> tuple:
-    """conv2d's backward on plain arrays, block by block as the forward:
-    gradients to x (None unless need_dx), k and b. Each block's columns are
-    recomputed rather than kept."""
-    _, ci, h, w = x.shape
-    co, _, kh, kw = k.shape
-    ho, wo = h - kh + 1, w - kw + 1
-    k2 = k.reshape(co, ci * kh * kw)
-    dk = np.zeros((co, ci * kh * kw))
-    dx = np.zeros(x.shape) if need_dx else None
-    for sl in _conv_blocks(x, k):
-        g3 = g[sl].reshape(-1, co, ho * wo)
-        # the block's columns are freed before dcols exists
-        dk += np.matmul(g3, _im2col(x[sl], kh, kw).transpose(0, 2, 1)).sum(axis=0)
-        if need_dx:  # col2im: one slice-add per kernel tap
-            dcols = np.matmul(k2.T, g3).reshape(-1, ci, kh, kw, ho, wo)
-            for i in range(kh):
-                for j in range(kw):
-                    dx[sl, :, i : i + ho, j : j + wo] += dcols[:, :, i, j]
-    return dx, dk.reshape(k.shape), g.sum(axis=(0, 2, 3))
+    """conv2d's backward on plain arrays, block by block as the forward, also
+    over a leading client axis: gradients to x (None unless need_dx), k and b.
+    Each block's columns are recomputed rather than kept."""
+    co, ci, kh, kw = k.shape[-4:]
+    ho, wo = x.shape[-2] - kh + 1, x.shape[-1] - kw + 1
+    xs, k2 = x.reshape((-1,) + x.shape[-4:]), k.reshape(-1, co, ci * kh * kw)
+    dk = np.zeros(k2.shape)
+    dx = np.zeros(xs.shape) if need_dx else None
+    for c, (xc, gc) in enumerate(zip(xs, g.reshape(xs.shape[:2] + (co, ho * wo)))):
+        for sl in _conv_blocks(x, k):
+            # the block's columns are freed before dcols exists
+            dk[c] += np.matmul(gc[sl], _im2col(xc[sl], kh, kw).transpose(0, 2, 1)).sum(axis=0)
+            if need_dx:  # col2im: one slice-add per kernel tap
+                dcols = np.matmul(k2[c].T, gc[sl]).reshape(-1, ci, kh, kw, ho, wo)
+                for i in range(kh):
+                    for j in range(kw):
+                        dx[c, sl, :, i : i + ho, j : j + wo] += dcols[:, :, i, j]
+    dx = None if dx is None else dx.reshape(x.shape)
+    return dx, dk.reshape(k.shape), g.sum(axis=(-4, -2, -1))
 
 
 def conv2d(x, k, b) -> Tensor:

@@ -3,10 +3,11 @@
 Each payload is one array. The server model travels to the selected clients
 as its flat parameter vector; clients train locally, extract each class's
 prototypes from their embeddings as one (K, q) block, and send both back.
-A round's clients train in lockstep (``train_clients``): the clients whose
-batches have the same size at one index of their schedules take one stacked
-step, each ending bit for bit where it would alone; every client's
-prototypes and teacher are made after the round's schedule.
+A round's clients train in lockstep (``train_clients``), and every step is
+a stacked step: the clients whose batches have the same size at one index of
+their schedules step together as one ``BackboneStack`` (a client too big to
+share steps in a stack of one), each ending bit for bit where it would alone;
+every client's prototypes and teacher are made after the round's schedule.
 The server averages the vectors by training-set size and merges prototype
 tables, keeping stale classes until fresh evidence arrives. Personal-model
 training (fedproto) skips the model exchange entirely. Each round's record
@@ -54,11 +55,11 @@ _INIT_STREAM = 107
 # Cap on the float64 entries (2 MiB) one stacked training step allocates:
 # each client's forward (model.forward_entries per batch row) and its
 # parameter gradient. A round's clients step in stacks within it; a client
-# always fits alone. Stacking saves per-call overhead, which only small models
-# feel: at batch 32 a 784-128-64 mlp client takes about 0.15 M and steps
-# alone (three to a stack, at twice the cap, ran no faster and took 2.5% more
-# peak memory), as does a 28x28 cnn client (about 0.8 M); the blob mlps stack
-# all their clients.
+# too big to share steps in a stack of one. Stacking saves per-call overhead,
+# which only small models feel: at batch 32 a 784-128-64 mlp client takes
+# about 0.15 M and steps alone (three to a stack, at twice the cap, ran no
+# faster and took 2.5% more peak memory), as does a 28x28 cnn client (about
+# 0.8 M); the blob mlps stack all their clients.
 _STACK_ENTRIES = 1 << 18
 
 METHODS = ("mp-fedkd", "mp-fedkd-kmeans", "fedavg", "fedprox", "fedproto")
@@ -141,7 +142,7 @@ class PrototypeSet:
 class ClientState:
     client_id: int
     shard: ClientShard
-    model: Backbone
+    model: Backbone  # None while train_clients steps its parameters
     teacher: Optional[tuple[np.ndarray, np.ndarray]] = None  # (embeddings, logits) of shard.train
 
 
@@ -244,23 +245,18 @@ class _Run:
     error: Optional[Exception] = None
 
 
-def _step(model: Backbone, runs: Sequence[_Run], k: int, dataset: Dataset,
+def _step(model: BackboneStack, runs: Sequence[_Run], k: int, dataset: Dataset,
           global_protos: GlobalPrototypes, cfg: FedConfig, round_idx: int, prox) -> None:
-    """SGD step k of the clients ``runs``, ``model`` being their
-    ``BackboneStack`` or a lone client's own model (a one-client stack gives
-    the same bits, slower): one forward, cross entropy, backward and update,
-    each client's prototype terms on its own slice. Once the update went
-    through, each client's logged terms join its sums, in batch order."""
+    """SGD step k of the clients ``runs`` on their ``BackboneStack``, one
+    client a row: one forward, cross entropy, backward and update, each
+    client's prototype terms on its own slice. Once the update went through,
+    each client's logged terms join its sums, in batch order."""
     w, clients = cfg.weights, len(runs)
     idx = np.concatenate([r.rows[r.batches[k]] for r in runs])
-    x, y = dataset.rows(idx), dataset.labels[idx]
-    if clients > 1:
-        x, y = x.reshape(clients, -1, x.shape[1]), y.reshape(clients, -1)
-    emb, logits, cache = model.forward(x)
+    x, y = dataset.rows(idx), dataset.labels[idx].reshape(clients, -1)
+    emb, logits, cache = model.forward(x.reshape(clients, -1, x.shape[1]))
     ce, ce_bwd = losses.cross_entropy(logits, y)
-    if clients == 1:  # the client axis, for the per-client terms
-        emb, logits, y = emb[None], logits[None], y[None]
-    ce = ce.tolist() if clients > 1 else [ce]
+    ce = ce.tolist()
     g_ce, g_emb, g_dist, logs = [1.0] * clients, [None] * clients, {}, {}
     for i, r in enumerate(runs):
         if not (r.aux or cfg.method == "fedproto"):
@@ -289,10 +285,9 @@ def _step(model: Backbone, runs: Sequence[_Run], k: int, dataset: Dataset,
             if reg is not None:
                 log["proto"], ge = reg[0], reg[1](cfg.fedproto_weight)
         g_emb[i] = ge
-    g_logits = ce_bwd(np.array(g_ce) if clients > 1 else g_ce[0])
+    g_logits = ce_bwd(np.array(g_ce))
     for i, gd in g_dist.items():  # a + b is b + a, bit for bit
-        g_logits.reshape(logits.shape)[i] += gd
-    g_emb = g_emb[0] if clients == 1 else None if all(ge is None for ge in g_emb) else g_emb
+        g_logits[i] += gd
     sgd_step(model, model.backward(cache, g_emb, g_logits), cfg.learning_rate, prox)
     for r, ce_i in zip(runs, ce):  # the step went through
         r.sums["ce"] += ce_i
@@ -316,20 +311,23 @@ def train_clients(
     """Each client's whole contribution to a round, trained in lockstep: its
     ``ClientRoundResult``, or the error it failed with.
 
-    Shared-model methods adopt the received vector first and return the
+    Shared-model methods start from the received vector and return the
     trained one. After round 1 the multi-prototype methods add distillation
     and attract/repel against a client's ``teacher``, the outputs of the model
     it trained when it last took part (a late joiner starts on plain cross
     entropy), and log the alignment diagnostic; fedproto keeps its personal
     model and pulls class means toward the global prototypes.
 
-    Each client draws its batches from its own shuffle stream. At each index
-    of the schedules, the clients whose batches have the same size step
-    together, in stacks within ``_STACK_ENTRIES``, each bit for bit as alone;
-    every client's prototypes and teacher are made after the round's
-    schedule. A failed stack's clients step again one by one: a failing
-    client stops with a ``FederationError`` naming its own epoch and batch;
-    the others go on.
+    Each client draws its batches from its own shuffle stream. Every step is
+    a ``BackboneStack`` step: at each index of the schedules, the clients
+    whose batches have the same size step together, in stacks within
+    ``_STACK_ENTRIES`` (a client too big to share steps in a stack of one),
+    each bit for bit as alone. For the round, a client's parameters live only
+    in its stack; its state gets them back, trained, after the schedule, and
+    a failed client gets its last good ones. Every client's prototypes and
+    teacher are made after the round's schedule. A failed stack's clients
+    step again one by one: a failing client stops with a
+    ``FederationError`` naming its own epoch and batch; the others go on.
     """
     if round_idx < 1:
         raise ValueError("round index must be >= 1")
@@ -341,8 +339,6 @@ def train_clients(
     prox = (cfg.prox_rho, global_flat) if method == "fedprox" and cfg.prox_rho > 0.0 else None
     runs = []
     for st in states:
-        if method in _SHARES_MODEL:
-            st.model.adopt(global_flat)
         n = int(st.shard.train.size)
         rng = np.random.default_rng(
             np.random.SeedSequence([run_seed, _SHUFFLE_STREAM, round_idx, st.client_id])
@@ -356,13 +352,15 @@ def train_clients(
             own_classes=[int(c) for c in np.flatnonzero(st.shard.histogram > 0)],
         ))
 
-    # Each client's parameters: its own model's while it steps alone, a row of
-    # the BackboneStack while it steps with others, a copy of the row once done,
-    # so the stack can be freed (a copy of a lone client's own vector would
-    # only hold two of them until the results are made).
-    flats = [st.model.flat for st in states]
-    stacks: dict = {}  # the last index's models, reused while their key holds
-    per_row, n_params = forward_entries(states[0].model.arch), states[0].model.flat.size
+    # Each client's parameters, taken out of its state for the round: the
+    # received vector or its own, then its row of the stack it steps in (a
+    # copy of the row once it is done, so a multi-client stack can be freed).
+    flats = [global_flat if method in _SHARES_MODEL else st.model.flat for st in states]
+    arch = states[0].model.arch
+    for st in states:  # no state holds a vector beside its stack's copy
+        st.model = None
+    stacks: dict = {}  # the last index's stacks, reused while their key holds
+    per_row, n_params = forward_entries(arch), flats[0].size
     for k in range(max(len(r.batches) for r in runs)):
         by_size: dict[int, list[int]] = {}
         for i, r in enumerate(runs):
@@ -374,8 +372,9 @@ def train_clients(
                 for s in range(0, len(m), cap)]
         stacks = {key: stacks.get(key) for key in work}
         for key in work:  # grows by a failed stack's clients, to step again alone
-            model = stacks[key] = stacks.get(key) or _stack(key, states, flats)
-            try:
+            try:  # a stack of one views its client's vector, a larger one copies theirs
+                model = stacks[key] = stacks.get(key) or BackboneStack(arch, (
+                    flats[key[0]][None] if len(key) == 1 else np.array([flats[i] for i in key])))
                 _step(model, [runs[i] for i in key], k, dataset, global_protos, cfg, round_idx,
                       prox)
             except Exception as exc:
@@ -389,34 +388,22 @@ def train_clients(
                         "epoch {} batch {}: {}".format(*divmod(k, per_epoch), exc))
                     r.error.__cause__ = exc
                 continue
-            for i, row in zip(key, model.flat if len(key) > 1 else [model.flat]):
+            for i, row in zip(key, model.flat):
                 flats[i] = row.copy() if len(key) > 1 and k + 1 == len(runs[i].batches) else row
     out = []
     for r, flat in zip(runs, flats):
+        r.state.model = Backbone(arch, flat)  # its last good parameters
         try:
-            out.append(r.error or _finish(r, flat, dataset, cfg, round_idx, run_seed))
+            out.append(r.error or _finish(r, dataset, cfg, round_idx, run_seed))
         except Exception as exc:
             out.append(exc)
     return out
 
 
-def _stack(key: tuple[int, ...], states: Sequence[ClientState], flats: list) -> Backbone:
-    """The model the clients ``key`` step: a lone client's own, adopting its
-    parameters, or a BackboneStack over a copy of theirs."""
-    if len(key) > 1:
-        return BackboneStack(states[key[0]].model.arch, np.array([flats[i] for i in key]))
-    model = states[key[0]].model
-    if model.flat is not flats[key[0]]:
-        model.adopt(flats[key[0]])
-    return model
-
-
-def _finish(r: _Run, flat: np.ndarray, dataset: Dataset, cfg: FedConfig, round_idx: int,
+def _finish(r: _Run, dataset: Dataset, cfg: FedConfig, round_idx: int,
             run_seed: int) -> ClientRoundResult:
-    """A trained client's parameters, prototypes, teacher and result."""
+    """A trained client's prototypes, teacher and result."""
     state, method, train_idx = r.state, cfg.method, r.state.shard.train
-    if state.model.flat is not flat:
-        state.model.adopt(flat)
     proto_set: Optional[PrototypeSet] = None
     if method in _USES_PROTOS:
         # One pass over the trained shard: the prototypes' input and the teacher.

@@ -56,6 +56,14 @@ _BLOB_KEYS = ("classes", "per_class", "dim", "spread", "data_seed")  # fields id
 _CASTERS = {"int": int, "float": float, "str": str, "bool": _bool}
 
 
+def _refuse_blob_keys(names) -> None:
+    """idx data takes no blob setting: refuse the first one in ``names``."""
+    for f in dataclasses.fields(ExperimentConfig):
+        if f.name in _BLOB_KEYS and f.name in names:
+            key = f.metadata.get("key", f.name)
+            raise ValueError(f"[dataset] {key} is a blob setting; idx data takes none")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Flat view of one experiment. Each field names its INI section (and
@@ -112,10 +120,8 @@ class ExperimentConfig:
             if self.data_kind == "blobs" and getattr(self, key):
                 raise ValueError(f"[dataset] {key} is an idx file path; it needs kind = idx")
         if self.data_kind == "idx":
-            for f in dataclasses.fields(self):
-                if f.name in _BLOB_KEYS and getattr(self, f.name) != f.default:
-                    key = f.metadata.get("key", f.name)
-                    raise ValueError(f"[dataset] {key} is a blob setting; idx data takes none")
+            _refuse_blob_keys([f.name for f in dataclasses.fields(self)
+                               if getattr(self, f.name) != f.default])
         if self.data_kind == "idx" and (not self.images or not self.labels):
             raise ValueError("idx datasets need images and labels paths")
         if self.data_kind == "idx" and bool(self.images2) != bool(self.labels2):
@@ -172,6 +178,8 @@ class ExperimentConfig:
                     values[attr] = caster(raw)
                 except ValueError as exc:
                     raise ValueError(f"bad value for [{section}] {key}: {exc}") from exc
+        if values.get("data_kind") == "idx":  # a stated default is no less stated
+            _refuse_blob_keys(values)
         return cls(**values)
 
     @classmethod

@@ -12,10 +12,10 @@ nothing. Training mutates parameters only through ``sgd_step``, one step on
 that vector. The parameters are read-only views into one frozen vector, and
 that vector is what travels: ``adopt`` takes one in place of the parameters
 and ``Backbone(arch, flat)`` builds a backbone over one, each without a copy.
-A ``BackboneStack`` runs the same code over several clients' vectors at once,
-stacked on a leading axis. A snapshot, written as a checkpoint, shares the
-vector and serializes to a little-endian buffer with a JSON shape manifest up
-front; only this module knows the layout.
+A ``BackboneStack`` runs the same code over one or more clients' vectors at
+once, stacked on a leading axis. A snapshot, written as a checkpoint, shares
+the vector and serializes to a little-endian buffer with a JSON shape
+manifest up front; only this module knows the layout.
 """
 from __future__ import annotations
 
@@ -126,21 +126,8 @@ def _flat_layout(arch: Arch) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     return tuple((end - int(np.prod(s)), end, s) for s, end in zip(shapes, ends))
 
 
-def _conv2d(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``dc._conv2d``, client by client over a stack's leading axis."""
-    return dc._conv2d(x, k, b) if k.ndim == 4 else np.stack([dc._conv2d(*a) for a in zip(x, k, b)])
-
-
-def _conv2d_grads(g, x, k, need_x: bool) -> tuple:
-    """``dc._conv2d_grads``, client by client over a stack's leading axis."""
-    if k.ndim == 4:
-        return dc._conv2d_grads(g, x, k, need_x)
-    dx, dk, db = zip(*[dc._conv2d_grads(*a, need_x) for a in zip(g, x, k)])
-    return None if dx[0] is None else np.stack(dx), np.stack(dk), np.stack(db)
-
-
 # The layers that take two parameters (weights, bias): value, backward.
-_PARAM_LAYERS = {"affine": (dc._affine, dc._affine_grads), "conv2d": (_conv2d, _conv2d_grads)}
+_PARAM_LAYERS = {"affine": (dc._affine, dc._affine_grads), "conv2d": (dc._conv2d, dc._conv2d_grads)}
 
 
 def _views(layout: tuple, flat: np.ndarray) -> list[np.ndarray]:
@@ -258,7 +245,7 @@ class BackboneStack(Backbone):
     """Backbones of one ``Arch`` stacked on a leading client axis: a (clients,
     P) vector, (clients, n, input_dim) batches. ``forward``, ``backward`` and
     ``sgd_step`` step every client at once, each client's slice bit for bit
-    what its own ``Backbone`` computes; the conv layers run client by client."""
+    what its own ``Backbone`` computes, also in a stack of one."""
 
     _stacked = True
 

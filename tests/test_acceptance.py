@@ -327,6 +327,9 @@ def test_criterion_05_first_round_uses_plain_ce_only(monkeypatch):
 
 
 def test_criterion_06_round_log_byte_identical(tmp_path):
+    """Reruns and worker counts log the same bytes at one BLAS thread count:
+    the runs here share the process's, and two counts may differ in an ulp."""
+
     def cfg_for(sub: str, workers: int) -> ExperimentConfig:
         return ExperimentConfig(
             data_kind="blobs", classes=3, per_class=30, dim=2, spread=0.15, data_seed=11,

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,15 @@ from helpers import (
 from protofed.data import ClientShard, Dataset, partition_dirichlet, synth_blobs
 from protofed.harness import ExperimentConfig, rounds_csv, run_experiment
 from protofed.losses import ClassGroups, GlobalPrototypes, LossWeights, PrototypeCoverageWarning
-from protofed.model import Arch, Backbone, build_backbone, flatten_params, forward_entries, sgd_step
+from protofed.model import (
+    Arch,
+    Backbone,
+    build_backbone,
+    flatten_params,
+    forward_entries,
+    init_backbone,
+    sgd_step,
+)
 
 
 ARCH = Arch(kind="mlp", input_dim=2, embedding_dim=4, num_classes=3, hidden=8)
@@ -394,7 +403,7 @@ def test_client_step_matches_the_op_chain_bitwise(method, monkeypatch):
     steps = []
 
     def recording_step(model, grad, lr, prox):
-        steps.append((model.flat, grad.copy()))
+        steps.append((model.flat[0], grad[0].copy()))  # the client's row of its stack
         return sgd_step(model, grad, lr, prox)
 
     weights = LossWeights(ce_weight=0.7, proto_weight=0.4, balance=0.3, temperature=0.5)
@@ -556,18 +565,18 @@ def test_per_batch_prototypes_cluster_the_last_batch(monkeypatch):
     ds, cfg, server, clients = small_world(per_batch_protos=True)
     st = clients[0]
     embs, labels = [], []
-    model_forward, ce_kernel = st.model.forward, fed.losses.cross_entropy
+    model_forward, ce_kernel = fed.BackboneStack.forward, fed.losses.cross_entropy
 
-    def recording_forward(x):
-        emb, logits, cache = model_forward(x)
-        embs.append(emb.copy())
+    def recording_forward(model, x):
+        emb, logits, cache = model_forward(model, x)
+        embs.append(emb[0].copy())  # the client's row of its one-client stack
         return emb, logits, cache
 
     def recording_ce(logits, y):
-        labels.append(np.array(y))
+        labels.append(np.array(y[0]))
         return ce_kernel(logits, y)
 
-    monkeypatch.setattr(st.model, "forward", recording_forward)
+    monkeypatch.setattr(fed.BackboneStack, "forward", recording_forward)
     monkeypatch.setattr(fed.losses, "cross_entropy", recording_ce)
     res = fed.client_update(
         st, ds, server.model.flat, server.protos, cfg, round_idx=1, run_seed=0
@@ -801,7 +810,7 @@ def test_worker_chunks_do_not_change_a_ragged_run(method):
 
 @pytest.mark.parametrize("kind", ["cnn", "mlp"])
 def test_stacked_steps_stay_within_the_entry_cap(monkeypatch, kind):
-    # Every training forward of a 10-client round, alone or stacked, holds at
+    # Every training forward of a 10-client round, each one a stack, holds at
     # most _STACK_ENTRIES with its gradient: the 28x28 cnn (at batch 8, where
     # one client fits and two do not) steps one client at a time, the small
     # 784-wide mlp several at once.
@@ -818,7 +827,7 @@ def test_stacked_steps_stay_within_the_entry_cap(monkeypatch, kind):
     calls, forward = [], fed.Backbone.forward
 
     def spy(model, x):
-        calls.append((x.shape[0] if x.ndim == 3 else 1, x.shape[-2], model.flat.shape[-1]))
+        calls.append((x.shape[0], x.shape[1], model.flat.shape[1]))
         return forward(model, x)
 
     monkeypatch.setattr(fed.Backbone, "forward", spy)
@@ -830,6 +839,39 @@ def test_stacked_steps_stay_within_the_entry_cap(monkeypatch, kind):
     assert max(entries) <= fed._STACK_ENTRIES
     stacked = max(g for g, _, _ in calls)
     assert stacked == 1 if kind == "cnn" else stacked > 1
+
+
+def test_personal_vectors_live_only_in_their_stacks():
+    # Twelve fedproto clients with personal 784-128-64 mlps, each of which
+    # steps alone at batch 32. While they train, a client's parameters live
+    # only in its stack: a state that kept its vector beside the stack's copy
+    # would add one vector per client to the peak.
+    rng = np.random.default_rng(0)
+    clients, rows = 12, 32
+    labels = np.repeat(np.arange(10), 40)
+    ds = Dataset(rng.uniform(size=(labels.size, 784)), labels, 10, "noise")
+    arch = Arch(kind="mlp", input_dim=784, embedding_dim=64, num_classes=10, hidden=128)
+    protos = GlobalPrototypes.of(64, {c: rng.normal(size=64) for c in range(10)})
+    cfg = fed.FedConfig(method="fedproto", epochs=2, batch_size=rows, learning_rate=0.01)
+    order = rng.permutation(labels.size)
+    tracemalloc.start()  # before the personal vectors, whose release is then traced too
+    try:
+        states = []
+        for cid in range(clients):
+            train = order[cid * rows : (cid + 1) * rows]
+            hist = np.bincount(labels[train], minlength=10)
+            shard = ClientShard(cid, train, np.zeros(0, int), hist)
+            states.append(fed.ClientState(cid, shard, init_backbone(arch, rng)))
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        got = fed.train_clients(states, ds, None, protos, cfg, 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_params = states[0].model.flat.size
+    assert fed._STACK_ENTRIES // (rows * forward_entries(arch) + n_params) == 1  # alone
+    assert all(isinstance(r, fed.ClientRoundResult) for r in got)
+    assert peak - start < 0.5 * clients * 8 * n_params
 
 
 def test_align_weight_is_a_diagnostic():

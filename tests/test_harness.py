@@ -296,6 +296,9 @@ ALL_COMMANDS = ["run", "partition-audit", "compare-clusterers"]
         ("[dataset]\nlabels2 = also-missing.idx\n", ALL_COMMANDS),
         # and so was a blob setting with idx data
         ("[dataset]\nper_class = 30\nkind = idx\nimages = a\nlabels = b\n", ALL_COMMANDS),
+        # even one stated at its default value
+        ("[dataset]\nclasses = 3\nkind = idx\nimages = a\nlabels = b\n", ALL_COMMANDS),
+        ("[dataset]\nseed = 0\nkind = idx\nimages = a\nlabels = b\n", ALL_COMMANDS),
     ],
 )
 def test_bad_data_or_model_value_writes_nothing(tmp_path, capsys, bad, commands):

@@ -223,23 +223,29 @@ def _ones(b):
     return np.ones(b.flat.size)
 
 
-@pytest.mark.parametrize("arch, block_entries", KINDS)
-def test_a_stack_steps_each_client_bitwise_as_alone(monkeypatch, arch, block_entries):
-    # A BackboneStack's forward, backward (one client with no embedding
-    # gradient) and proximal SGD step give each client's slice the bytes its
-    # own Backbone gets.
+# Every KINDS entry, stepped in a stack of three clients and in a stack of one.
+STACKED = [pytest.param(arch, entries, clients, id=f"arch{i}-{entries}{tag}")
+           for clients, tag in ((3, ""), (1, "-one-client"))
+           for i, (arch, entries) in enumerate(KINDS)]
+
+
+@pytest.mark.parametrize("arch, block_entries, clients", STACKED)
+def test_a_stack_steps_each_client_bitwise_as_alone(monkeypatch, arch, block_entries, clients):
+    # A BackboneStack's forward, backward (the middle one of three clients
+    # with no embedding gradient) and proximal SGD step give each client's
+    # slice the bytes its own Backbone gets, in a stack of one too.
     if block_entries is not None:
         monkeypatch.setattr(dc, "_CONV_BLOCK_ENTRIES", block_entries)
     rng = np.random.default_rng(5)
-    alone = [init_backbone(arch, rng) for _ in range(3)]
+    alone = [init_backbone(arch, rng) for _ in range(clients)]
     stack = BackboneStack(arch, np.array([b.flat for b in alone]))
-    x = rng.normal(size=(3, 7, arch.input_dim))
+    x = rng.normal(size=(clients, 7, arch.input_dim))
     emb, logits, cache = stack.forward(x)
-    g_emb = [rng.normal(size=emb.shape[1:]), None, rng.normal(size=emb.shape[1:])]
+    g_emb = [rng.normal(size=emb.shape[1:]), None, rng.normal(size=emb.shape[1:])][:clients]
     g_logits = rng.normal(size=logits.shape)
     grad = stack.backward(cache, g_emb, g_logits)
     want_grad = grad.copy()
-    anchor = alone[1].flat
+    anchor = alone[clients // 2].flat
     sgd_step(stack, grad, 0.1, (0.5, anchor))
     for i, b in enumerate(alone):
         e, z, c = b.forward(x[i])
