@@ -229,11 +229,11 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _affine_grads(g, x, w, need_x: bool) -> tuple:
+def _affine_grads(g, x, w, need_x: bool, out=None) -> tuple:
     """affine's backward on plain arrays, also over a leading client axis:
-    gradients to x (None unless need_x), w and b."""
+    gradients to x (None unless need_x), w (into ``out``, if given) and b."""
     gx = g @ w.swapaxes(-1, -2) if need_x else None
-    return gx, x.swapaxes(-1, -2) @ g, np.add.reduce(g, -2)  # g.sum(axis=-2), unwrapped
+    return gx, np.matmul(x.swapaxes(-1, -2), g, out=out), np.add.reduce(g, -2)  # g.sum(-2)
 
 
 def affine(x, w, b) -> Tensor:
@@ -387,10 +387,10 @@ def _conv2d(x: np.ndarray, k: np.ndarray, b: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _conv2d_grads(g, x, k, need_dx: bool) -> tuple:
+def _conv2d_grads(g, x, k, need_dx: bool, out=None) -> tuple:
     """conv2d's backward on plain arrays, block by block as the forward, also
-    over a leading client axis: gradients to x (None unless need_dx), k and b.
-    Each block's columns are recomputed rather than kept."""
+    over a leading client axis: gradients to x (None unless need_dx), k (copied
+    into ``out``, if given) and b. Each block's columns are recomputed."""
     co, ci, kh, kw = k.shape[-4:]
     ho, wo = x.shape[-2] - kh + 1, x.shape[-1] - kw + 1
     xs, k2 = x.reshape((-1,) + x.shape[-4:]), k.reshape(-1, co, ci * kh * kw)
@@ -405,8 +405,10 @@ def _conv2d_grads(g, x, k, need_dx: bool) -> tuple:
                 for i in range(kh):
                     for j in range(kw):
                         dx[c, sl, :, i : i + ho, j : j + wo] += dcols[:, :, i, j]
-    dx = None if dx is None else dx.reshape(x.shape)
-    return dx, dk.reshape(k.shape), g.sum(axis=(-4, -2, -1))
+    dx, dk = None if dx is None else dx.reshape(x.shape), dk.reshape(k.shape)
+    if out is not None:
+        out[...] = dk
+    return dx, dk if out is None else out, g.sum(axis=(-4, -2, -1))
 
 
 def conv2d(x, k, b) -> Tensor:
@@ -429,13 +431,13 @@ def conv2d(x, k, b) -> Tensor:
 
 
 def _temp_scaled(logits: np.ndarray, tau: float) -> np.ndarray:
-    """Logits over tau, shifted so each row's maximum is 0."""
+    """Logits over tau, shifted so each row (the last axis) has maximum 0."""
     if not tau > 0:
         raise ValueError(f"temperature must be positive, got {tau}")
-    if logits.ndim != 2:
-        raise ShapeError(f"logits must be 2-D, got {logits.shape}")
+    if logits.ndim not in (2, 3):
+        raise ShapeError(f"logits must be 2-D or a stack of them, got {logits.shape}")
     z = logits / tau
-    return z - z.max(axis=1, keepdims=True)
+    return z - z.max(axis=-1, keepdims=True)
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -454,10 +456,10 @@ def softmax_t(logits, tau: float = 1.0) -> Tensor:
     """Temperature-scaled row softmax with max subtraction."""
     logits = as_tensor(logits)
     e = np.exp(_temp_scaled(logits.data, tau))
-    p = e / e.sum(axis=1, keepdims=True)
+    p = e / e.sum(axis=-1, keepdims=True)
 
     def bwd(g):
-        inner = (g * p).sum(axis=1, keepdims=True)
+        inner = (g * p).sum(axis=-1, keepdims=True)
         return ((p * (g - inner)) / tau,)
 
     return _op(p, "softmax_t", (logits,), bwd)

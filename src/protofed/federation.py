@@ -26,7 +26,7 @@ import numpy as np
 from . import chac as clustering
 from . import losses
 from .data import ClientShard, Dataset, PartitionPlan
-from .diffcore import _check_finite
+from .diffcore import _check_finite, _sq_dists
 from .losses import GlobalPrototypes, LossWeights, _check_finite_floats
 from .metrics import RoundRecord, accuracy, macro_f1, rmse_mae
 from .model import Arch, Backbone, BackboneStack, forward_entries, init_backbone, sgd_step
@@ -239,7 +239,8 @@ class _Run:
     rows: np.ndarray
     batches: list[slice]
     aux: bool  # the multi-prototype terms are on
-    own_classes: list[int]
+    own: Optional[GlobalPrototypes] = None  # aux: the prototypes of the client's own classes
+    align_dists: Optional[np.ndarray] = None  # aux: the teacher's rows' _sq_dists to ``own``
     sums: dict = field(default_factory=lambda: dict.fromkeys(_TERMS, 0.0))
     proto_input: Optional[tuple[np.ndarray, np.ndarray]] = None  # per-batch mode: the last batch's
     error: Optional[Exception] = None
@@ -247,49 +248,54 @@ class _Run:
 
 def _step(model: BackboneStack, runs: Sequence[_Run], k: int, dataset: Dataset,
           global_protos: GlobalPrototypes, cfg: FedConfig, round_idx: int, prox) -> None:
-    """SGD step k of the clients ``runs`` on their ``BackboneStack``, one
-    client a row: one forward, cross entropy, backward and update, each
-    client's prototype terms on its own slice. Once the update went through,
-    each client's logged terms join its sums, in batch order."""
+    """SGD step k of the clients ``runs`` on their ``BackboneStack``, one client
+    a row: forward, cross entropy, distillation, loss mixes, backward and update
+    on the client axis; align, attract and repel (sharing one ``_sq_dists``) and
+    fedproto's term client by client. Once the update went through, each
+    client's logged terms join its sums, in batch order."""
     w, clients = cfg.weights, len(runs)
     idx = np.concatenate([r.rows[r.batches[k]] for r in runs])
     x, y = dataset.rows(idx), dataset.labels[idx].reshape(clients, -1)
     emb, logits, cache = model.forward(x.reshape(clients, -1, x.shape[1]))
     ce, ce_bwd = losses.cross_entropy(logits, y)
-    ce = ce.tolist()
-    g_ce, g_emb, g_dist, logs = [1.0] * clients, [None] * clients, {}, {}
-    for i, r in enumerate(runs):
-        if not (r.aux or cfg.method == "fedproto"):
-            continue
+    g_ce, g_emb, logs = np.ones(clients), [None] * clients, {}
+    aux = [i for i, r in enumerate(runs) if r.aux]
+    sel = aux if len(aux) < clients else slice(None)  # every client: views, not gathers
+    if aux:
+        (al, att, rep), bwds, teacher = np.empty((3, len(aux))), [], []
+        for j, i in enumerate(aux):
+            r, e = runs[i], emb[i]
+            at, groups = r.pos[r.batches[k]], losses.ClassGroups(y[i], r.own)  # the teacher's rows
+            # align reads them in the round's table: a diagnostic, no gradient
+            al[j], _ = losses.align_loss(r.state.teacher[0][at], groups, r.align_dists[at])
+            sq = _sq_dists(e, r.own.matrix)  # attract's columns are a subset of repel's
+            att[j], att_bwd = losses.attract_loss(e, groups, w.scale, sq)
+            rep[j], rep_bwd = losses.repel_loss(e, r.own, w.scale, sq=sq)
+            bwds.append((rep_bwd, att_bwd))
+            teacher.append(r.state.teacher[1][at])
+        dist, dist_bwd = losses.distill_loss(np.stack(teacher), logits[sel], w.temperature)
+        pair, pair_bwd = losses.attract_repel_loss(att, rep, w.balance)
+        _, mix_bwd = losses.local_loss(ce[sel], dist, al, pair, w, round_idx)
         # Each backward gets the scalar the loss mix hands its term; the
         # gradients add up in the op chain's order, the classifier's last.
-        groups, log, ge = losses.ClassGroups(y[i], global_protos), logs.setdefault(i, {}), None
-        if r.aux:
-            rows = r.pos[r.batches[k]]
-            t_emb, t_logits = r.state.teacher[0][rows], r.state.teacher[1][rows]
-            al, _ = losses.align_loss(t_emb, groups)  # a diagnostic: no gradient
-            dist, dist_bwd = losses.distill_loss(t_logits, logits[i], w.temperature)
-            att, att_bwd = losses.attract_loss(emb[i], groups, w.scale)
-            rep, rep_bwd = losses.repel_loss(emb[i], global_protos, w.scale, r.own_classes)
-            pair, pair_bwd = losses.attract_repel_loss(att, rep, w.balance)
-            _, mix_bwd = losses.local_loss(ce[i], dist, al, pair, w, round_idx)
-            g_ce[i], g_d, _, g_pair = mix_bwd(1.0)
-            g_att, g_rep = pair_bwd(g_pair)
+        g_ce[sel], g_d, _, g_pair = mix_bwd(1.0)
+        g_att, g_rep = pair_bwd(g_pair)
+        for i, (rep_bwd, att_bwd) in zip(aux, bwds):
             for bwd, g in ((rep_bwd, g_rep), (att_bwd, g_att)):
                 if bwd is not None:
-                    ge = bwd(g) if ge is None else ge + bwd(g)
-            g_dist[i] = dist_bwd(g_d)
-            log.update(distill=dist, align=al, proto=pair)
-        if cfg.method == "fedproto":
-            reg = losses.fedproto_loss(emb[i], groups)
+                    g_emb[i] = bwd(g) if g_emb[i] is None else g_emb[i] + bwd(g)
+        for i, *terms in zip(aux, dist.tolist(), al.tolist(), pair.tolist()):
+            logs[i] = dict(zip(_TERMS[1:], terms))
+    if cfg.method == "fedproto":  # each client's regularizer on its own slice
+        for i in range(clients):
+            reg = losses.fedproto_loss(emb[i], losses.ClassGroups(y[i], global_protos))
             if reg is not None:
-                log["proto"], ge = reg[0], reg[1](cfg.fedproto_weight)
-        g_emb[i] = ge
-    g_logits = ce_bwd(np.array(g_ce))
-    for i, gd in g_dist.items():  # a + b is b + a, bit for bit
-        g_logits[i] += gd
+                logs[i], g_emb[i] = {"proto": reg[0]}, reg[1](cfg.fedproto_weight)
+    g_logits = ce_bwd(g_ce)
+    if aux:  # a + b is b + a, bit for bit
+        g_logits[sel] += dist_bwd(g_d)
     sgd_step(model, model.backward(cache, g_emb, g_logits), cfg.learning_rate, prox)
-    for r, ce_i in zip(runs, ce):  # the step went through
+    for r, ce_i in zip(runs, ce.tolist()):  # the step went through
         r.sums["ce"] += ce_i
     for i, log in logs.items():
         for term, value in log.items():
@@ -315,8 +321,10 @@ def train_clients(
     trained one. After round 1 the multi-prototype methods add distillation
     and attract/repel against a client's ``teacher``, the outputs of the model
     it trained when it last took part (a late joiner starts on plain cross
-    entropy), and log the alignment diagnostic; fedproto keeps its personal
-    model and pulls class means toward the global prototypes.
+    entropy), and log the alignment diagnostic. Their round constants come
+    first: each client's own classes' rows of the global table, and its
+    teacher embeddings' distances to them, 512 rows at a time. Fedproto keeps
+    its personal model and pulls class means toward the global prototypes.
 
     Each client draws its batches from its own shuffle stream. Every step is
     a ``BackboneStack`` step: at each index of the schedules, the clients
@@ -346,11 +354,15 @@ def train_clients(
         pos = np.concatenate([rng.permutation(n) for _ in range(cfg.epochs)] or [np.zeros(0, int)])
         batches = [slice(e * n + s, e * n + min(s + bs, n))
                    for e in range(cfg.epochs) for s in range(0, n, bs)]
-        runs.append(_Run(
-            st, pos, st.shard.train[pos], batches,
-            aux=method in _MULTI_PROTO and round_idx != 1 and st.teacher is not None,
-            own_classes=[int(c) for c in np.flatnonzero(st.shard.histogram > 0)],
-        ))
+        runs.append(_Run(st, pos, st.shard.train[pos], batches,
+                         aux=method in _MULTI_PROTO and round_idx != 1 and st.teacher is not None))
+        if runs[-1].aux:  # round constants: the table repel reads, align's distances to it
+            own = [int(c) for c in np.flatnonzero(st.shard.histogram > 0) if global_protos.has(c)]
+            r, t_emb = runs[-1], st.teacher[0]
+            r.own, r.align_dists = GlobalPrototypes(own, global_protos.rows(own)), np.empty(
+                (len(t_emb), len(own)))
+            for s in range(0, len(t_emb), 512):  # 512 rows' (rows, k, q) differences at a time
+                r.align_dists[s : s + 512] = _sq_dists(t_emb[s : s + 512], r.own.matrix)[0]
 
     # Each client's parameters, taken out of its state for the round: the
     # received vector or its own, then its row of the stack it steps in (a

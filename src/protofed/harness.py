@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import json
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -261,6 +262,14 @@ def _write_partition(cfg: ExperimentConfig, plan) -> Path:
     return out
 
 
+def _machine() -> dict:
+    """numpy, BLAS and the BLAS thread count the environment sets (None: unset)."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    threads = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS") or None
+    return {"numpy": np.__version__, "blas": blas.get("name"), "blas_version": blas.get("version"),
+            "blas_threads": int(threads) if threads and threads.strip().isdigit() else threads}
+
+
 def run_experiment(cfg: ExperimentConfig) -> tuple[dict, list[RoundRecord]]:
     """Full pipeline: data, partition, training rounds, artifacts on disk."""
     t_start = time.perf_counter()
@@ -308,6 +317,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, list[RoundRecord]]:
             "total_up_bytes": sum(up),
         },
         "config": {**dataclasses.asdict(cfg), "classes": dataset.num_classes},
+        "machine": _machine(),
     }
     (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2))
     return summary, records

@@ -12,7 +12,8 @@ The global prototypes are one read-only (C, q) matrix, ``GlobalPrototypes``,
 built once per round. A batch's ``ClassGroups`` indexes it once for the
 batch's classes that have a prototype; the alignment, attract and fedproto
 kernels take an embedding matrix with those groups, and the repel kernel
-indexes the table itself.
+indexes the table itself. Align and attract can read their columns of
+``_sq_dists`` to the whole table made beforehand (per round, or repel's).
 
 Each kernel takes plain arrays and returns ``(value, bwd)``: the value as a
 float, checked finite under the kernel's name, and ``bwd(g)``, the gradient
@@ -22,7 +23,10 @@ alignment embeddings get none, so align's ``bwd`` gives the prototype rows'
 gradient, and repel's gives the prototype rows' only on request. A prototype
 term that finds no prototype returns ``bwd`` None. Each backward repeats, step
 for step, the arithmetic of the chain of small diffcore ops the kernel
-replaced, so every gradient is bitwise that chain's.
+replaced, so every gradient is bitwise that chain's. Cross entropy and
+distillation also take a ``BackboneStack``'s leading client axis, each
+client's slice bitwise its own call, and the mixes one client-axis vector
+per term; attract and repel take one client at a time.
 """
 from __future__ import annotations
 
@@ -177,22 +181,25 @@ def distill_loss(
     averaged over the batch and rescaled by temperature squared.
 
     The teacher is a constant: ``bwd`` gives the student logits' gradient.
+    Over a leading client axis the value is each client's.
     """
     shape = student_logits.shape
     if teacher_logits.shape != shape:
         raise ShapeError(f"teacher {teacher_logits.shape} and student {shape} differ")
-    if len(shape) != 2 or shape[0] < 1:
-        raise ShapeError("logits must be a nonempty (n, C) matrix")
+    if len(shape) not in (2, 3) or shape[-2] < 1:
+        raise ShapeError("logits must be a nonempty (n, C) matrix or a stack of them")
     z = dc._temp_scaled(teacher_logits, temperature)
     e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
+    p = e / e.sum(axis=-1, keepdims=True)
     log_q = dc._log_softmax(dc._temp_scaled(student_logits, temperature))
-    c = temperature * temperature / shape[0]
+    c = temperature * temperature / shape[-2]
 
     def bwd(g):
-        return dc._log_softmax_grad(-((g * c) * p), np.exp(log_q)) / temperature
+        gc = g * c if len(shape) == 2 else np.reshape(g * c, (-1, 1, 1))
+        return dc._log_softmax_grad(-(gc * p), np.exp(log_q)) / temperature
 
-    kl_sum = np.sum(p * (dc._log_softmax(z) - log_q))
+    # each client's KL is one reduction over its trailing (n, C) axes
+    kl_sum = np.add.reduce(p * (dc._log_softmax(z) - log_q), axis=(-2, -1))
     return _value(kl_sum * c, "distill_loss"), bwd
 
 
@@ -200,8 +207,8 @@ class ClassGroups:
     """One batch's labels against the global table: the batch classes that
     have a prototype (ascending), the constant (n, len(classes)) weights that
     turn per-row values into class means (row i holds 1 / (rows labelled
-    ``classes[k]``) in column k when it carries that label, zeros elsewhere)
-    and those classes' prototype rows, read-only.
+    ``classes[k]``) in column k when it carries that label, zeros elsewhere),
+    those classes' prototype rows, read-only, and their table rows ``cols``.
 
     The prototype kernels take a whole embedding matrix with its groups, so
     grouping a batch splits nothing, and one grouping serves the teacher's
@@ -212,10 +219,14 @@ class ClassGroups:
         self.labels = np.asarray(labels, dtype=np.int64)
         if self.labels.ndim != 1:
             raise ShapeError(f"labels must be a vector, got {self.labels.shape}")
-        self.classes = [int(c) for c in np.unique(self.labels) if protos.has(c)]
-        onehot = self.labels[:, None] == np.asarray(self.classes, dtype=np.int64)[None, :]
-        self.weights = onehot / onehot.sum(axis=0)
-        self.rows = protos.rows(self.classes)
+        table = np.asarray(protos.labels, dtype=np.int64)
+        counts = np.add.reduce(self.labels[:, None] == table, 0)
+        self.cols, self.width = np.flatnonzero(counts), len(table)  # table rows
+        # compared afresh, not gathered, so the weights are C-ordered: sums read them in order
+        self.weights = (self.labels[:, None] == table[self.cols]) / counts[self.cols]
+        self.classes = table[self.cols].tolist()
+        self.rows = protos.matrix[self.cols]
+        self.rows.flags.writeable = False
 
     def _check(self, emb: np.ndarray) -> None:
         if emb.ndim != 2 or emb.shape[0] != len(self.labels):
@@ -225,12 +236,15 @@ class ClassGroups:
                 f"embeddings are {emb.shape[1]}-wide, prototypes are {self.rows.shape[1]}-wide"
             )
 
-    def _dists(self, emb: np.ndarray, caller: str):
+    def _dists(self, emb: np.ndarray, caller: str, sq=None):
         """``dc._sq_dists`` of the embeddings to the batch classes' prototypes:
         with ``weights``, ``sum(dists * weights)`` adds up each such class's
-        mean squared distance to its own prototype. (None, None), with a
+        mean squared distance to its own prototype; given ``sq``, ``_sq_dists``
+        against the whole table, its columns ``cols``. (None, None), with a
         ``PrototypeCoverageWarning``, when no batch class has one."""
         self._check(emb)
+        if sq is not None and sq[0].shape != (len(self.labels), self.width):
+            raise ShapeError(f"need {(len(self.labels), self.width)} distances, got {sq[0].shape}")
         if not self.classes:
             warnings.warn(
                 f"{caller}: no batch class has a global prototype; returning 0",
@@ -238,50 +252,52 @@ class ClassGroups:
                 stacklevel=3,
             )
             return None, None
-        return dc._sq_dists(emb, self.rows)
+        if sq is None:
+            return dc._sq_dists(emb, self.rows)
+        return sq[0][:, self.cols], None if sq[1] is None else sq[1][:, self.cols]
 
 
-def align_loss(embeddings: np.ndarray, groups: ClassGroups) -> tuple[float, Optional[Callable]]:
+def align_loss(embeddings: np.ndarray, groups: ClassGroups,
+               dists: Optional[np.ndarray] = None) -> tuple[float, Optional[Callable]]:
     """How far the received prototypes drifted from remembered embeddings.
 
     Per class: squared distance (mean over dimensions) between each
     remembered embedding and the class prototype, averaged over the
     class; classes are then averaged uniformly. The embeddings are
     constants: ``bwd`` gives the gradient of the prototype rows
-    ``groups.rows``. Training logs the value and never calls ``bwd``.
+    ``groups.rows``. Training logs the value, from ``dists`` against the
+    whole table made beforehand, and never calls ``bwd``.
     """
-    dists, diff = groups._dists(embeddings, "align_loss")
+    dists, diff = groups._dists(embeddings, "align_loss", None if dists is None else (dists, None))
     if dists is None:
         return 0.0, None
     weights = groups.weights / dists.shape[1]
-    value = _value(np.sum(dists * weights), "align_loss")
-    return value, lambda g: -dc._sq_dists_grad(g * weights, diff).sum(axis=0)
+    value = _value(np.add.reduce(dists * weights, None), "align_loss")  # np.sum, unwrapped
+    return value, lambda g: -dc._sq_dists_grad(
+        g * weights, dc._sq_dists(embeddings, groups.rows)[1] if diff is None else diff).sum(0)
 
 
-def attract_loss(
-    embeddings: np.ndarray, groups: ClassGroups, scale: float
-) -> tuple[float, Optional[Callable]]:
+def attract_loss(embeddings: np.ndarray, groups: ClassGroups, scale: float,
+                 sq: Optional[tuple] = None) -> tuple[float, Optional[Callable]]:
     """Pull within-class embeddings toward their global prototype.
 
     Sum over classes of the class-mean squared distance, scaled; the
     prototypes are constants, so ``bwd`` gives the embeddings' gradient.
+    ``sq``: ``dc._sq_dists`` to the table ``groups`` indexes, made beforehand.
     """
     if not scale > 0:
         raise ValueError("scale must be positive")
-    dists, diff = groups._dists(embeddings, "attract_loss")
+    dists, diff = groups._dists(embeddings, "attract_loss", sq)
     if dists is None:
         return 0.0, None
     weights = groups.weights * float(scale)
-    value = _value(np.sum(dists * weights), "attract_loss")
-    return value, lambda g: dc._sq_dists_grad(g * weights, diff).sum(axis=1)
+    value = _value(np.add.reduce(dists * weights, None), "attract_loss")
+    return value, lambda g: np.add.reduce(dc._sq_dists_grad(g * weights, diff), 1)
 
 
-def repel_loss(
-    embeddings: np.ndarray,
-    protos: GlobalPrototypes,
-    scale: float,
-    classes: Optional[Iterable[int]] = None,
-) -> tuple[float, Optional[Callable]]:
+def repel_loss(embeddings: np.ndarray, protos: GlobalPrototypes, scale: float,
+               classes: Optional[Iterable[int]] = None,
+               sq: Optional[tuple] = None) -> tuple[float, Optional[Callable]]:
     """Push the whole batch away from every class prototype at once.
 
     Log-sum-exp over classes of the negated, scaled batch-mean squared
@@ -289,7 +305,8 @@ def repel_loss(
     exponentials never overflow. Moving embeddings away from a prototype
     lowers the loss. ``bwd(g)`` gives the embeddings' gradient, and
     ``bwd(g, rows=True)`` that and the gradient of the requested classes'
-    prototype rows, ``protos.rows``, ascending.
+    prototype rows, ``protos.rows``, ascending. ``sq``: ``dc._sq_dists``
+    against those rows, made beforehand.
     """
     if not scale > 0:
         raise ValueError("scale must be positive")
@@ -310,28 +327,33 @@ def repel_loss(
         )
         return 0.0, None
     # Only the requested columns exist, so no excluded class is exponentiated.
-    dists, diff = dc._sq_dists(embeddings, protos.rows(wanted))
+    if sq is None:
+        sq = dc._sq_dists(embeddings, protos.rows(wanted))
+    elif sq[0].shape != (embeddings.shape[0], len(wanted)):
+        raise ShapeError(f"need {(embeddings.shape[0], len(wanted))} distances, got {sq[0].shape}")
+    dists, diff = sq
     n = dists.shape[0]
-    scores = np.mean(dists, axis=0) * -float(scale)
+    scores = np.add.reduce(dists, 0) / n * -float(scale)  # np.mean, unwrapped
     shift = float(scores.max())  # constant: gradient-neutral shift
     with np.errstate(over="ignore"):
         e = np.exp(scores - shift)
-    total = np.sum(e)
+    total = np.add.reduce(e, None)
 
     def bwd(g, rows: bool = False):
-        g_dists = np.broadcast_to((((g / total) * e) * -float(scale)) / n, dists.shape)
+        g_dists = ((((g / total) * e) * -float(scale)) / n)[None]  # one row for every row
         gd = dc._sq_dists_grad(g_dists, diff)
-        return (gd.sum(axis=1), -gd.sum(axis=0)) if rows else gd.sum(axis=1)
+        return (np.add.reduce(gd, 1), -gd.sum(axis=0)) if rows else np.add.reduce(gd, 1)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         return _value(np.log(total) + shift, "repel_loss"), bwd
 
 
 def _mix(terms: Sequence[float], weights: Sequence[float], name: str) -> tuple[float, Callable]:
-    """sum_i weights[i] * terms[i] over scalar terms, added left to right, and
-    its backward: each term's upstream scalar."""
-    if any(np.ndim(t) != 0 for t in terms):
-        raise ShapeError(f"{name} needs scalar terms, got shapes {[np.shape(t) for t in terms]}")
+    """sum_i weights[i] * terms[i], added left to right, over scalar terms or
+    client-axis vectors of one length, and its backward: each term's scalar."""
+    shapes = [np.shape(t) for t in terms]
+    if len(shapes[0]) > 1 or any(s != shapes[0] for s in shapes):
+        raise ShapeError(f"{name} needs scalar terms or vectors of one length, got {shapes}")
     acc = terms[0] * weights[0]
     for t, w in zip(terms[1:], weights[1:]):
         acc = acc + t * w
@@ -368,13 +390,13 @@ def local_loss(
     round_idx: int,
 ) -> tuple[float, Callable]:
     """Combined per-batch training loss; ``bwd`` gives the scalar of each of
-    the four terms.
+    the four terms, each a scalar or one entry per client of a stack.
 
     Round 1 is plain cross entropy (its value as-is, bit for bit); later
     rounds mix all four components by the configured weights.
     """
-    if np.ndim(ce) != 0:
-        raise ShapeError("ce must be a scalar loss")
+    if np.ndim(ce) > 1:
+        raise ShapeError("ce must be a scalar loss or a client-axis vector")
     if round_idx < 1:
         raise ValueError(f"round index must be >= 1, got {round_idx}")
     if round_idx == 1:

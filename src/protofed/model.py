@@ -213,7 +213,8 @@ class Backbone:
         grad = np.empty(self.flat.shape)
         parts = _views(self._layout, grad)
         rep, w = self.rep_params, self.cls_params[0]
-        g, parts[-2][...], parts[-1][...] = dc._affine_grads(g_logits, emb, w, True)
+        # each weight gradient is computed into its view of ``grad``
+        g, _, parts[-1][...] = dc._affine_grads(g_logits, emb, w, True, parts[-2])
         for g_client, term in zip(g, g_emb) if isinstance(g_emb, list) else [(g, g_emb)]:
             if term is not None:  # a + b is b + a, bit for bit
                 g_client += term
@@ -222,7 +223,7 @@ class Backbone:
             fns = _PARAM_LAYERS.get(op)
             if fns is not None:
                 j -= 2
-                g, parts[j][...], parts[j + 1][...] = fns[1](g, a, rep[j], j > 0)
+                g, _, parts[j + 1][...] = fns[1](g, a, rep[j], j > 0, parts[j])
             elif g is None:  # below the first layer: only the input's reshape
                 break
             elif op == "relu":

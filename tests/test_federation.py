@@ -791,6 +791,57 @@ def test_lockstep_gives_each_client_its_lone_result(method):
             )
 
 
+def ten_class_world():
+    # Four mp-fedkd clients in round 2 on 10-class blobs, the table missing
+    # class 3. Client 0 owns classes 0 and 3: one column of the table, and a
+    # batch class without a prototype. Client 1 owns all ten classes (nine
+    # columns, past numpy's 8-element summation block), client 2 three, and
+    # client 3 has no teacher yet. At batch 8 their remainder batches differ.
+    ds = synth_blobs(classes=10, per_class=30, dim=3, spread=0.4, seed=6)
+    arch = Arch(kind="mlp", input_dim=3, embedding_dim=5, num_classes=10, hidden=8)
+    rng = np.random.default_rng(6)
+    owned, sizes = [[0, 3], list(range(10)), [2, 4, 5], [1, 6]], [21, 46, 29, 19]
+    states = []
+    for cid, (classes, size) in enumerate(zip(owned, sizes)):
+        train = rng.choice(np.flatnonzero(np.isin(ds.labels, classes)), size, replace=False)
+        hist = np.bincount(ds.labels[train], minlength=10)
+        states.append(fed.ClientState(cid, ClientShard(cid, train, np.zeros(0, int), hist), None))
+        if cid < 3:
+            states[-1].teacher = (rng.normal(size=(size, 5)), 3.0 * rng.normal(size=(size, 10)))
+    protos = GlobalPrototypes.of(5, {c: rng.normal(size=5) for c in range(10) if c != 3})
+    flat = fed.init_backbone(arch, rng).flat
+    for st in states:
+        st.model = Backbone(arch, flat)
+    cfg = fed.FedConfig(rounds=2, epochs=2, batch_size=8, learning_rate=0.05)
+    return ds, cfg, states, flat, protos
+
+
+def test_mp_terms_on_the_stack_give_each_client_its_lone_result(monkeypatch):
+    # Distillation and the loss mixes run over the stack's client axis, align
+    # from the round's table of teacher distances and attract from repel's
+    # distances: every client's result and parameters are bitwise its lone
+    # client_update's, the client without a teacher's included.
+    ds, cfg, together, flat, protos = ten_class_world()
+    *_, alone, _, _ = ten_class_world()
+    stacked, step = [], fed._step
+
+    def spy(model, runs, *args):
+        stacked.append([(r.state.client_id, r.own and len(r.own.labels)) for r in runs])
+        return step(model, runs, *args)
+
+    monkeypatch.setattr(fed, "_step", spy)
+    got = fed.train_clients(together, ds, flat, protos, cfg, 2, 0)
+    # three clients with their own tables' widths, and one without a teacher
+    assert [(0, 1), (1, 9), (2, 3), (3, None)] in stacked
+    assert [len(g) for g in stacked].count(1) >= 2  # the remainder batches split the stack
+    for st in alone:
+        want = fed.client_update(st, ds, flat, protos, cfg, 2, 0)
+        assert _result_bytes(got[st.client_id]) == _result_bytes(want)
+        assert together[st.client_id].model.flat.tobytes() == st.model.flat.tobytes()
+    assert all(r.align > 0.0 and r.proto != 0.0 for r in got[:3])
+    assert got[3].distill == got[3].align == got[3].proto == 0.0
+
+
 @pytest.mark.parametrize("method", fed.METHODS)
 def test_worker_chunks_do_not_change_a_ragged_run(method):
     # workers splits the sorted clients into contiguous lockstep chunks.

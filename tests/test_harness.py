@@ -348,6 +348,26 @@ def test_two_domain_blobs():
 # ------------------------------------------------------------ artifacts
 
 
+@pytest.mark.parametrize("env, threads", [
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 1),
+    ({"OMP_NUM_THREADS": "2"}, 2),
+    ({}, None),
+])
+def test_summary_names_the_machine(tmp_path, monkeypatch, env, threads):
+    # rounds.csv is byte-identical only at one BLAS thread count, so the
+    # summary records the count the environment set (None: unset, the BLAS
+    # default), with numpy's version and its BLAS.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    run_experiment(small_cfg(tmp_path, rounds=1))
+    machine = json.loads((tmp_path / "run" / "summary.json").read_text())["machine"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert machine == {"numpy": np.__version__, "blas": blas["name"],
+                       "blas_version": blas["version"], "blas_threads": threads}
+
+
 def test_run_experiment_artifacts(tmp_path):
     cfg = small_cfg(tmp_path, checkpoints=True)
     summary, records = run_experiment(cfg)

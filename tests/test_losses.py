@@ -273,6 +273,75 @@ def test_one_grouping_serves_align_and_attract():
         attract_loss(Tensor(np.zeros((5, 3))), groups, 0.5)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_kernels_on_a_client_stack_match_their_lone_calls(seed):
+    # A stack of four clients, (G, n, .) as a BackboneStack makes it, with 10
+    # classes and class 3 missing from the table. Distillation takes the stack;
+    # align, attract and repel take each client's slice with distances made
+    # beforehand against the client's own-class table: align the teacher's,
+    # attract repel's. Each value and bwd is bitwise the lone 2-D call on the
+    # global table. Client 0's one own class with a prototype is one column,
+    # client 1's nine cross numpy's 8-element summation block.
+    rng = np.random.default_rng(seed)
+    n, q, scale = 12, 5, 0.7
+    table = protos_from({c: rng.normal(size=q) for c in range(10) if c != 3}, q)
+    owned = [[0, 3], list(range(10)), [2, 4, 5], [7]]
+    labels = np.array([rng.choice(own, n) for own in owned])
+    teacher, student = 3.0 * rng.normal(size=(2, 4, n, 10))
+    t_emb, emb = rng.normal(size=(2, 4, n, q))
+    g = rng.normal(size=4)
+
+    value, bwd = losses.distill_loss(teacher, student, 0.3)
+    for gs, grads in ((g, bwd(g)), ([g[0]] * 4, bwd(g[0]))):  # each client's scalar, or one
+        for i in range(4):
+            v, b = losses.distill_loss(teacher[i].copy(), student[i].copy(), 0.3)
+            assert (value[i], grads[i].tobytes()) == (v, b(gs[i]).tobytes())
+
+    for i, own in enumerate(owned):
+        wanted = [c for c in own if table.has(c)]
+        own_table = GlobalPrototypes(wanted, table.rows(wanted))
+        groups, lone = ClassGroups(labels[i], own_table), ClassGroups(labels[i], table)
+        al = losses.align_loss(t_emb[i], groups, dc._sq_dists(t_emb[i], own_table.matrix)[0])
+        sq = dc._sq_dists(emb[i], own_table.matrix)
+        got = [al, losses.attract_loss(emb[i], groups, scale, sq),
+               losses.repel_loss(emb[i], own_table, scale, sq=sq)]
+        want = [losses.align_loss(t_emb[i].copy(), lone),
+                losses.attract_loss(emb[i].copy(), lone, scale),
+                losses.repel_loss(emb[i].copy(), table, scale, own)]
+        for (v1, b1), (v2, b2) in zip(got, want):
+            assert v1 == v2 and b1(g[i]).tobytes() == b2(g[i]).tobytes()
+        rows = got[2][1](g[i], rows=True), want[2][1](g[i], rows=True)
+        assert [a.tobytes() for a in rows[0]] == [a.tobytes() for a in rows[1]]
+    assert got[0][0] > 0.0 and len(ClassGroups(labels[0], table).classes) == 1
+
+
+def test_client_stack_shape_errors():
+    rng = np.random.default_rng(0)
+    logits = rng.normal(size=(3, 4, 5))
+    for teacher in (logits[:2], logits[..., :4], logits[0]):  # clients, width, no client axis
+        with pytest.raises(ShapeError):
+            losses.distill_loss(teacher, logits, 1.0)
+    with pytest.raises(ShapeError):
+        losses.distill_loss(logits[None], logits[None], 1.0)
+    table = protos_from({0: np.zeros(2), 1: np.ones(2)}, 2)
+    emb, groups = rng.normal(size=(4, 2)), ClassGroups([0, 1, 1, 0], table)
+    narrow = dc._sq_dists(emb, table.rows([0]))
+    with pytest.raises(ShapeError):
+        losses.align_loss(emb, groups, narrow[0])
+    with pytest.raises(ShapeError):
+        losses.attract_loss(emb, groups, 0.5, narrow)
+    with pytest.raises(ShapeError):
+        losses.repel_loss(emb, table, 0.5, sq=narrow)
+    with pytest.raises(ShapeError):
+        losses.attract_repel_loss(np.ones(3), np.ones(2), 0.5)
+    with pytest.raises(ShapeError):
+        losses.local_loss(np.ones(3), np.ones(3), np.ones(2), np.ones(3), LossWeights(), 2)
+    with pytest.raises(ShapeError):
+        losses.local_loss(np.ones((3, 1)), None, None, None, LossWeights(), 1)
+    value, bwd = losses.local_loss(*np.ones((4, 3)), LossWeights(), 2)  # elementwise
+    assert value.shape == (3,) and bwd(1.0) == (0.9, 1.0 - 0.9, 1.0, 0.1)
+
+
 def test_attract_repel_mix_hand_value():
     out = attract_repel_loss(Tensor(2.0), Tensor(-2.0), balance=0.5)
     assert out.item() == 0.0

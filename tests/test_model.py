@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -258,6 +259,28 @@ def test_a_stack_steps_each_client_bitwise_as_alone(monkeypatch, arch, block_ent
         BackboneStack(arch, anchor)  # one vector is no stack
     with pytest.raises(ShapeError):
         stack.forward(x[0])  # a batch without its client axis
+
+
+def test_backward_writes_weight_gradients_into_the_flat_gradient():
+    # A one-client stack of the 784-128-64 mlp at batch 32: each weight
+    # gradient is computed into its view of the flat gradient, so backward
+    # holds no second copy of the first layer's 784 x 128 gradient beside it.
+    arch = Arch(kind="mlp", input_dim=784, embedding_dim=64, num_classes=10, hidden=128)
+    rng = np.random.default_rng(0)
+    stack = BackboneStack(arch, init_backbone(arch, rng).flat[None].copy())
+    emb, logits, cache = stack.forward(rng.uniform(size=(1, 32, 784)))
+    g_emb, g_logits = [rng.normal(size=emb.shape[1:])], rng.normal(size=logits.shape)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        grad = stack.backward(cache, g_emb, g_logits)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * grad.nbytes
+    alone = Backbone(arch, stack.flat[0]).backward([a[0] for a in cache], g_emb[0], g_logits[0])
+    assert alone.tobytes() == grad[0].tobytes()
 
 
 def test_sgd_step_zero_grads_is_identity():
