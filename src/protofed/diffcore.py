@@ -437,7 +437,7 @@ def _temp_scaled(logits: np.ndarray, tau: float) -> np.ndarray:
     if logits.ndim not in (2, 3):
         raise ShapeError(f"logits must be 2-D or a stack of them, got {logits.shape}")
     z = logits / tau
-    return z - z.max(axis=-1, keepdims=True)
+    return z - np.maximum.reduce(z, axis=-1, keepdims=True)  # z.max, unwrapped
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:

@@ -190,7 +190,7 @@ def distill_loss(
         raise ShapeError("logits must be a nonempty (n, C) matrix or a stack of them")
     z = dc._temp_scaled(teacher_logits, temperature)
     e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = e / np.add.reduce(e, axis=-1, keepdims=True)
     log_q = dc._log_softmax(dc._temp_scaled(student_logits, temperature))
     c = temperature * temperature / shape[-2]
 
