@@ -520,6 +520,8 @@ def take_rows(x, indices) -> Tensor:
 def _sq_dists(x: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sq_dists' value on plain arrays, with the (n, C, q) differences its
     backward reuses."""
+    if x.ndim != 2 or p.ndim != 2 or x.shape[1] != p.shape[1] or x.shape[1] == 0:
+        raise ShapeError(f"sq_dists needs (n, q) and (C, q) matrices, got {x.shape}, {p.shape}")
     diff = x[:, None, :] - p[None, :, :]
     return np.add.reduce(diff * diff, axis=2) / x.shape[1], diff
 
@@ -538,8 +540,6 @@ def sq_dists(x, p) -> Tensor:
     sits near a prototype.
     """
     x, p = as_tensor(x), as_tensor(p)
-    if x.ndim != 2 or p.ndim != 2 or x.shape[1] != p.shape[1] or x.shape[1] == 0:
-        raise ShapeError(f"sq_dists needs (n, q) and (C, q) matrices, got {x.shape}, {p.shape}")
     dists, diff = _sq_dists(x.data, p.data)
 
     def bwd(g):

@@ -250,9 +250,12 @@ def _step(model: BackboneStack, runs: Sequence[_Run], k: int, dataset: Dataset,
           global_protos: GlobalPrototypes, cfg: FedConfig, round_idx: int, prox) -> None:
     """SGD step k of the clients ``runs`` on their ``BackboneStack``, one client
     a row: forward, cross entropy, distillation, loss mixes, backward and update
-    on the client axis; align, attract and repel (sharing one ``_sq_dists``) and
-    fedproto's term client by client. Once the update went through, each
-    client's logged terms join its sums, in batch order."""
+    on the client axis; align, attract, repel and fedproto's term client by
+    client. Each aux client's step makes one ``_sq_dists`` of its batch to its
+    own classes' rows: repel reduces all of it, attract the batch classes'
+    columns, and align those columns of the round's teacher distances. Once
+    the update went through, each client's logged terms join its sums, in
+    batch order."""
     w, clients = cfg.weights, len(runs)
     idx = np.concatenate([r.rows[r.batches[k]] for r in runs])
     x, y = dataset.rows(idx), dataset.labels[idx].reshape(clients, -1)
@@ -264,13 +267,15 @@ def _step(model: BackboneStack, runs: Sequence[_Run], k: int, dataset: Dataset,
     if aux:
         (al, att, rep), bwds, teacher = np.empty((3, len(aux))), [], []
         for j, i in enumerate(aux):
-            r, e = runs[i], emb[i]
+            r = runs[i]
             at, groups = r.pos[r.batches[k]], losses.ClassGroups(y[i], r.own)  # the teacher's rows
+            cols = groups.cols  # C-ordered gathers: the sums read distances in order
             # align reads them in the round's table: a diagnostic, no gradient
-            al[j], _ = losses.align_loss(r.state.teacher[0][at], groups, r.align_dists[at])
-            sq = _sq_dists(e, r.own.matrix)  # attract's columns are a subset of repel's
-            att[j], att_bwd = losses.attract_loss(e, groups, w.scale, sq)
-            rep[j], rep_bwd = losses.repel_loss(e, r.own, w.scale, sq=sq)
+            al[j], _ = losses.align_loss(np.take(r.align_dists[at], cols, axis=1), groups)
+            dists, diff = _sq_dists(emb[i], r.own.matrix)  # repel's; attract's are a subset
+            att[j], att_bwd = losses.attract_loss(
+                np.take(dists, cols, axis=1), np.take(diff, cols, axis=1), groups, w.scale)
+            rep[j], rep_bwd = losses.repel_loss(dists, diff, w.scale)
             bwds.append((rep_bwd, att_bwd))
             teacher.append(r.state.teacher[1][at])
         dist, dist_bwd = losses.distill_loss(np.stack(teacher), logits[sel], w.temperature)

@@ -316,7 +316,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, list[RoundRecord]]:
             "total_down_bytes": sum(down),
             "total_up_bytes": sum(up),
         },
-        "config": {**dataclasses.asdict(cfg), "classes": dataset.num_classes},
+        "config": {**dataclasses.asdict(cfg), "classes": dataset.num_classes, "rows": len(dataset)},
         "machine": _machine(),
     }
     (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2))

@@ -10,30 +10,32 @@ its own regularizer, class means against prototypes.
 
 The global prototypes are one read-only (C, q) matrix, ``GlobalPrototypes``,
 built once per round. A batch's ``ClassGroups`` indexes it once for the
-batch's classes that have a prototype; the alignment, attract and fedproto
-kernels take an embedding matrix with those groups, and the repel kernel
-indexes the table itself. Align and attract can read their columns of
-``_sq_dists`` to the whole table made beforehand (per round, or repel's).
+batch's classes that have a prototype. Align, attract and repel reduce the
+squared distances their caller made with ``diffcore._sq_dists``: align and
+attract those of a batch to its groups' rows, repel those to the rows it
+repels. They take no embeddings and no table. Fedproto takes an embedding
+matrix with its groups.
 
 Each kernel takes plain arrays and returns ``(value, bwd)``: the value as a
 float, checked finite under the kernel's name, and ``bwd(g)``, the gradient
-of the kernel's input from the upstream scalar ``g``. Gradient routing is
-part of that contract: distillation teachers, attraction prototypes and
-alignment embeddings get none, so align's ``bwd`` gives the prototype rows'
-gradient, and repel's gives the prototype rows' only on request. A prototype
-term that finds no prototype returns ``bwd`` None. Each backward repeats, step
-for step, the arithmetic of the chain of small diffcore ops the kernel
-replaced, so every gradient is bitwise that chain's. Cross entropy and
-distillation also take a ``BackboneStack``'s leading client axis, each
-client's slice bitwise its own call, and the mixes one client-axis vector
-per term; attract and repel take one client at a time.
+of the kernel's input (for a distance kernel, the embeddings the distances
+were taken from) from the upstream scalar ``g``. Gradient routing is part of
+that contract: distillation teachers, attraction prototypes and alignment
+embeddings get none, so align's ``bwd`` gives the prototype rows' gradient,
+and repel's gives the prototype rows' only on request. A prototype term that
+finds no prototype, or align handed no differences, returns ``bwd`` None.
+Each backward repeats, step for step, the arithmetic of the chain of small
+diffcore ops the kernel replaced, so every gradient is bitwise that chain's.
+Cross entropy and distillation also take a ``BackboneStack``'s leading
+client axis, each client's slice bitwise its own call, and the mixes one
+client-axis vector per term; the distance kernels take one client at a time.
 """
 from __future__ import annotations
 
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -210,7 +212,8 @@ class ClassGroups:
     ``classes[k]``) in column k when it carries that label, zeros elsewhere),
     those classes' prototype rows, read-only, and their table rows ``cols``.
 
-    The prototype kernels take a whole embedding matrix with its groups, so
+    Align and attract reduce one block of squared distances to ``rows`` (the
+    columns ``cols`` of distances to the whole table) with the weights, so
     grouping a batch splits nothing, and one grouping serves the teacher's
     and the student's embeddings of the same rows.
     """
@@ -221,118 +224,90 @@ class ClassGroups:
             raise ShapeError(f"labels must be a vector, got {self.labels.shape}")
         table = np.asarray(protos.labels, dtype=np.int64)
         counts = np.add.reduce(self.labels[:, None] == table, 0)
-        self.cols, self.width = np.flatnonzero(counts), len(table)  # table rows
+        self.cols = np.flatnonzero(counts)  # table rows
         # compared afresh, not gathered, so the weights are C-ordered: sums read them in order
         self.weights = (self.labels[:, None] == table[self.cols]) / counts[self.cols]
         self.classes = table[self.cols].tolist()
         self.rows = protos.matrix[self.cols]
         self.rows.flags.writeable = False
 
-    def _check(self, emb: np.ndarray) -> None:
-        if emb.ndim != 2 or emb.shape[0] != len(self.labels):
-            raise ShapeError(f"need {len(self.labels)} embedding rows, got {emb.shape}")
-        if emb.shape[1] != self.rows.shape[1]:
-            raise ShapeError(
-                f"embeddings are {emb.shape[1]}-wide, prototypes are {self.rows.shape[1]}-wide"
-            )
-
-    def _dists(self, emb: np.ndarray, caller: str, sq=None):
-        """``dc._sq_dists`` of the embeddings to the batch classes' prototypes:
-        with ``weights``, ``sum(dists * weights)`` adds up each such class's
-        mean squared distance to its own prototype; given ``sq``, ``_sq_dists``
-        against the whole table, its columns ``cols``. (None, None), with a
-        ``PrototypeCoverageWarning``, when no batch class has one."""
-        self._check(emb)
-        if sq is not None and sq[0].shape != (len(self.labels), self.width):
-            raise ShapeError(f"need {(len(self.labels), self.width)} distances, got {sq[0].shape}")
+    def _covered(self, dists: np.ndarray, caller: str) -> bool:
+        """Whether a batch class has a prototype, once ``dists`` is shaped
+        (batch rows, batch classes); False with a ``PrototypeCoverageWarning``."""
+        if np.shape(dists) != self.weights.shape:
+            raise ShapeError(f"need {self.weights.shape} distances, got {np.shape(dists)}")
         if not self.classes:
             warnings.warn(
                 f"{caller}: no batch class has a global prototype; returning 0",
                 PrototypeCoverageWarning,
                 stacklevel=3,
             )
-            return None, None
-        if sq is None:
-            return dc._sq_dists(emb, self.rows)
-        return sq[0][:, self.cols], None if sq[1] is None else sq[1][:, self.cols]
+        return bool(self.classes)
 
 
-def align_loss(embeddings: np.ndarray, groups: ClassGroups,
-               dists: Optional[np.ndarray] = None) -> tuple[float, Optional[Callable]]:
+def align_loss(dists: np.ndarray, groups: ClassGroups,
+               diff: Optional[np.ndarray] = None) -> tuple[float, Optional[Callable]]:
     """How far the received prototypes drifted from remembered embeddings.
 
     Per class: squared distance (mean over dimensions) between each
     remembered embedding and the class prototype, averaged over the
-    class; classes are then averaged uniformly. The embeddings are
-    constants: ``bwd`` gives the gradient of the prototype rows
-    ``groups.rows``. Training logs the value, from ``dists`` against the
-    whole table made beforehand, and never calls ``bwd``.
+    class; classes are then averaged uniformly. ``dists`` and ``diff`` are
+    ``dc._sq_dists`` of the embeddings to ``groups.rows``. The embeddings are
+    constants: ``bwd`` gives the gradient of the prototype rows, and is None
+    without ``diff``. Training hands align its distances alone and only logs it.
     """
-    dists, diff = groups._dists(embeddings, "align_loss", None if dists is None else (dists, None))
-    if dists is None:
+    if not groups._covered(dists, "align_loss"):
         return 0.0, None
     weights = groups.weights / dists.shape[1]
     value = _value(np.add.reduce(dists * weights, None), "align_loss")  # np.sum, unwrapped
-    return value, lambda g: -dc._sq_dists_grad(
-        g * weights, dc._sq_dists(embeddings, groups.rows)[1] if diff is None else diff).sum(0)
+    if diff is None:
+        return value, None
+    return value, lambda g: -dc._sq_dists_grad(g * weights, diff).sum(0)
 
 
-def attract_loss(embeddings: np.ndarray, groups: ClassGroups, scale: float,
-                 sq: Optional[tuple] = None) -> tuple[float, Optional[Callable]]:
+def attract_loss(dists: np.ndarray, diff: np.ndarray, groups: ClassGroups,
+                 scale: float) -> tuple[float, Optional[Callable]]:
     """Pull within-class embeddings toward their global prototype.
 
-    Sum over classes of the class-mean squared distance, scaled; the
-    prototypes are constants, so ``bwd`` gives the embeddings' gradient.
-    ``sq``: ``dc._sq_dists`` to the table ``groups`` indexes, made beforehand.
+    Sum over classes of the class-mean squared distance, scaled, from
+    ``dc._sq_dists`` (``dists``, ``diff``) of the embeddings to
+    ``groups.rows``; the prototypes are constants, so ``bwd`` gives the
+    embeddings' gradient.
     """
     if not scale > 0:
         raise ValueError("scale must be positive")
-    dists, diff = groups._dists(embeddings, "attract_loss", sq)
-    if dists is None:
+    if not groups._covered(dists, "attract_loss"):
         return 0.0, None
     weights = groups.weights * float(scale)
     value = _value(np.add.reduce(dists * weights, None), "attract_loss")
     return value, lambda g: np.add.reduce(dc._sq_dists_grad(g * weights, diff), 1)
 
 
-def repel_loss(embeddings: np.ndarray, protos: GlobalPrototypes, scale: float,
-               classes: Optional[Iterable[int]] = None,
-               sq: Optional[tuple] = None) -> tuple[float, Optional[Callable]]:
-    """Push the whole batch away from every class prototype at once.
+def repel_loss(dists: np.ndarray, diff: np.ndarray,
+               scale: float) -> tuple[float, Optional[Callable]]:
+    """Push the whole batch away from every prototype it is measured to.
 
-    Log-sum-exp over classes of the negated, scaled batch-mean squared
-    distance to each prototype; computed with a constant max shift so the
-    exponentials never overflow. Moving embeddings away from a prototype
-    lowers the loss. ``bwd(g)`` gives the embeddings' gradient, and
-    ``bwd(g, rows=True)`` that and the gradient of the requested classes'
-    prototype rows, ``protos.rows``, ascending. ``sq``: ``dc._sq_dists``
-    against those rows, made beforehand.
+    ``dists`` and ``diff`` are ``dc._sq_dists`` of the batch to the
+    prototype rows it repels, one column a class. Log-sum-exp over the
+    columns of the negated, scaled batch-mean squared distance; computed
+    with a constant max shift so the exponentials never overflow. A class
+    the caller leaves out has no column, so it is never exponentiated.
+    Moving embeddings away from a prototype lowers the loss. ``bwd(g)``
+    gives the embeddings' gradient, and ``bwd(g, rows=True)`` that and the
+    gradient of the repelled rows.
     """
     if not scale > 0:
         raise ValueError("scale must be positive")
-    if embeddings.ndim != 2 or embeddings.shape[0] < 1:
-        raise ShapeError(f"embeddings must be a nonempty matrix, got {embeddings.shape}")
-    if embeddings.shape[1] != protos.embedding_dim:
-        raise ShapeError(
-            f"embeddings are {embeddings.shape[1]}-wide, prototypes are "
-            f"{protos.embedding_dim}-wide"
-        )
-    wanted = protos.labels if classes is None else sorted(set(int(c) for c in classes))
-    wanted = [c for c in wanted if protos.has(c)]
-    if not wanted:
+    if np.ndim(dists) != 2 or len(dists) < 1:
+        raise ShapeError(f"need (rows, classes) distances with rows, got {np.shape(dists)}")
+    n, classes = dists.shape
+    if not classes:
         warnings.warn(
-            "repel_loss: no requested class has a global prototype; returning 0",
+            "repel_loss: no class to repel has a global prototype; returning 0",
             PrototypeCoverageWarning,
             stacklevel=2,
         )
         return 0.0, None
-    # Only the requested columns exist, so no excluded class is exponentiated.
-    if sq is None:
-        sq = dc._sq_dists(embeddings, protos.rows(wanted))
-    elif sq[0].shape != (embeddings.shape[0], len(wanted)):
-        raise ShapeError(f"need {(embeddings.shape[0], len(wanted))} distances, got {sq[0].shape}")
-    dists, diff = sq
-    n = dists.shape[0]
     scores = np.add.reduce(dists, 0) / n * -float(scale)  # np.mean, unwrapped
     shift = float(scores.max())  # constant: gradient-neutral shift
     with np.errstate(over="ignore"):
@@ -372,7 +347,9 @@ def fedproto_loss(embeddings: np.ndarray, groups: ClassGroups) -> Optional[tuple
     with a prototype and the dimensions, between each class's batch-mean
     embedding and its global prototype; ``bwd`` gives the embeddings'
     gradient. None when no batch class has a prototype."""
-    groups._check(embeddings)
+    if embeddings.shape != (len(groups.labels), groups.rows.shape[1]):
+        raise ShapeError(f"need {len(groups.labels)} embedding rows as wide as the prototypes "
+                         f"{groups.rows.shape}, got {embeddings.shape}")
     if not groups.classes:
         return None
     weights = groups.weights

@@ -112,8 +112,10 @@ def ward_reference(points, requested: int) -> ClusteringResult:
 # Each adapter below takes Tensors (or arrays) where its protofed.losses
 # kernel takes arrays, calls the kernel and records its (value, bwd) as one
 # op, so a test can watch leaves, run ``backward`` and compare with finite
-# differences or with the op chains further down. A kernel's bwd None (no
-# prototype to reach) gives an untracked constant.
+# differences or with the op chains further down. The align, attract and
+# repel adapters take embeddings and make the kernel's distances to the
+# prototype rows with ``_sq_dists``. A kernel's bwd None (no prototype to
+# reach) gives an untracked constant.
 
 
 class LiveTable(GlobalPrototypes):
@@ -160,23 +162,27 @@ def distill_loss(teacher_logits, student_logits, temperature: float) -> Tensor:
 def align_loss(embeddings, groups, table: Optional[GlobalPrototypes] = None) -> Tensor:
     """With ``table``, the table ``groups`` indexes, the rows' gradient
     reaches a live table's leaf."""
-    out = losses.align_loss(as_tensor(embeddings).data, groups)
+    dists, diff = dc._sq_dists(as_tensor(embeddings).data, groups.rows)
+    out = losses.align_loss(dists, groups, diff)
     rows = Tensor(groups.rows) if table is None else _rows(table, groups.classes)
     return _record("align_loss", out, (rows,), _one)
 
 
 def attract_loss(embeddings, groups, scale: float) -> Tensor:
     emb = as_tensor(embeddings)
-    return _record("attract_loss", losses.attract_loss(emb.data, groups, scale), (emb,), _one)
+    out = losses.attract_loss(*dc._sq_dists(emb.data, groups.rows), groups, scale)
+    return _record("attract_loss", out, (emb,), _one)
 
 
 def repel_loss(embeddings, protos: GlobalPrototypes, scale: float, classes=None) -> Tensor:
+    """Repels the table's rows of ``classes`` (default: all) that it holds."""
     emb = as_tensor(embeddings)
-    out = losses.repel_loss(emb.data, protos, scale, classes)
+    wanted = protos.labels if classes is None else sorted(set(int(c) for c in classes))
+    wanted = [c for c in wanted if protos.has(c)]
+    out = losses.repel_loss(*dc._sq_dists(emb.data, protos.rows(wanted)), scale)
     if not isinstance(protos, LiveTable) or out[1] is None:
         return _record("repel_loss", out, (emb,), _one)
-    wanted = protos.labels if classes is None else sorted(set(int(c) for c in classes))
-    rows = _rows(protos, [c for c in wanted if protos.has(c)])
+    rows = _rows(protos, wanted)
     return _record("repel_loss", out, (emb, rows), lambda bwd, g: bwd(g, rows=True))
 
 

@@ -516,6 +516,19 @@ def test_sq_dists_shape_errors():
         dc.sq_dists(Tensor([1.0, 2.0]), Tensor([[1.0, 2.0]]))
 
 
+def test_plain_sq_dists_checks_its_operands():
+    # The distance kernels take _sq_dists' output, so the width check is its own.
+    x = np.ones((3, 2))
+    for p in (np.ones((4, 3)), np.ones((4, 1))):  # unequal widths
+        with pytest.raises(ShapeError):
+            dc._sq_dists(x, p)
+    for a, b in ((x[0], x), (x, x[0]), (x[None], x), (np.ones((3, 0)), np.ones((4, 0)))):
+        with pytest.raises(ShapeError):  # not a pair of matrices with columns
+            dc._sq_dists(a, b)
+    dists, diff = dc._sq_dists(x, np.zeros((0, 2)))  # no prototype: no columns
+    assert dists.shape == (3, 0) and diff.shape == (3, 0, 2)
+
+
 def test_softmax_rejects_bad_temperature():
     with pytest.raises(ValueError):
         dc.softmax_t(Tensor([[1.0, 0.0]]), 0.0)

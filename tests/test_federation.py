@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -840,6 +841,58 @@ def test_mp_terms_on_the_stack_give_each_client_its_lone_result(monkeypatch):
         assert together[st.client_id].model.flat.tobytes() == st.model.flat.tobytes()
     assert all(r.align > 0.0 and r.proto != 0.0 for r in got[:3])
     assert got[3].distill == got[3].align == got[3].proto == 0.0
+
+
+def test_each_aux_client_step_makes_one_sq_dists(monkeypatch):
+    # The prototype kernels reduce the distances their caller made. Over a
+    # two-round mp-fedkd run, losses makes none; _step makes one per aux
+    # client step, of the batch to the client's own classes' rows; and
+    # train_clients makes the round's teacher distances, 512 rows at a time.
+    ds, cfg, server, clients = small_world()
+    made, steps, teacher_rows = [], [], {}  # steps: each aux client step's (rows, own classes)
+    real_sq, real_step = fed._sq_dists, fed._step
+
+    def sq_spy(x, p):
+        made.append((sys._getframe(1).f_code.co_name, len(x), len(p)))
+        return real_sq(x, p)
+
+    def step_spy(model, runs, k, *args):
+        for r in runs:
+            if r.aux:
+                teacher_rows[r.state.client_id] = len(r.state.teacher[0])
+                steps.append((r.batches[k].stop - r.batches[k].start, len(r.own.labels)))
+        return real_step(model, runs, k, *args)
+
+    monkeypatch.setattr(dc, "_sq_dists", lambda *a: made.append(("losses",)) or real_sq(*a))
+    monkeypatch.setattr(fed, "_sq_dists", sq_spy)
+    monkeypatch.setattr(fed, "_step", step_spy)
+    drive(ds, cfg, server, clients, 2)
+    assert steps and not [m for m in made if m[0] not in ("_step", "train_clients")]
+    assert [m[1:] for m in made if m[0] == "_step"] == steps
+    chunks = [m[1] for m in made if m[0] == "train_clients"]
+    assert len(chunks) == sum(-(-n // 512) for n in teacher_rows.values())
+    assert sum(chunks) == sum(teacher_rows.values()) and max(chunks) <= 512
+
+
+def test_attract_and_align_receive_c_ordered_distances(monkeypatch):
+    # Attract's and align's np.sum(dists * weights) reads the distances in
+    # their memory order. _step hands both C-ordered column gathers, so the
+    # sums' bits do not rest on how numpy lays out a product of an F-ordered
+    # and a C-ordered operand.
+    ds, cfg, server, clients = small_world()
+    server, _ = drive(ds, cfg, server, clients, 1)
+    seen = []
+    for name in ("align_loss", "attract_loss"):
+        def spy(*args, _name=name, _real=getattr(fed.losses, name)):
+            arrays = args[:1] if _name == "align_loss" else args[:2]
+            seen.append((_name, args[0].shape[1], all(a.flags.c_contiguous for a in arrays)))
+            return _real(*args)
+
+        monkeypatch.setattr(fed.losses, name, spy)
+    drive(ds, cfg, server, clients, 1)  # round 2: every client has a teacher
+    assert {name for name, *_ in seen} == {"align_loss", "attract_loss"}
+    assert all(ordered for *_, ordered in seen)
+    assert max(width for _, width, _ in seen) >= 2  # a one-column gather is both orders
 
 
 @pytest.mark.parametrize("method", fed.METHODS)

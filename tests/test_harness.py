@@ -458,8 +458,11 @@ def test_two_domain_run_matches_pins(tmp_path, name):
         )
         cfg = idx_cfg(tmp_path, images, labels, images2=images2, labels2=labels2, clients=5)
     summary, _ = run_experiment(cfg)
-    # summary.json names the classes of the data built, not a blob default
+    # summary.json names the classes and rows of the data built, not blob defaults
     assert summary["config"]["classes"] == (3 if name == "blobs" else 10)
+    plan = json.loads((Path(cfg.out) / "partition.json").read_text())
+    rows = sum(len(c["train"]) + len(c["test"]) for c in plan["clients"])
+    assert summary["config"]["rows"] == rows
     for artifact in ("partition.json", "rounds.csv"):
         pinned = TWO_DOMAIN_PINS / f"two_domain_{name}_{artifact}"
         assert (Path(cfg.out) / artifact).read_bytes() == pinned.read_bytes(), artifact

@@ -277,11 +277,12 @@ def test_one_grouping_serves_align_and_attract():
 def test_kernels_on_a_client_stack_match_their_lone_calls(seed):
     # A stack of four clients, (G, n, .) as a BackboneStack makes it, with 10
     # classes and class 3 missing from the table. Distillation takes the stack;
-    # align, attract and repel take each client's slice with distances made
-    # beforehand against the client's own-class table: align the teacher's,
-    # attract repel's. Each value and bwd is bitwise the lone 2-D call on the
-    # global table. Client 0's one own class with a prototype is one column,
-    # client 1's nine cross numpy's 8-element summation block.
+    # align, attract and repel take each client's distances against its
+    # own-class table, align and attract the batch classes' columns of them.
+    # Each value and bwd is bitwise the lone call on distances to the global
+    # table's rows of the same classes. Client 0's one own class with a
+    # prototype is one column, client 1's nine cross numpy's 8-element
+    # summation block.
     rng = np.random.default_rng(seed)
     n, q, scale = 12, 5, 0.7
     table = protos_from({c: rng.normal(size=q) for c in range(10) if c != 3}, q)
@@ -301,13 +302,16 @@ def test_kernels_on_a_client_stack_match_their_lone_calls(seed):
         wanted = [c for c in own if table.has(c)]
         own_table = GlobalPrototypes(wanted, table.rows(wanted))
         groups, lone = ClassGroups(labels[i], own_table), ClassGroups(labels[i], table)
-        al = losses.align_loss(t_emb[i], groups, dc._sq_dists(t_emb[i], own_table.matrix)[0])
-        sq = dc._sq_dists(emb[i], own_table.matrix)
-        got = [al, losses.attract_loss(emb[i], groups, scale, sq),
-               losses.repel_loss(emb[i], own_table, scale, sq=sq)]
-        want = [losses.align_loss(t_emb[i].copy(), lone),
-                losses.attract_loss(emb[i].copy(), lone, scale),
-                losses.repel_loss(emb[i].copy(), table, scale, own)]
+        t_dists, t_diff = (np.take(a, groups.cols, axis=1)
+                           for a in dc._sq_dists(t_emb[i], own_table.matrix))
+        dists, diff = dc._sq_dists(emb[i], own_table.matrix)
+        cols = [np.take(a, groups.cols, axis=1) for a in (dists, diff)]
+        got = [losses.align_loss(t_dists, groups, t_diff),
+               losses.attract_loss(*cols, groups, scale), losses.repel_loss(dists, diff, scale)]
+        lone_t, lone_s = (dc._sq_dists(e[i].copy(), table.rows(lone.classes)) for e in (t_emb, emb))
+        want = [losses.align_loss(lone_t[0], lone, lone_t[1]),
+                losses.attract_loss(*lone_s, lone, scale),
+                losses.repel_loss(*dc._sq_dists(emb[i].copy(), table.rows(wanted)), scale)]
         for (v1, b1), (v2, b2) in zip(got, want):
             assert v1 == v2 and b1(g[i]).tobytes() == b2(g[i]).tobytes()
         rows = got[2][1](g[i], rows=True), want[2][1](g[i], rows=True)
@@ -327,11 +331,11 @@ def test_client_stack_shape_errors():
     emb, groups = rng.normal(size=(4, 2)), ClassGroups([0, 1, 1, 0], table)
     narrow = dc._sq_dists(emb, table.rows([0]))
     with pytest.raises(ShapeError):
-        losses.align_loss(emb, groups, narrow[0])
+        losses.align_loss(narrow[0], groups)
     with pytest.raises(ShapeError):
-        losses.attract_loss(emb, groups, 0.5, narrow)
+        losses.attract_loss(*narrow, groups, 0.5)
     with pytest.raises(ShapeError):
-        losses.repel_loss(emb, table, 0.5, sq=narrow)
+        losses.repel_loss(narrow[0][0], narrow[1][0], 0.5)  # one row without its row axis
     with pytest.raises(ShapeError):
         losses.attract_repel_loss(np.ones(3), np.ones(2), 0.5)
     with pytest.raises(ShapeError):
@@ -340,6 +344,28 @@ def test_client_stack_shape_errors():
         losses.local_loss(np.ones((3, 1)), None, None, None, LossWeights(), 1)
     value, bwd = losses.local_loss(*np.ones((4, 3)), LossWeights(), 2)  # elementwise
     assert value.shape == (3,) and bwd(1.0) == (0.9, 1.0 - 0.9, 1.0, 0.1)
+
+
+def test_distance_kernels_check_the_block_they_are_handed():
+    # Align and attract take a batch's distances to its groups' rows, one row
+    # per label and one column per batch class with a prototype.
+    table = protos_from({0: np.zeros(2), 1: np.ones(2), 2: np.full(2, 2.0)}, 2)
+    groups = ClassGroups([0, 1, 1, 3], table)  # class 3 has no prototype: two columns
+    dists, diff = dc._sq_dists(np.ones((4, 2)), groups.rows)
+    assert losses.align_loss(dists, groups)[1] is None  # distances alone: no backward
+    for bad in (dists[:3], dists[:, :1], np.ones((4, 3)), dists[None], dists[:, 0]):
+        with pytest.raises(ShapeError):
+            losses.align_loss(bad, groups)
+        with pytest.raises(ShapeError):
+            losses.attract_loss(bad, diff, groups, 0.5)
+    # Repel takes any (rows, classes) block with rows; no class: 0 and a warning.
+    full, full_diff = dc._sq_dists(np.ones((4, 2)), table.matrix)
+    assert losses.repel_loss(full[:, :1], full_diff[:, :1], 0.5)[0] == -0.5  # one class: -scale * d
+    for bad in (full[0], full[None], full[:0]):
+        with pytest.raises(ShapeError):
+            losses.repel_loss(bad, full_diff, 0.5)
+    with pytest.warns(PrototypeCoverageWarning):
+        assert losses.repel_loss(full[:, :0], full_diff[:, :0], 0.5) == (0.0, None)
 
 
 def test_attract_repel_mix_hand_value():
